@@ -62,7 +62,6 @@ from .simulator import (
     SimReport,
     SweepCell,
     empirical_poa,
-    estimate_rate,
     run,
     sweep,
 )

@@ -5,17 +5,19 @@ total from a sliding window of past arrival counts, applies the drop policy
 to that estimate, and thins every user's arrivals independently.  Delay is
 either read off the steady-state formula slot by slot (fast, good for
 sweeps) or measured per packet from an explicit FCFS event queue.
+
+Arrivals never depend on the drop decision, so the whole horizon is drawn
+and thinned as array operations; the event queue runs in fixed-size blocks
+of slots (Lindley's recursion as a cumulative max).
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import islice, product
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +27,7 @@ from .analysis import (
     optimal_total_rate,
     social_optimum_sum,
 )
-from .mechanism import DesignInfeasibleError, DesignSpec, design_linear
+from .mechanism import DesignSpec, design_linear
 from .model import DropPolicy, GameConfig, RateProfile, keep_probability
 
 __all__ = [
@@ -34,7 +36,6 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "SweepCell",
-    "estimate_rate",
     "run",
     "empirical_poa",
     "sweep",
@@ -99,15 +100,9 @@ class SimReport:
     warmup_slots: int
 
 
-def estimate_rate(history: Sequence[float], window: int) -> float:
-    """Mean of the last ``min(window, len(history))`` per-slot totals."""
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
-    n = len(history)
-    if n == 0:
-        raise ValueError("cannot estimate a rate from an empty history")
-    w = min(window, n)
-    return float(sum(islice(history, n - w, None)) / w)
+# Slots per event-queue block.  Bounds the per-packet arrays by the block,
+# not the horizon, at no measurable cost in speed.
+_BLOCK_SLOTS = 256
 
 
 def _fifo_departures(
@@ -119,6 +114,59 @@ def _fifo_departures(
     return cum + np.maximum.accumulate(np.maximum(started_before, server_free))
 
 
+def _event_queue_delays(
+    sim: SimConfig, accepted: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Summed per-user sojourn of the counted packets through a FCFS queue.
+
+    Slots go through the queue in blocks of ``_BLOCK_SLOTS``, so the
+    per-packet arrays stay small whatever the horizon.  The instant the
+    server frees up and the departures still pending carry across blocks.
+    """
+    slots, m = accepted.shape
+    delay_weight = np.zeros(m)
+    server_free = 0.0
+    pending = np.empty(0)  # departure instants after the previous block's end
+    for start in range(0, slots, _BLOCK_SLOTS):
+        block = accepted[start : start + _BLOCK_SLOTS]
+        per_slot = block.sum(axis=1)
+        slot_ids = np.arange(start, start + len(block))
+        n = int(per_slot.sum())
+        queue = pending
+        if n:
+            users = np.repeat(np.tile(np.arange(m), len(block)), block.ravel())
+            slot_of = np.repeat(slot_ids, per_slot)
+            times = slot_of + rng.random(n)
+            # slot t's arrivals lie in [t, t + 1], and the stable sort keeps
+            # ties in slot order, so it permutes only within slots and
+            # slot_of needs no reordering
+            order = np.argsort(times, kind="stable")
+            times = times[order]
+            users = users[order]
+            services = rng.exponential(1.0 / sim.game.mu, n)
+            departures = _fifo_departures(times, services, server_free)
+            server_free = float(departures[-1])
+            counted = slot_of >= sim.window
+            delay_weight += np.bincount(
+                users[counted], weights=(departures - times)[counted], minlength=m
+            )
+            queue = np.concatenate((pending, departures))
+        # FIFO departures are sorted, so the packets gone by a slot's end are
+        # a prefix of those that arrived by then
+        in_system = len(pending) + np.cumsum(per_slot)
+        gone = np.minimum(np.searchsorted(queue, slot_ids + 1.0, side="right"), in_system)
+        backlog = in_system - gone
+        over = np.flatnonzero(backlog > sim.queue_cap)
+        if over.size:
+            t = int(over[0])
+            raise OverloadError(
+                f"queue backlog {int(backlog[t])} exceeded the cap {sim.queue_cap} "
+                f"at slot {start + t}"
+            )
+        pending = queue[gone[-1] :]
+    return delay_weight
+
+
 def run(sim: SimConfig) -> SimReport:
     """Simulate and aggregate.  Deterministic for a given config and seed."""
     rng = np.random.Generator(np.random.PCG64(sim.seed))
@@ -127,72 +175,35 @@ def run(sim: SimConfig) -> SimReport:
     rates = np.asarray(sim.input_rates.rates, dtype=float)
     warmup = sim.window
 
-    history: deque[int] = deque(maxlen=sim.window)
-    history_sum = 0
+    arrivals = rng.poisson(rates, size=(sim.slots, m))
+    slot_totals = arrivals.sum(axis=1)
+    # the estimate at slot t is the mean of the last min(t, window) totals,
+    # 0.0 at slot 0
+    prefix = np.concatenate(([0], np.cumsum(slot_totals)))
+    t = np.arange(1, sim.slots)
+    span = np.minimum(t, sim.window)
+    est = np.zeros(sim.slots)
+    est[1:] = (prefix[t] - prefix[t - span]) / span
+    keep = keep_probability(sim.policy, est)
+    accepted = rng.binomial(arrivals, keep[:, None])
 
-    est_trace = np.empty(sim.slots)
-    drop_trace = np.empty(sim.slots)
-    arr_trace = np.empty(sim.slots, dtype=np.int64)
+    if sim.queue_mode is QueueMode.EVENT_QUEUE:
+        delay_weight = _event_queue_delays(sim, accepted, rng)
+    else:
+        acc_sum = accepted.sum(axis=1)
+        over = np.flatnonzero(acc_sum >= mu)
+        if over.size:
+            first = int(over[0])
+            raise OverloadError(
+                f"accepted load {int(acc_sum[first])} reached the per-slot service rate "
+                f"{mu} at slot {first}; the steady-state delay is undefined"
+            )
+        delay_weight = (
+            accepted[warmup:] * (1.0 / (mu - acc_sum[warmup:]))[:, None]
+        ).sum(axis=0)
 
-    arrivals_total = np.zeros(m, dtype=np.int64)
-    accepted_total = np.zeros(m, dtype=np.int64)
-    delay_weight = np.zeros(m)  # sum of per-packet delays, by user
-
-    event_mode = sim.queue_mode is QueueMode.EVENT_QUEUE
-    server_free = 0.0
-    pending: deque[float] = deque()  # departure instants not yet drained
-
-    for t in range(sim.slots):
-        est = history_sum / len(history) if history else 0.0
-        p_keep = keep_probability(sim.policy, est)
-        arr = rng.poisson(rates)
-        acc = rng.binomial(arr, p_keep)
-        arr_sum = int(arr.sum())
-        acc_sum = int(acc.sum())
-
-        est_trace[t] = est
-        drop_trace[t] = 1.0 - p_keep
-        arr_trace[t] = arr_sum
-        counted = t >= warmup
-        if counted:
-            arrivals_total += arr
-            accepted_total += acc
-
-        if event_mode:
-            if acc_sum:
-                users = np.repeat(np.arange(m), acc)
-                times = t + rng.random(acc_sum)
-                order = np.argsort(times, kind="stable")
-                times = times[order]
-                users = users[order]
-                services = rng.exponential(1.0 / mu, acc_sum)
-                departures = _fifo_departures(times, services, server_free)
-                server_free = float(departures[-1])
-                if counted:
-                    np.add.at(delay_weight, users, departures - times)
-                slot_end = t + 1.0
-                idx = int(np.searchsorted(departures, slot_end, side="right"))
-                pending.extend(departures[idx:])
-            while pending and pending[0] <= t + 1.0:
-                pending.popleft()
-            if len(pending) > sim.queue_cap:
-                raise OverloadError(
-                    f"queue backlog {len(pending)} exceeded the cap {sim.queue_cap} "
-                    f"at slot {t}"
-                )
-        elif acc_sum:
-            if acc_sum >= mu:
-                raise OverloadError(
-                    f"accepted load {acc_sum} reached the per-slot service rate {mu} "
-                    f"at slot {t}; the steady-state delay is undefined"
-                )
-            if counted:
-                delay_weight += acc * (1.0 / (mu - acc_sum))
-
-        if len(history) == sim.window:
-            history_sum -= history[0]
-        history.append(arr_sum)
-        history_sum += arr_sum
+    arrivals_total = arrivals[warmup:].sum(axis=0)
+    accepted_total = accepted[warmup:].sum(axis=0)
 
     kept_slots = sim.slots - warmup
     if kept_slots > 0:
@@ -209,18 +220,18 @@ def run(sim: SimConfig) -> SimReport:
     log_welfare = float(np.sum(np.log(power))) if np.all(power > 0) else -math.inf
 
     report = SimReport(
-        input_rates=tuple(float(r) for r in rates),
-        arrivals=tuple(int(v) for v in arrivals_total),
-        accepted=tuple(int(v) for v in accepted_total),
-        goodput=tuple(float(v) for v in goodput),
-        mean_delay=tuple(float(v) for v in mean_delay),
-        power=tuple(float(v) for v in power),
+        input_rates=tuple(rates.tolist()),
+        arrivals=tuple(arrivals_total.tolist()),
+        accepted=tuple(accepted_total.tolist()),
+        goodput=tuple(goodput.tolist()),
+        mean_delay=tuple(mean_delay.tolist()),
+        power=tuple(power.tolist()),
         sum_welfare=sum_welfare,
         log_welfare=log_welfare,
         empirical_poa=math.nan,
-        estimated_rates=tuple(float(v) for v in est_trace),
-        drop_probs=tuple(float(v) for v in drop_trace),
-        slot_arrivals=tuple(int(v) for v in arr_trace),
+        estimated_rates=tuple(est.tolist()),
+        drop_probs=tuple((1.0 - keep).tolist()),
+        slot_arrivals=tuple(slot_totals.tolist()),
         slots=sim.slots,
         warmup_slots=warmup,
     )
@@ -276,6 +287,11 @@ def _run_cell(
     welfare_kind: WelfareKind,
     keep_prob: float,
 ) -> SweepCell:
+    def failed(exc: Exception) -> SweepCell:
+        return SweepCell(
+            desired_poa, mu, window, replications, math.nan, math.nan, str(exc)
+        )
+
     try:
         game = GameConfig.uniform(mu, base.game.alpha, base.game.m)
         design = design_linear(
@@ -286,24 +302,25 @@ def _run_cell(
                 welfare_kind=welfare_kind,
             )
         )
-        poas = []
-        for k in range(replications):
-            sim = replace(
-                base,
-                game=game,
-                policy=design.policy,
-                input_rates=design.predicted_ne,
-                window=window,
-                seed=base.seed + k,
-            )
-            poas.append(empirical_poa(run(sim), game, welfare_kind))
-        mean = statistics.fmean(poas)
-        std = statistics.stdev(poas) if len(poas) > 1 else 0.0
-        return SweepCell(desired_poa, mu, window, replications, mean, std)
-    except (DesignInfeasibleError, OverloadError, ValueError) as exc:
-        return SweepCell(
-            desired_poa, mu, window, replications, math.nan, math.nan, str(exc)
+        sim = replace(
+            base,
+            game=game,
+            policy=design.policy,
+            input_rates=design.predicted_ne,
+            window=window,
         )
+    except ValueError as exc:  # includes DesignInfeasibleError
+        return failed(exc)
+    try:
+        poas = [
+            empirical_poa(run(replace(sim, seed=base.seed + k)), game, welfare_kind)
+            for k in range(replications)
+        ]
+    except OverloadError as exc:
+        return failed(exc)
+    mean = statistics.fmean(poas)
+    std = statistics.stdev(poas) if len(poas) > 1 else 0.0
+    return SweepCell(desired_poa, mu, window, replications, mean, std)
 
 
 def sweep(
@@ -314,25 +331,17 @@ def sweep(
     replications: int,
     welfare_kind: WelfareKind = WelfareKind.SUM_LOG_UTILITY,
     keep_prob: float = 0.9,
-    max_workers: int | None = None,
 ) -> list[SweepCell]:
     """Design-and-simulate over the cross product of targets, rates, and windows.
 
     Every cell designs a linear policy for its target, offers the predicted
     equilibrium rates open-loop, and replicates the run with seeds
-    ``base.seed + k``.  A failing cell records its error instead of aborting
-    the sweep.  Cells are independent; ``max_workers`` lets them run
-    concurrently, with results merged in cell order either way.
+    ``base.seed + k``.  A cell whose design is infeasible or whose run
+    overloads records its error instead of aborting the sweep.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
-    cells = list(product(desired_poas, mus, windows))
-
-    def job(cell: tuple[float, float, int]) -> SweepCell:
-        q, mu, w = cell
-        return _run_cell(base, q, mu, int(w), replications, welfare_kind, keep_prob)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(job, cells))
-    return [job(c) for c in cells]
+    return [
+        _run_cell(base, q, mu, int(w), replications, welfare_kind, keep_prob)
+        for q, mu, w in product(desired_poas, mus, windows)
+    ]

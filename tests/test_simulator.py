@@ -6,11 +6,14 @@ deterministic in practice.
 """
 
 import math
+import re
 from collections import deque
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mm1game import (
     DesignSpec,
@@ -21,39 +24,21 @@ from mm1game import (
     QueueMode,
     RateProfile,
     SimConfig,
+    StepPolicy,
     WelfareKind,
     design_linear,
     empirical_poa,
-    estimate_rate,
+    keep_probability,
     ne_closed_form,
     poa_of_equilibrium,
     run,
     sweep,
     utility,
 )
+from mm1game import simulator
+from mm1game.simulator import _BLOCK_SLOTS, _event_queue_delays, _fifo_departures
 
 CFG = GameConfig.uniform(6.0, 2.0, 2)
-
-
-# ------------------------------------------------------------------- estimator
-
-
-def test_estimate_rate_means_the_tail():
-    assert estimate_rate([10, 12, 8], 3) == pytest.approx(10.0)
-    assert estimate_rate([1, 1, 99, 101], 2) == pytest.approx(100.0)
-    assert estimate_rate([7], 100) == pytest.approx(7.0)
-    assert estimate_rate(deque([3, 5]), 2) == pytest.approx(4.0)
-
-
-def test_estimate_rate_guards():
-    with pytest.raises(ValueError):
-        estimate_rate([], 3)
-    with pytest.raises(ValueError):
-        estimate_rate([1.0], 0)
-
-
-def test_estimate_rate_constant_stream_is_exact():
-    assert estimate_rate([4.0] * 50, 7) == pytest.approx(4.0)
 
 
 # ------------------------------------------------------------------ basic runs
@@ -163,6 +148,47 @@ def test_warmup_slots_are_discarded():
     assert sum(rep.arrivals) == counted
 
 
+_POLICIES = {
+    "none": NoDrop(),
+    "step": StepPolicy(4.0),
+    "linear": LinearPolicy(3.0, 8.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rates=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=3),
+    window=st.integers(1, 12),
+    extra_slots=st.integers(0, 300),
+    shape=st.sampled_from(sorted(_POLICIES)),
+    mode=st.sampled_from(list(QueueMode)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_report_traces_match_a_plain_python_oracle(
+    rates, window, extra_slots, shape, mode, seed
+):
+    policy = _POLICIES[shape]
+    sim = SimConfig(
+        game=GameConfig.uniform(60.0, 2.0, len(rates)),
+        policy=policy,
+        input_rates=RateProfile(tuple(rates)),
+        slots=window + extra_slots,
+        window=window,
+        seed=seed,
+        queue_mode=mode,
+    )
+    rep = run(sim)
+    totals = rep.slot_arrivals
+    assert len(totals) == len(rep.estimated_rates) == len(rep.drop_probs) == sim.slots
+    for t in range(sim.slots):
+        n = min(t, window)
+        trailing_mean = sum(totals[t - n : t]) / n if n else 0.0
+        assert rep.estimated_rates[t] == trailing_mean
+        assert rep.drop_probs[t] == 1.0 - keep_probability(policy, rep.estimated_rates[t])
+    assert sum(rep.arrivals) == sum(totals[rep.warmup_slots :])
+    assert all(a <= b for a, b in zip(rep.accepted, rep.arrivals))
+
+
 # --------------------------------------------------------------- queue physics
 
 
@@ -175,6 +201,7 @@ def test_event_queue_reproduces_mm1_delay():
         slots=8000,
         seed=21,
     )
+    assert sim.slots % _BLOCK_SLOTS != 0  # the queue also runs a partial block
     rep = run(sim)
     pooled = sum(d * a for d, a in zip(rep.mean_delay, rep.accepted)) / sum(rep.accepted)
     assert pooled == pytest.approx(0.1, rel=0.05)
@@ -218,6 +245,108 @@ def test_event_mode_flags_sustained_backlog():
     )
     with pytest.raises(OverloadError):
         run(sim)
+
+
+def test_event_backlog_carries_across_blocks_until_the_cap():
+    mu, lam, cap = 0.5, 2.0, 2000
+    sim = SimConfig(
+        game=GameConfig.uniform(mu, 2.0, 2),
+        policy=NoDrop(),
+        input_rates=RateProfile((lam / 2, lam / 2)),
+        slots=5000,
+        seed=0,
+        queue_cap=cap,
+    )
+    with pytest.raises(OverloadError) as info:
+        run(sim)
+    slot = int(re.search(r"at slot (\d+)", str(info.value)).group(1))
+    # The server never idles, so the backlog is a random walk with drift
+    # lam - mu and variance lam + mu per slot; one block adds ~384 packets.
+    crossing = cap / (lam - mu)
+    sigma = math.sqrt((lam + mu) * crossing) / (lam - mu)
+    assert slot >= 2 * _BLOCK_SLOTS
+    assert abs(slot - crossing) <= 4.0 * sigma
+
+
+class _PooledRng:
+    """Hands out pre-drawn uniforms and unit exponentials in order.
+
+    Packet k gets the k-th of each, whatever batch sizes the caller asks
+    for, so the per-slot and the blocked event queue see the same packets.
+    """
+
+    def __init__(self, seed, n):
+        gen = np.random.default_rng(seed)
+        self._uniforms = gen.random(n)
+        self._exponentials = gen.exponential(1.0, n)
+        self._used_u = self._used_e = 0
+
+    def random(self, k):
+        out = self._uniforms[self._used_u : self._used_u + k]
+        self._used_u += k
+        return out
+
+    def exponential(self, scale, k):
+        out = scale * self._exponentials[self._used_e : self._used_e + k]
+        self._used_e += k
+        return out
+
+
+def _per_slot_event_queue(sim, accepted, rng):
+    """The event queue one slot at a time: the reference for the blocked one.
+
+    Returns the per-user delay sums and the first slot whose backlog
+    exceeds the cap (None if none does).
+    """
+    m = accepted.shape[1]
+    delay_weight = np.zeros(m)
+    server_free = 0.0
+    pending = deque()
+    for t, acc in enumerate(accepted):
+        acc_sum = int(acc.sum())
+        if acc_sum:
+            users = np.repeat(np.arange(m), acc)
+            times = t + rng.random(acc_sum)
+            order = np.argsort(times, kind="stable")
+            times = times[order]
+            users = users[order]
+            services = rng.exponential(1.0 / sim.game.mu, acc_sum)
+            departures = _fifo_departures(times, services, server_free)
+            server_free = float(departures[-1])
+            if t >= sim.window:
+                np.add.at(delay_weight, users, departures - times)
+            pending.extend(departures[departures > t + 1.0])
+        while pending and pending[0] <= t + 1.0:
+            pending.popleft()
+        if len(pending) > sim.queue_cap:
+            return delay_weight, t
+    return delay_weight, None
+
+
+@pytest.mark.parametrize("block", [1, 7, _BLOCK_SLOTS, 5000])
+@pytest.mark.parametrize("mu, cap, overloads", [(3.0, 10**6, False), (2.5, 60, True)])
+def test_blocked_event_queue_matches_the_per_slot_loop(
+    monkeypatch, block, mu, cap, overloads
+):
+    sim = SimConfig(
+        game=GameConfig.uniform(mu, 2.0, 2),
+        policy=NoDrop(),
+        input_rates=RateProfile((1.2, 1.5)),
+        slots=1000,
+        window=5,
+        queue_cap=cap,
+    )
+    accepted = np.random.default_rng(8).poisson((1.2, 1.5), size=(sim.slots, 2))
+    n = int(accepted.sum())
+    want, overload_slot = _per_slot_event_queue(sim, accepted, _PooledRng(3, n))
+    assert (overload_slot is not None) == overloads
+    monkeypatch.setattr(simulator, "_BLOCK_SLOTS", block)
+    if overloads:
+        with pytest.raises(OverloadError, match=f"at slot {overload_slot}$"):
+            _event_queue_delays(sim, accepted, _PooledRng(3, n))
+    else:
+        got = _event_queue_delays(sim, accepted, _PooledRng(3, n))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 # --------------------------------------------------------------- empirical PoA
@@ -341,7 +470,7 @@ def test_sweep_records_per_cell_errors():
     assert math.isnan(cells[0].mean_poa)
 
 
-def test_sweep_is_deterministic_and_thread_safe():
+def test_sweep_is_deterministic():
     base = SimConfig(
         game=GameConfig.uniform(600.0, 2.0, 3),
         policy=NoDrop(),
@@ -352,10 +481,24 @@ def test_sweep_is_deterministic_and_thread_safe():
         queue_mode=QueueMode.ANALYTIC_DELAY,
     )
     serial = sweep(base, [1.05, 1.2], [600.0], [1, 10], replications=2)
-    threaded = sweep(base, [1.05, 1.2], [600.0], [1, 10], replications=2, max_workers=4)
-    assert serial == threaded
     again = sweep(base, [1.05, 1.2], [600.0], [1, 10], replications=2)
     assert serial == again
+
+
+def test_sweep_lets_programming_errors_through(monkeypatch):
+    def broken_run(sim):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(simulator, "run", broken_run)
+    base = SimConfig(
+        game=GameConfig.uniform(800.0, 2.0, 2),
+        policy=NoDrop(),
+        input_rates=RateProfile((0.0, 0.0)),
+        slots=100,
+        queue_mode=QueueMode.ANALYTIC_DELAY,
+    )
+    with pytest.raises(ValueError, match="broadcast"):
+        sweep(base, [1.1], [800.0], [1], replications=1)
 
 
 def test_sweep_validates_replications():
