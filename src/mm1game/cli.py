@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .simulator import (
     sweep as run_sweep,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 OUT_DIR_ENV = "MM1GAME_OUT_DIR"
 
 EXIT_OK = 0
@@ -284,11 +285,27 @@ def write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _finite_or_null(value: Any) -> Any:
+    """Copy of a JSON payload with every NaN or infinite float replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def write_json(path: str, payload: dict[str, Any]) -> None:
+    """Write strict JSON: non-finite floats (an unbounded ratio, the log of a
+    zero utility, a failed sweep cell) are written as null."""
     body = {"schema_version": SCHEMA_VERSION, **payload}
+    try:
+        text = json.dumps(body, indent=2, allow_nan=False)
+    except ValueError:  # a non-finite float somewhere; only then walk the payload
+        text = json.dumps(_finite_or_null(body), indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(body, fh, indent=2, allow_nan=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _emit(cfg: ExperimentConfig, header: list[str], rows: list[list[Any]], name: str) -> None:

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_TIE_RTOL = 1e-12  # best-response utilities this close count as a tie
 
 
 class UpdateMode(Enum):
@@ -72,16 +73,17 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _grid_golden_max(
-    f_grid, f_scalar, lo: float, hi: float, points: int, tol: float
-) -> tuple[float, float]:
-    """Dense-grid bracketing followed by golden-section refinement."""
+def _grid_golden_max(f, lo: float, hi: float, points: int, tol: float) -> tuple[float, float]:
+    """Dense-grid bracketing followed by golden-section refinement.
+
+    ``f`` takes an array of points for the grid and a float for the refinement.
+    """
     xs = np.linspace(lo, hi, points)
-    us = f_grid(xs)
+    us = f(xs)
     k = int(np.argmax(us))
     a = xs[max(k - 1, 0)]
     b = xs[min(k + 1, points - 1)]
-    x, ux = _golden_max(f_scalar, float(a), float(b), tol)
+    x, ux = _golden_max(f, float(a), float(b), tol)
     if us[k] > ux:
         return float(xs[k]), float(us[k])
     return x, ux
@@ -90,77 +92,73 @@ def _grid_golden_max(
 def _own_utility(rate, others_total: float, alpha: float, mu: float, policy: DropPolicy):
     """Utility of one user at ``rate`` against a fixed total of everyone else.
 
-    Vectorized in ``rate``; negative where the load would be unstable, which
-    keeps such points out of any argmax.
+    Takes a float or an array of rates; negative where the load would be
+    unstable, which keeps such points out of any argmax.
     """
     total = others_total + rate
     p = keep_probability(policy, total)
     return (rate * p) ** alpha * (mu - total * p)
 
 
-def _keep_scalar(policy: DropPolicy, total: float) -> float:
-    if isinstance(policy, NoDrop):
-        return 1.0
-    if isinstance(policy, StepPolicy):
-        return 1.0 if total <= policy.threshold else 0.0
-    return min(1.0, max(0.0, (policy.r2 - total) / (policy.r2 - policy.r1)))
+def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
+    """Real roots of ``a x^3 + b x^2 + c x + d`` (``a != 0``), trigonometric or Cardano."""
+    b, c, d = b / a, c / a, d / a
+    shift = b / 3.0
+    p = c - b * shift
+    q = d - shift * c + 2.0 * shift**3
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    if disc > 0.0:  # one real root
+        u = math.cbrt(-q / 2.0 - math.copysign(math.sqrt(disc), q))
+        return [u - p / (3.0 * u) - shift]
+    if p == 0.0:  # triple root
+        return [-shift]
+    r = 2.0 * math.sqrt(-p / 3.0)
+    phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * r))))
+    return [r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
 
 
-def _own_utility_scalar(
-    rate: float, others_total: float, alpha: float, mu: float, policy: DropPolicy
-) -> float:
-    """Pure-scalar twin of :func:`_own_utility` for tight search loops."""
-    total = others_total + rate
-    p = _keep_scalar(policy, total)
-    return (rate * p) ** alpha * (mu - total * p)
+def _ramp_best_response(b: float, alpha: float, mu: float, policy: LinearPolicy) -> float:
+    """Closed-form argmax of the one-user utility on a linear drop policy.
 
-
-def _own_utility_slope(
-    rate: float, others_total: float, alpha: float, mu: float, policy: LinearPolicy
-) -> float:
-    """Derivative of the one-user utility inside the interpolating segment."""
-    a_slope = policy.slope
-    total = others_total + rate
-    p = a_slope * total + policy.intercept
-    eff = rate * p
-    return alpha * eff ** (alpha - 1.0) * (p + rate * a_slope) * (
-        mu - total * p
-    ) - eff**alpha * (p + total * a_slope)
-
-
-def _polish_interior(
-    x: float,
-    lo: float,
-    hi: float,
-    others_total: float,
-    alpha: float,
-    mu: float,
-    policy: LinearPolicy,
-) -> float:
-    """Sharpen an interior argmax by bisecting the sign change of the slope.
-
-    Golden-section localizes the maximum only to about sqrt(eps); the slope
-    crossing pins it to machine precision.  Returns ``x`` unchanged when no
-    bracketing sign change is found (endpoint maxima).
+    See :func:`best_response`.  Rates are measured against ``d = r2 - b``, the
+    room left before everything is dropped, so the keep probability on the
+    ramp is ``(d - x) / w`` with ``w = r2 - r1``: no total near ``r2`` is
+    formed and subtracted again, which keeps tiny keep probabilities exact.
     """
-    width = (hi - lo) * 1e-3
-    a = max(lo + (hi - lo) * 1e-12, x - width)
-    b = min(hi - (hi - lo) * 1e-12, x + width)
-    if not a < b:
-        return x
-    ga = _own_utility_slope(a, others_total, alpha, mu, policy)
-    gb = _own_utility_slope(b, others_total, alpha, mu, policy)
-    if not (ga > 0.0 > gb):
-        return x
-    for _ in range(100):
-        mid = 0.5 * (a + b)
-        if _own_utility_slope(mid, others_total, alpha, mu, policy) > 0.0:
-            a = mid
-        else:
-            b = mid
-        if (b - a) <= 4e-16 * max(1.0, abs(a)):
-            break
-    return 0.5 * (a + b)
+    d = policy.r2 - b
+    if d <= 0.0:
+        return 0.0  # everything the user could send is dropped
+    w = policy.r2 - policy.r1
+    e = d - b  # r2 - 2b
+    h = mu * w - b * d  # w times the headroom q at x = 0
+
+    def condition(x: float) -> float:
+        # w^2 x p q times d/dx log u, i.e. alpha q (p + s x) - x p (p + s T)
+        return alpha * (mu * w - (b + x) * (d - x)) * (d - 2.0 * x) - x * (d - x) * (e - 2.0 * x)
+
+    a3 = -2.0 * (alpha + 1.0)
+    a2 = alpha * (d + 2.0 * e) + 2.0 * d + e
+    a1 = -alpha * (e * d + 2.0 * h) - d * e
+    lo = max(0.0, policy.r1 - b)
+    candidates = [(lo, 1.0)]
+    for x in _cubic_roots(a3, a2, a1, alpha * h * d):
+        g = condition(x)
+        for _ in range(2):  # Newton polish on the unexpanded condition
+            slope = (3.0 * a3 * x + 2.0 * a2) * x + a1
+            if slope == 0.0:
+                break
+            step = x - g / slope
+            g_step = condition(step)
+            if not abs(g_step) < abs(g):
+                break
+            x, g = step, g_step
+        if lo < x < d:
+            candidates.append((x, (d - x) / w))
+    valued = [(x, (x * p) ** alpha * (mu - (b + x) * p)) for x, p in candidates]
+    best = max(u for _, u in valued)
+    if best <= 0.0:
+        return 0.0
+    return max(x for x, u in valued if u >= best - _TIE_RTOL * best)
 
 
 def best_response(
@@ -168,42 +166,41 @@ def best_response(
 ) -> float:
     """Rate maximizing user ``i``'s utility against a fixed total of the others.
 
-    Ties between a keep-everything candidate and an interpolated-region
-    candidate go to the larger rate.  Returns 0 when no rate earns positive
-    utility.
+    With ``B`` the others' total, the flat-piece optimum is
+    ``star = alpha (mu - B) / (alpha + 1)``: the answer without dropping, and
+    capped at the threshold on a step policy.
+
+    On a linear policy the keep probability on the ramp is ``p = s T + c``
+    with ``T = B + x`` (``s``, ``c`` are the policy's slope and intercept) and
+    the headroom is ``q = mu - T p``.  Multiplying the stationarity condition
+    of ``log u``, ``alpha / x + alpha s / p - (p + s T) / q = 0``, by
+    ``x p q`` gives, for any real ``alpha``, the cubic
+    ``alpha q (2 s x + p_B) - x (s x + p_B) (2 s x + p_B + s B) = 0`` with
+    ``p_B = s B + c`` and leading coefficient ``-2 s^2 (alpha + 1)``.  The
+    answer is the best of two kinds of candidate: the cubic's real roots
+    strictly inside the ramp ``(max(0, r1 - B), r2 - B)``, each polished by
+    Newton steps on the unexpanded condition, and the ramp start
+    ``max(0, r1 - B)``.  ``star`` needs no candidate of its own: when
+    ``B + star <= r1``, some ramp rate has accepted rate ``x p = star``, and
+    there the others' accepted load ``B p`` is at most ``B``, so the ramp
+    earns at least ``star``'s utility (strictly more when ``B > 0``; a lone
+    user ties).
+
+    Ties go to the larger rate; utilities within a relative ``1e-12`` of the
+    best count as tied, so rounding does not pick between exact ties such as
+    the two ramp rates at which a lone user's accepted rate is ``star``.
+    Returns 0 when no rate earns positive utility.
     """
     if others_total < 0:
         raise ValueError("others_total must be non-negative")
     alpha = config.alphas[i]
     mu = config.mu
-    b_total = others_total
-    star = alpha * (mu - b_total) / (alpha + 1.0) if b_total < mu else 0.0
-
+    if isinstance(policy, LinearPolicy):
+        return _ramp_best_response(others_total, alpha, mu, policy)
+    star = alpha * (mu - others_total) / (alpha + 1.0) if others_total < mu else 0.0
     if isinstance(policy, NoDrop):
         return max(0.0, star)
-    if isinstance(policy, StepPolicy):
-        return max(0.0, min(star, policy.threshold - b_total))
-
-    def u_grid(rate):
-        return _own_utility(rate, b_total, alpha, mu, policy)
-
-    def u(rate: float) -> float:
-        return _own_utility_scalar(rate, b_total, alpha, mu, policy)
-
-    best_rate, best_val = 0.0, 0.0
-    if star > 0.0 and b_total + star <= policy.r1:
-        val = u(star)
-        if val > best_val:
-            best_rate, best_val = star, val
-    lo = max(0.0, policy.r1 - b_total)
-    hi = policy.r2 - b_total
-    if hi > lo:
-        x, val = _grid_golden_max(u_grid, u, lo, hi, 1000, 1e-10)
-        x = _polish_interior(x, lo, hi, b_total, alpha, mu, policy)
-        val = u(x)
-        if val >= best_val and val > 0.0:
-            best_rate, best_val = x, val
-    return best_rate if best_val > 0.0 else 0.0
+    return max(0.0, min(star, policy.threshold - others_total))
 
 
 def run_dynamics(
@@ -282,13 +279,10 @@ def verify_equilibrium(
         else:
             alpha = config.alphas[i]
 
-            def u_grid(rate):
+            def u(rate):
                 return _own_utility(rate, others, alpha, config.mu, policy)
 
-            def u(rate: float) -> float:
-                return _own_utility_scalar(rate, others, alpha, config.mu, policy)
-
-            _, best_alt = _grid_golden_max(u_grid, u, 0.0, hi, grid_points + 1, 1e-10)
+            _, best_alt = _grid_golden_max(u, 0.0, hi, grid_points + 1, 1e-10)
         if best_alt > own + tol:
             return False
     return True

@@ -166,11 +166,28 @@ class LinearPolicy:
 DropPolicy = Union[NoDrop, StepPolicy, LinearPolicy]
 
 
+_SCALARS = (int, float, np.integer, np.floating)
+
+
 def keep_probability(policy: DropPolicy, total_rate):
     """Probability an arrival survives when the offered total is ``total_rate``.
 
-    Accepts a scalar or a numpy array of totals.
+    Accepts a scalar or a numpy array of totals.  Python and numpy scalars
+    take a plain-float path with the same expression, so both give the same
+    bits.
     """
+    if isinstance(total_rate, _SCALARS):
+        t = float(total_rate)
+        if t < 0:
+            raise ValueError("total_rate must be non-negative")
+        if isinstance(policy, NoDrop):
+            return 1.0
+        if isinstance(policy, StepPolicy):
+            return 1.0 if t <= policy.threshold else 0.0
+        if isinstance(policy, LinearPolicy):
+            x = (policy.r2 - t) / (policy.r2 - policy.r1)
+            return 1.0 if x > 1.0 else 0.0 if x < 0.0 else x  # np.clip, NaN kept
+        raise TypeError(f"unknown drop policy {policy!r}")
     t = np.asarray(total_rate, dtype=float)
     if np.any(t < 0):
         raise ValueError("total_rate must be non-negative")

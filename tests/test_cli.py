@@ -289,3 +289,39 @@ def test_outputs_are_deterministic(tmp_path):
     assert main(argv + ["--out", str(a)]) == EXIT_OK
     assert main(argv + ["--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def _reject_constant(name):
+    raise AssertionError(f"bare {name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--mu", "6", "--alpha", "1,2"],
+        ["design", "--mu", "6", "--alpha", "2", "--m", "2", "--epsilon", "0.05"],
+        ["dynamics", "--mu", "10", "--alpha", "2", "--m", "2", "--policy", "linear",
+         "--r1", "7.0321", "--r2", "7.8222"],
+        ["field", "--mu", "6", "--alpha", "2", "--m", "2", "--points", "4"],
+        # a zero-rate user: log welfare -inf, empirical ratio +inf
+        ["simulate", "--mu", "20", "--alpha", "1", "--m", "2", "--rates", "0,5",
+         "--slots", "200", "--policy", "none"],
+        # the second target is infeasible: an error cell with NaN ratios
+        ["sweep", "--mu", "600", "--alpha", "2", "--m", "2", "--desired-poas", "2.5,1.5",
+         "--welfare", "sum", "--replications", "2", "--slots", "300"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_writes_strict_json(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--format", "json", "--out", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert payload["schema_version"] == SCHEMA_VERSION
+    if argv[0] == "simulate":
+        assert payload["users"][0]["log_welfare"] is None
+        assert payload["users"][0]["empirical_poa"] is None
+        assert payload["users"][1]["power"] > 0.0
+    if argv[0] == "sweep":
+        cells = payload["cells"]
+        assert cells[0]["error"] is None and cells[0]["mean_poa"] >= 1.0
+        assert cells[1]["error"] and cells[1]["mean_poa"] is None

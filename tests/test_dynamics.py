@@ -1,7 +1,11 @@
 """Best responses, iterated play, equilibrium verification, response fields.
 
-best_response is audited against brute-force scans (and scipy's bounded
-scalar minimizer) that share none of its search code.
+best_response solves a cubic on a linear policy.  It is audited against
+``verify_equilibrium``'s dense scan, brute-force grids and scipy's bounded
+scalar minimizer, which share none of its code; its interior answers must
+zero ``marginal_utility``, and each kind of candidate it weighs (a root of
+the cubic, the ramp start), the dominance of the flat-piece optimum that
+needs no candidate, and its tie rule are pinned by cases of their own.
 """
 
 import itertools
@@ -11,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from mm1game import dynamics
 from mm1game import (
     GameConfig,
     LinearPolicy,
@@ -22,6 +27,8 @@ from mm1game import (
     best_response,
     design_linear,
     DesignSpec,
+    keep_probability,
+    marginal_utility,
     ne_closed_form,
     potential,
     response_field,
@@ -39,8 +46,6 @@ FIG7_POLICY = LinearPolicy(7.0321, 7.8222)
 def _own_utility(rate, others, alpha, mu, policy):
     prof = np.asarray(rate, dtype=float)
     total = others + prof
-    from mm1game import keep_probability
-
     p = keep_probability(policy, total)
     return (prof * p) ** alpha * (mu - total * p)
 
@@ -109,6 +114,152 @@ def test_best_response_matches_scipy(others):
         options={"xatol": 1e-12},
     )
     assert u_br >= -res.fun - 1e-9
+
+
+def _ramp_cases(n, seed):
+    """Seeded (mu, alpha, policy, others) cases over linear policies.
+
+    Mixed exponents in [0.2, 3]; others' totals over [0, 1.3 r2], a fifth of
+    them within 1% of r2, where the keep probability at the answer is tiny;
+    r1 up to 1.2 mu, so some totals pass r1 and some pass mu.
+    """
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(5.0, 50.0, n)
+    r1 = rng.uniform(0.2, 1.2, n) * mu
+    r2 = r1 + rng.uniform(0.02, 1.0, n) * mu
+    alpha = rng.uniform(0.2, 3.0, n)
+    near_r2 = rng.random(n) < 0.2
+    others = np.where(
+        near_r2, r2 * (1.0 + rng.uniform(-0.01, 0.01, n)), rng.uniform(0.0, 1.3 * r2)
+    )
+    for k in range(n):
+        yield (
+            float(mu[k]),
+            float(alpha[k]),
+            LinearPolicy(float(r1[k]), float(r2[k])),
+            float(others[k]),
+        )
+
+
+def _scan_best(others, alpha, mu, policy):
+    """verify_equilibrium's dense scan over [0, r2 - others]: the oracle."""
+    hi = policy.r2 - others
+    if hi <= 0.0:
+        return 0.0
+    return dynamics._grid_golden_max(
+        lambda x: dynamics._own_utility(x, others, alpha, mu, policy), 0.0, hi, 10_001, 1e-10
+    )[1]
+
+
+def _on_the_ramp(br, others, policy):
+    """Whether ``br`` is an interior answer: strictly inside the ramp, not its start."""
+    return br != max(0.0, policy.r1 - others) and policy.r1 < others + br < policy.r2
+
+
+def test_best_response_matches_the_dense_scan_on_ten_thousand_ramps():
+    """Never below the oracle by more than 1e-11 relative, on every stratum.
+
+    Near r2 the oracle's own evaluations carry ~1e-12 of rounding noise
+    (the keep probability is a difference of nearly equal totals), and it
+    keeps the best of ~40 of them, so a bit-exact answer can trail it there.
+    """
+    seen = {"others_past_r1": 0, "others_past_mu": 0, "near_r2": 0, "interior": 0, "zero": 0}
+    for mu, alpha, pol, others in _ramp_cases(10_000, 20261018):
+        cfg = GameConfig(mu, (alpha,))
+        br = best_response(0, others, pol, cfg)
+        u_br = float(_own_utility(br, others, alpha, mu, pol))
+        best = _scan_best(others, alpha, mu, pol)
+        assert u_br >= 0.0
+        assert u_br >= best - 1e-11 * abs(best), (mu, alpha, pol, others, br)
+        seen["others_past_r1"] += others > pol.r1
+        seen["others_past_mu"] += others >= mu
+        seen["near_r2"] += abs(others - pol.r2) <= 0.01 * pol.r2
+        seen["interior"] += _on_the_ramp(br, others, pol)
+        seen["zero"] += br == 0.0
+    assert min(seen.values()) >= 500, seen
+
+
+def test_interior_best_responses_zero_the_marginal_utility():
+    """At every answer strictly inside the ramp the first-order condition holds.
+
+    The residual is measured against the size of the three terms of
+    ``u * d/dx log u``, so it is relative at every scale.
+    """
+    checked = 0
+    for mu, alpha, pol, others in _ramp_cases(10_000, 20261018):
+        cfg = GameConfig(mu, (alpha, 1.0))
+        br = best_response(0, others, pol, cfg)
+        if not _on_the_ramp(br, others, pol):
+            continue
+        profile = RateProfile((br, others))
+        total = profile.total
+        p = keep_probability(pol, total)
+        q = mu - total * p
+        u = utility(0, profile, pol, cfg)
+        scale = u * (alpha / br + alpha * abs(pol.slope) / p + abs(p + pol.slope * total) / q)
+        assert abs(marginal_utility(0, profile, pol, cfg)) <= 1e-10 * scale, (mu, alpha, pol, others)
+        checked += 1
+    assert checked >= 3000
+
+
+def test_the_ramp_beats_the_flat_piece_optimum():
+    """Whenever the drop-free optimum ``star`` fits below r1, some ramp rate
+    keeps the user's accepted rate at ``star`` while dropping part of the
+    others' load, so the answer is on the ramp and earns at least as much."""
+    cases = 0
+    for mu, alpha, pol, others in _ramp_cases(10_000, 7):
+        star = alpha * (mu - others) / (alpha + 1.0)
+        if not (others < mu and others + star <= pol.r1):
+            continue
+        br = best_response(0, others, pol, GameConfig(mu, (alpha,)))
+        u_star = float(_own_utility(star, others, alpha, mu, pol))
+        assert br > pol.r1 - others
+        assert float(_own_utility(br, others, alpha, mu, pol)) > u_star
+        cases += 1
+    assert cases >= 500
+    # a lone user ties: its utility depends on its accepted rate alone
+    alpha, mu = 0.3, 6.0
+    star = alpha * mu / (alpha + 1.0)
+    pol = LinearPolicy(2.0, 5.0)
+    br = best_response(0, 0.0, pol, GameConfig(mu, (alpha,)))
+    assert br > pol.r1
+    assert float(_own_utility(br, 0.0, alpha, mu, pol)) == pytest.approx(
+        float(_own_utility(star, 0.0, alpha, mu, pol)), rel=1e-14
+    )
+
+
+def test_best_response_takes_the_ramp_start():
+    """Utility climbs up to r1 and a near-cliff ramp past it costs more than it gives."""
+    pol = LinearPolicy(3.0, 3.01)
+    br = best_response(0, 1.0, pol, CFG)
+    assert br == 2.0
+    assert float(_own_utility(br, 1.0, 2.0, 6.0, pol)) >= _scan_best(1.0, 2.0, 6.0, pol)
+
+
+def test_best_response_takes_a_root_of_the_cubic():
+    """On the Fig. 7 ramp the answer is a stationary point strictly inside it."""
+    cfg = GameConfig(10.0, (2.0, 2.0))
+    br = best_response(0, 3.5, FIG7_POLICY, cfg)
+    assert FIG7_POLICY.r1 < 3.5 + br < FIG7_POLICY.r2
+    profile = RateProfile((br, 3.5))
+    assert abs(marginal_utility(0, profile, FIG7_POLICY, cfg)) <= 1e-9 * utility(
+        0, profile, FIG7_POLICY, cfg
+    )
+
+
+def test_best_response_ties_go_to_the_larger_rate():
+    """A lone user's accepted rate ``x (r2 - x) / w`` is a parabola in ``x``;
+    where its peak passes the drop-free optimum ``star``, the two rates that
+    accept exactly ``star`` are both roots of the cubic and earn equal
+    utility.  The larger one wins on every ramp, whatever rounding does."""
+    alpha, mu = 0.3, 6.0
+    star = alpha * mu / (alpha + 1.0)
+    cfg = GameConfig(mu, (alpha,))
+    for r2 in np.linspace(5.5, 6.5, 101):
+        pol = LinearPolicy(0.5, float(r2))
+        w = pol.r2 - pol.r1
+        larger = 0.5 * (pol.r2 + math.sqrt(pol.r2**2 - 4.0 * w * star))
+        assert best_response(0, 0.0, pol, cfg) == pytest.approx(larger, rel=1e-12)
 
 
 # -------------------------------------------------------------------- dynamics

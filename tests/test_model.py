@@ -111,6 +111,17 @@ def test_keep_probability_vectorized_matches_scalar():
     assert vec.shape == totals.shape
     for t, v in zip(totals, vec):
         assert v == keep_probability(pol, float(t))
+    # Python and numpy scalars take the plain-float path: same bits, float out
+    edge = np.array([0.0, 3.0, 4.0, 5.5, 6.9999999999, 7.0, 7.5, math.inf, math.nan])
+    for policy in (NoDrop(), StepPolicy(4.0), pol, LinearPolicy(0.1, 1e-3 + 0.1)):
+        want = keep_probability(policy, edge)
+        for t, w in zip(edge, want):
+            for scalar in (float(t), t, np.array(t)):
+                got = keep_probability(policy, scalar)
+                assert type(got) is float
+                assert got == w or (math.isnan(got) and math.isnan(w))
+        assert keep_probability(policy, 4) == keep_probability(policy, np.int64(4))
+        assert keep_probability(policy, 4) == float(keep_probability(policy, np.array([4.0]))[0])
     # non-increasing in the total for every policy shape
     for policy in (NoDrop(), StepPolicy(4.0), pol):
         vals = keep_probability(policy, totals)
@@ -118,8 +129,15 @@ def test_keep_probability_vectorized_matches_scalar():
 
 
 def test_keep_probability_rejects_negative_totals():
-    with pytest.raises(ValueError):
-        keep_probability(NoDrop(), -0.1)
+    for total in (-0.1, np.float64(-0.1), -1, np.array([1.0, -0.1])):
+        with pytest.raises(ValueError):
+            keep_probability(NoDrop(), total)
+
+
+def test_keep_probability_rejects_unknown_policies():
+    for total in (1.0, np.float64(1.0), np.array([1.0])):
+        with pytest.raises(TypeError):
+            keep_probability(object(), total)
 
 
 # ------------------------------------------------------------- effective rates
