@@ -108,7 +108,8 @@ def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
     q = d - shift * c + 2.0 * shift**3
     disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
     if disc > 0.0:  # one real root
-        u = math.cbrt(-q / 2.0 - math.copysign(math.sqrt(disc), q))
+        v = -q / 2.0 - math.copysign(math.sqrt(disc), q)
+        u = math.copysign(abs(v) ** (1.0 / 3.0), v)  # real cube root; math.cbrt is 3.11+
         return [u - p / (3.0 * u) - shift]
     if p == 0.0:  # triple root
         return [-shift]
