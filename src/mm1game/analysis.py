@@ -8,6 +8,7 @@ against.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -123,6 +124,29 @@ def poa_closed_form(m: int, alpha: float, kind: WelfareKind) -> float:
     return ratio**m
 
 
+def _poa_ratio(utilities: Sequence[float], config: GameConfig, kind: WelfareKind) -> float:
+    """Ratio of the drop-free optimal welfare to the welfare of ``utilities``, one per user.
+
+    For the log kind this is the product over users of optimal-to-given
+    utility ratios; a user at zero utility makes it +inf.  For the sum kind a
+    zero total makes it +inf.
+    """
+    if kind is WelfareKind.SUM_LOG_UTILITY:
+        if any(u == 0.0 for u in utilities):
+            return math.inf
+        lam = optimal_total_rate(config)
+        per_user_opt = (lam / config.m) ** config.alpha * (config.mu - lam)
+        ratio = 1.0
+        for u in utilities:
+            ratio *= per_user_opt / u
+        return ratio
+    total = sum(utilities)
+    if total == 0.0:
+        return math.inf
+    _, opt_value = social_optimum_sum(config)
+    return opt_value / total
+
+
 def poa_of_equilibrium(
     ne_profile: RateProfile,
     policy: DropPolicy,
@@ -134,22 +158,8 @@ def poa_of_equilibrium(
     For the log kind this is the product over users of optimal-to-equilibrium
     utility ratios; a user stuck at zero utility makes it +inf.
     """
-    a = config.alpha
-    if kind is WelfareKind.SUM_LOG_UTILITY:
-        opt = social_optimum_log(config)
-        per_user_opt = utility(0, opt, NoDrop(), config)
-        ratio = 1.0
-        for i in range(config.m):
-            u = utility(i, ne_profile, policy, config)
-            if u == 0.0:
-                return math.inf
-            ratio *= per_user_opt / u
-        return ratio
-    _, opt_value = social_optimum_sum(config)
-    total = sum(utility(i, ne_profile, policy, config) for i in range(config.m))
-    if total == 0.0:
-        return math.inf
-    return opt_value / total
+    utilities = [utility(i, ne_profile, policy, config) for i in range(config.m)]
+    return _poa_ratio(utilities, config, kind)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import asdict, dataclass, field
+from enum import Enum
+from typing import Any, NamedTuple
 
 import yaml
 
@@ -25,6 +26,7 @@ from .dynamics import UpdateMode, response_field, run_dynamics, triangular_grid
 from .mechanism import (
     DesignInfeasibleError,
     DesignSpec,
+    design_linear,
     designed_with_diagnostics,
     step_policy,
 )
@@ -54,29 +56,66 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-_COMMANDS = ("analyze", "design", "dynamics", "field", "simulate", "sweep")
+_REQUIRED = object()  # the default of an option that has none
 
-_SECTION_KEYS = {
-    "game": {"mu", "alpha", "m"},
-    "policy": {"kind", "r1", "r2", "threshold"},
-    "design": {"epsilon", "keep_prob", "welfare", "target_effective_total"},
-    "dynamics": {"init", "tol", "max_iter", "mode"},
-    "field": {"points"},
-    "simulate": {"rates", "slots", "window", "seed", "queue_mode", "queue_cap"},
-    "sweep": {
-        "desired_poas",
-        "mus",
-        "windows",
-        "replications",
-        "slots",
-        "window",
-        "seed",
-        "queue_mode",
-        "keep_prob",
-        "welfare",
-    },
-}
-_TOP_KEYS = {"command", "out", "format"} | set(_SECTION_KEYS)
+
+class _Option(NamedTuple):
+    """One config key and its flag.
+
+    ``type`` is float, int, list (a list of floats, or a comma-separated
+    string), an Enum or a tuple of choices, or None for a value the command
+    reads as written.  The flag is ``--<name-with-dashes>`` unless given.
+    """
+
+    key: str
+    type: Any
+    default: Any
+    help: str
+    flag: str | None = None
+
+
+_OPTIONS = (
+    _Option("out", None, None, "output path (default: $MM1GAME_OUT_DIR/<command>.<format>)"),
+    _Option("format", ("csv", "json"), "csv", "output format"),
+    _Option("game.mu", float, _REQUIRED, "service rate"),
+    _Option("game.alpha", None, _REQUIRED, "shared exponent, or comma-separated per-user list"),
+    _Option("game.m", int, 1, "number of users"),
+    _Option(
+        "policy.kind", ("none", "step", "linear", "designed"), "none", "drop policy", "--policy"
+    ),
+    _Option("policy.r1", float, None, "linear policy: total rate where dropping starts"),
+    _Option("policy.r2", float, None, "linear policy: total rate where everything is dropped"),
+    _Option("policy.threshold", float, None, "step policy threshold (default: the optimal total)"),
+    _Option("design.epsilon", float, _REQUIRED, "allowed efficiency loss"),
+    _Option("design.keep_prob", float, 0.9, "keep probability at the designed equilibrium"),
+    _Option("design.welfare", WelfareKind, "sum_log", "welfare the loss is measured in"),
+    _Option(
+        "design.target_effective_total", float, None,
+        "accepted total at the equilibrium (default: solved from epsilon)",
+    ),
+    _Option("dynamics.init", list, None, "comma-separated starting rates (default: mu/20m)"),
+    _Option("dynamics.tol", float, 1e-8, "stop when a round moves no rate by more than this"),
+    _Option("dynamics.max_iter", int, 5000, "round limit"),
+    _Option("dynamics.mode", UpdateMode, "round_robin", "update order"),
+    _Option("field.points", int, 20, "grid points per axis"),
+    _Option("simulate.rates", None, _REQUIRED, "comma-separated offered rates, or 'designed'"),
+    _Option("simulate.slots", int, 100_000, "horizon in slots"),
+    _Option("simulate.window", int, 1, "rate-estimation window in slots"),
+    _Option("simulate.seed", int, 0, "simulation seed"),
+    _Option("simulate.queue_mode", QueueMode, "event", "queue model"),
+    _Option("simulate.queue_cap", int, 100_000, "event queue: backlog that counts as overload"),
+    _Option("sweep.desired_poas", list, _REQUIRED, "comma-separated efficiency-ratio targets"),
+    _Option("sweep.mus", list, None, "comma-separated service rates (default: game.mu)"),
+    _Option("sweep.windows", list, (1,), "comma-separated rate-estimation windows"),
+    _Option("sweep.replications", int, 10, "seeds per cell"),
+    _Option("sweep.slots", int, 10_000, "horizon in slots"),
+    _Option("sweep.window", int, 1, "rate-estimation window of the base run"),
+    _Option("sweep.seed", int, 0, "seed of each cell's first replication"),
+    _Option("sweep.queue_mode", QueueMode, "analytic", "queue model"),
+    _Option("sweep.keep_prob", float, 0.9, "keep probability at each designed equilibrium"),
+    _Option("sweep.welfare", WelfareKind, "sum_log", "welfare the ratio is measured in"),
+)
+_OPTION_BY_KEY = {option.key: option for option in _OPTIONS}
 
 
 class ConfigError(ValueError):
@@ -89,22 +128,25 @@ class ExperimentConfig:
 
     command: str
     raw: dict[str, Any]
-    out: str
-    fmt: str
+    out: str = field(init=False)
+    fmt: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.fmt = _get(self, "format")
+        out = _get(self, "out")
+        if out is None:
+            out = os.path.join(os.environ.get(OUT_DIR_ENV, "."), f"{self.command}.{self.fmt}")
+        self.out = str(out)
 
     def section(self, name: str) -> dict[str, Any]:
         return self.raw.get(name) or {}
-
-
-def _fail(message: str) -> ConfigError:
-    return ConfigError(message)
 
 
 def _as_float(value: Any, field: str) -> float:
     try:
         return float(value)
     except (TypeError, ValueError):
-        raise _fail(f"{field}: expected a number, got {value!r}") from None
+        raise ConfigError(f"{field}: expected a number, got {value!r}") from None
 
 
 def _as_int(value: Any, field: str) -> int:
@@ -113,21 +155,61 @@ def _as_int(value: Any, field: str) -> int:
             raise ValueError
         return int(value)
     except (TypeError, ValueError):
-        raise _fail(f"{field}: expected an integer, got {value!r}") from None
+        raise ConfigError(f"{field}: expected an integer, got {value!r}") from None
 
 
 def _as_float_list(value: Any, field: str) -> list[float]:
     if isinstance(value, str):
         value = [v for v in value.split(",") if v.strip() != ""]
     if not isinstance(value, (list, tuple)) or not value:
-        raise _fail(f"{field}: expected a non-empty list of numbers, got {value!r}")
+        raise ConfigError(f"{field}: expected a non-empty list of numbers, got {value!r}")
     return [_as_float(v, field) for v in value]
+
+
+_READERS = {float: _as_float, int: _as_int, list: _as_float_list}
+
+
+def _choices(kind: Any) -> dict[str, Any] | None:
+    """The spellings a choice option accepts and what each reads as; None if not a choice."""
+    if isinstance(kind, tuple):
+        return {name: name for name in kind}
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return {member.value: member for member in kind}
+    return None
+
+
+def _get(cfg: ExperimentConfig, key: str) -> Any:
+    """One option of the merged config: defaulted, then typed or choice-checked."""
+    option = _OPTION_BY_KEY[key]
+    section, _, name = key.rpartition(".")
+    value = (cfg.section(section) if section else cfg.raw).get(name)
+    if value is None:
+        if option.default is _REQUIRED:
+            raise ConfigError(f"{key}: required")
+        value = option.default
+    if value is None or option.type is None:
+        return value
+    choices = _choices(option.type)
+    if choices is None:
+        return _READERS[option.type](value, key)
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"{key}: must be one of {sorted(choices)}, got {value!r}")
+    return choices[value]
+
+
+def _keys_by_section() -> dict[str, set[str]]:
+    """Config key names by section, top-level keys under ''."""
+    sections: dict[str, set[str]] = {}
+    for option in _OPTIONS:
+        section, _, name = option.key.rpartition(".")
+        sections.setdefault(section, set()).add(name)
+    return sections
 
 
 def _check_keys(mapping: dict[str, Any], allowed: set[str], where: str) -> None:
     unknown = sorted(set(mapping) - allowed)
     if unknown:
-        raise _fail(
+        raise ConfigError(
             f"{where}: unknown key(s) {', '.join(unknown)}; allowed: {', '.join(sorted(allowed))}"
         )
 
@@ -140,134 +222,92 @@ def load_config(path: str | None, command: str, overrides: dict[str, Any]) -> Ex
             with open(path, "r", encoding="utf-8") as fh:
                 loaded = yaml.safe_load(fh)
         except OSError as exc:
-            raise _fail(f"config: cannot read {path}: {exc}") from exc
+            raise ConfigError(f"config: cannot read {path}: {exc}") from exc
         except yaml.YAMLError as exc:
-            raise _fail(f"config: {path} is not valid YAML: {exc}") from exc
+            raise ConfigError(f"config: {path} is not valid YAML: {exc}") from exc
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
-            raise _fail(f"config: {path} must hold a mapping at the top level")
+            raise ConfigError(f"config: {path} must hold a mapping at the top level")
         raw = loaded
-    _check_keys(raw, _TOP_KEYS, "config")
-    for name, keys in _SECTION_KEYS.items():
+    sections = _keys_by_section()
+    top_level = sections.pop("")
+    _check_keys(raw, {"command", *top_level, *sections}, "config")
+    for name, keys in sections.items():
         section = raw.get(name)
         if section is None:
             continue
         if not isinstance(section, dict):
-            raise _fail(f"config.{name}: expected a mapping")
+            raise ConfigError(f"config.{name}: expected a mapping")
         _check_keys(section, keys, f"config.{name}")
     file_command = raw.get("command")
     if file_command is not None and file_command != command:
-        raise _fail(
+        raise ConfigError(
             f"command: config file says {file_command!r} but {command!r} was requested"
         )
 
     for dotted, value in overrides.items():
         if value is None:
             continue
-        section_name, _, key = dotted.partition(".")
-        if key:
-            raw.setdefault(section_name, {})
-            raw[section_name][key] = value
+        section_name, _, key = dotted.rpartition(".")
+        if section_name:
+            raw[section_name] = {**(raw.get(section_name) or {}), key: value}
         else:
-            raw[section_name] = value
-
-    out = raw.get("out")
-    fmt = raw.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise _fail(f"format: must be 'csv' or 'json', got {fmt!r}")
-    if out is None:
-        out = os.path.join(os.environ.get(OUT_DIR_ENV, "."), f"{command}.{fmt}")
-    return ExperimentConfig(command=command, raw=raw, out=str(out), fmt=fmt)
+            raw[key] = value
+    return ExperimentConfig(command=command, raw=raw)
 
 
 def _game_config(cfg: ExperimentConfig) -> GameConfig:
-    section = cfg.section("game")
-    if "mu" not in section:
-        raise _fail("game.mu: required")
-    mu = _as_float(section["mu"], "game.mu")
-    alpha = section.get("alpha")
-    if alpha is None:
-        raise _fail("game.alpha: required")
+    mu = _get(cfg, "game.mu")
+    alpha = _get(cfg, "game.alpha")
     if isinstance(alpha, (list, tuple)) or (isinstance(alpha, str) and "," in alpha):
         alphas = _as_float_list(alpha, "game.alpha")
-        if "m" in section and _as_int(section["m"], "game.m") != len(alphas):
-            raise _fail("game.m: disagrees with the length of game.alpha")
+        if "m" in cfg.section("game") and _get(cfg, "game.m") != len(alphas):
+            raise ConfigError("game.m: disagrees with the length of game.alpha")
     else:
-        m = _as_int(section.get("m", 1), "game.m")
-        alphas = [_as_float(alpha, "game.alpha")] * m
+        alphas = [_as_float(alpha, "game.alpha")] * _get(cfg, "game.m")
     try:
         return GameConfig(mu, tuple(alphas))
     except ValueError as exc:
-        raise _fail(f"game: {exc}") from exc
-
-
-def _welfare_kind(value: Any, field: str) -> WelfareKind:
-    names = {
-        "sum": WelfareKind.SUM_UTILITY,
-        "sum_log": WelfareKind.SUM_LOG_UTILITY,
-    }
-    if value not in names:
-        raise _fail(f"{field}: must be one of {sorted(names)}, got {value!r}")
-    return names[value]
+        raise ConfigError(f"game: {exc}") from exc
 
 
 def _design_spec(cfg: ExperimentConfig, game: GameConfig) -> DesignSpec:
-    section = cfg.section("design")
-    if "epsilon" not in section:
-        raise _fail("design.epsilon: required")
-    target = section.get("target_effective_total")
+    epsilon = _get(cfg, "design.epsilon")
+    keep_prob = _get(cfg, "design.keep_prob")
+    welfare_kind = _get(cfg, "design.welfare")
+    target = _get(cfg, "design.target_effective_total")
     try:
-        return DesignSpec(
-            config=game,
-            epsilon=_as_float(section["epsilon"], "design.epsilon"),
-            keep_prob=_as_float(section.get("keep_prob", 0.9), "design.keep_prob"),
-            welfare_kind=_welfare_kind(section.get("welfare", "sum_log"), "design.welfare"),
-            target_effective_total=(
-                None if target is None else _as_float(target, "design.target_effective_total")
-            ),
-        )
-    except ConfigError:
-        raise
+        return DesignSpec(game, epsilon, keep_prob, welfare_kind, target)
     except ValueError as exc:
-        raise _fail(f"design: {exc}") from exc
+        raise ConfigError(f"design: {exc}") from exc
 
 
 def _policy(cfg: ExperimentConfig, game: GameConfig) -> DropPolicy:
-    section = cfg.section("policy")
-    kind = section.get("kind", "none")
+    kind = _get(cfg, "policy.kind")
     try:
-        if kind == "none":
-            return NoDrop()
         if kind == "step":
-            if "threshold" in section:
-                return StepPolicy(_as_float(section["threshold"], "policy.threshold"))
-            return step_policy(game)
+            threshold = _get(cfg, "policy.threshold")
+            return step_policy(game) if threshold is None else StepPolicy(threshold)
         if kind == "linear":
-            if "r1" not in section or "r2" not in section:
-                raise _fail("policy.r1 and policy.r2: required for a linear policy")
-            return LinearPolicy(
-                _as_float(section["r1"], "policy.r1"),
-                _as_float(section["r2"], "policy.r2"),
-            )
+            r1, r2 = _get(cfg, "policy.r1"), _get(cfg, "policy.r2")
+            if r1 is None or r2 is None:
+                raise ConfigError("policy.r1 and policy.r2: required for a linear policy")
+            return LinearPolicy(r1, r2)
         if kind == "designed":
-            from .mechanism import design_linear
-
             return design_linear(_design_spec(cfg, game)).policy
     except ConfigError:
         raise
     except (ValueError, UnsupportedGameError) as exc:
-        raise _fail(f"policy: {exc}") from exc
-    raise _fail(
-        f"policy.kind: must be one of none, step, linear, designed; got {kind!r}"
-    )
+        raise ConfigError(f"policy: {exc}") from exc
+    return NoDrop()
 
 
 def _fmt_value(value: Any) -> str:
+    if isinstance(value, float):
+        return format(value, ".12g") if math.isfinite(value) else ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
     if value is None:
         return ""
     return str(value)
@@ -277,10 +317,14 @@ def _fmt_rates(rates: tuple[float, ...]) -> str:
     return ";".join(format(r, ".12g") for r in rates)
 
 
-def write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
-    lines = [",".join(["schema_version"] + header)]
-    for row in rows:
-        lines.append(",".join([SCHEMA_VERSION] + [_fmt_value(v) for v in row]))
+def write_csv(path: str, records: list[dict[str, Any]]) -> None:
+    """Write records as CSV rows, the first record's keys as the columns.
+
+    A missing value (None, NaN or infinite) is an empty cell.
+    """
+    lines = [",".join(["schema_version", *records[0]])]
+    for record in records:
+        lines.append(",".join([SCHEMA_VERSION, *map(_fmt_value, record.values())]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -308,68 +352,40 @@ def write_json(path: str, payload: dict[str, Any]) -> None:
         fh.write(text + "\n")
 
 
-def _emit(cfg: ExperimentConfig, header: list[str], rows: list[list[Any]], name: str) -> None:
+def _emit(cfg: ExperimentConfig, name: str, records: list[dict[str, Any]]) -> None:
     if cfg.fmt == "csv":
-        write_csv(cfg.out, header, rows)
+        write_csv(cfg.out, records)
     else:
-        records = [
-            {key: value for key, value in zip(header, row)} for row in rows
-        ]
         write_json(cfg.out, {"command": cfg.command, name: records})
 
 
 def _cmd_analyze(cfg: ExperimentConfig) -> int:
     game = _game_config(cfg)
     ne = ne_closed_form(game)
-    header = [
-        "welfare",
-        "mu",
-        "m",
-        "alpha",
-        "ne_rates",
-        "ne_welfare",
-        "opt_rates",
-        "opt_welfare",
-        "poa",
-        "pos",
-    ]
-    rows: list[list[Any]] = []
+    alpha = _fmt_value(game.alphas[0]) if game.homogeneous else _fmt_rates(game.alphas)
+    records = []
     for kind in (WelfareKind.SUM_UTILITY, WelfareKind.SUM_LOG_UTILITY):
-        alpha_text = (
-            _fmt_value(game.alphas[0]) if game.homogeneous else _fmt_rates(game.alphas)
-        )
+        record = {
+            "welfare": kind.value,
+            "mu": game.mu,
+            "m": game.m,
+            "alpha": alpha,
+            "ne_rates": _fmt_rates(ne.rates),
+            "ne_welfare": welfare(ne, NoDrop(), game, kind),
+        }
         try:
             report = no_drop_report(game, kind)
-            rows.append(
-                [
-                    kind.value,
-                    game.mu,
-                    game.m,
-                    alpha_text,
-                    _fmt_rates(report.ne_profile.rates),
-                    report.ne_value,
-                    _fmt_rates(report.optimum_profile.rates),
-                    report.optimum_value,
-                    report.poa,
-                    report.pos,
-                ]
-            )
         except UnsupportedGameError:
-            rows.append(
-                [
-                    kind.value,
-                    game.mu,
-                    game.m,
-                    alpha_text,
-                    _fmt_rates(ne.rates),
-                    welfare(ne, NoDrop(), game, kind),
-                    "unsupported",
-                    "unsupported",
-                    "unsupported",
-                    "unsupported",
-                ]
+            record.update(dict.fromkeys(("opt_rates", "opt_welfare", "poa", "pos"), "unsupported"))
+        else:
+            record.update(
+                opt_rates=_fmt_rates(report.optimum_profile.rates),
+                opt_welfare=report.optimum_value,
+                poa=report.poa,
+                pos=report.pos,
             )
-    _emit(cfg, header, rows, "reports")
+        records.append(record)
+    _emit(cfg, "reports", records)
     return EXIT_OK
 
 
@@ -379,91 +395,59 @@ def _cmd_design(cfg: ExperimentConfig) -> int:
     design = designed_with_diagnostics(spec)
     diag = design.diagnostics
     assert diag is not None
-    header = [
-        "mu",
-        "m",
-        "alpha",
-        "epsilon",
-        "keep_prob",
-        "welfare",
-        "target_effective_total",
-        "target_raw_total",
-        "r1",
-        "r2",
-        "slope",
-        "intercept",
-        "predicted_ne",
-        "predicted_poa",
-        "realized_ne",
-        "realized_poa",
-        "check_slope_uniqueness",
-        "check_r1_below_mu",
-        "check_ne_matches",
-        "check_poa_bound",
-    ]
-    rows = [
-        [
-            game.mu,
-            game.m,
-            game.alpha,
-            spec.epsilon,
-            spec.keep_prob,
-            spec.welfare_kind.value,
-            design.target_effective_total,
-            design.target_raw_total,
-            design.policy.r1,
-            design.policy.r2,
-            design.policy.slope,
-            design.policy.intercept,
-            _fmt_rates(design.predicted_ne.rates),
-            design.predicted_poa,
-            _fmt_rates(diag.realized_ne.rates),
-            diag.realized_poa,
-            diag.slope_exceeds_uniqueness_bound,
-            diag.r1_below_service_rate,
-            diag.ne_matches_prediction,
-            diag.poa_within_bound,
-        ]
-    ]
-    _emit(cfg, header, rows, "design")
+    record = {
+        "mu": game.mu,
+        "m": game.m,
+        "alpha": game.alpha,
+        "epsilon": spec.epsilon,
+        "keep_prob": spec.keep_prob,
+        "welfare": spec.welfare_kind.value,
+        "target_effective_total": design.target_effective_total,
+        "target_raw_total": design.target_raw_total,
+        "r1": design.policy.r1,
+        "r2": design.policy.r2,
+        "slope": design.policy.slope,
+        "intercept": design.policy.intercept,
+        "predicted_ne": _fmt_rates(design.predicted_ne.rates),
+        "predicted_poa": design.predicted_poa,
+        "realized_ne": _fmt_rates(diag.realized_ne.rates),
+        "realized_poa": diag.realized_poa,
+        "check_slope_uniqueness": diag.slope_exceeds_uniqueness_bound,
+        "check_r1_below_mu": diag.r1_below_service_rate,
+        "check_ne_matches": diag.ne_matches_prediction,
+        "check_poa_bound": diag.poa_within_bound,
+    }
+    _emit(cfg, "design", [record])
     return EXIT_OK
 
 
-def _dynamics_inputs(cfg: ExperimentConfig, game: GameConfig) -> tuple[RateProfile, float, int, UpdateMode]:
-    section = cfg.section("dynamics")
-    init_raw = section.get("init")
-    if init_raw is None:
-        init = RateProfile((0.05 * game.mu / game.m,) * game.m)
-    else:
-        values = _as_float_list(init_raw, "dynamics.init")
-        if len(values) != game.m:
-            raise _fail(f"dynamics.init: expected {game.m} rates, got {len(values)}")
-        try:
-            init = RateProfile(tuple(values))
-        except ValueError as exc:
-            raise _fail(f"dynamics.init: {exc}") from exc
-    tol = _as_float(section.get("tol", 1e-8), "dynamics.tol")
-    max_iter = _as_int(section.get("max_iter", 5000), "dynamics.max_iter")
-    mode_raw = section.get("mode", "round_robin")
-    modes = {m.value: m for m in UpdateMode}
-    if mode_raw not in modes:
-        raise _fail(f"dynamics.mode: must be one of {sorted(modes)}, got {mode_raw!r}")
-    return init, tol, max_iter, modes[mode_raw]
+def _dynamics_init(cfg: ExperimentConfig, game: GameConfig) -> RateProfile:
+    init = _get(cfg, "dynamics.init")
+    if init is None:
+        return RateProfile((0.05 * game.mu / game.m,) * game.m)
+    if len(init) != game.m:
+        raise ConfigError(f"dynamics.init: expected {game.m} rates, got {len(init)}")
+    try:
+        return RateProfile(tuple(init))
+    except ValueError as exc:
+        raise ConfigError(f"dynamics.init: {exc}") from exc
 
 
 def _cmd_dynamics(cfg: ExperimentConfig) -> int:
     game = _game_config(cfg)
     policy = _policy(cfg, game)
-    init, tol, max_iter, mode = _dynamics_inputs(cfg, game)
+    init = _dynamics_init(cfg, game)
+    tol = _get(cfg, "dynamics.tol")
+    max_iter = _get(cfg, "dynamics.max_iter")
+    mode = _get(cfg, "dynamics.mode")
     trajectory = run_dynamics(game, policy, init, mode=mode, tol=tol, max_iter=max_iter)
-    header = ["iteration"] + [f"rate_{i}" for i in range(game.m)] + ["potential"]
-    rows = [
-        [k, *profile.rates, pot]
+    records = [
+        {"iteration": k, **{f"rate_{i}": r for i, r in enumerate(profile.rates)}, "potential": pot}
         for k, (profile, pot) in enumerate(
             zip(trajectory.iterates, trajectory.potential_series)
         )
     ]
-    _emit(cfg, header, rows, "trajectory")
+    _emit(cfg, "trajectory", records)
     if not trajectory.converged:
         print(
             f"dynamics did not converge within {max_iter} rounds; "
@@ -477,58 +461,44 @@ def _cmd_dynamics(cfg: ExperimentConfig) -> int:
 def _cmd_field(cfg: ExperimentConfig) -> int:
     game = _game_config(cfg)
     if game.m != 2:
-        raise _fail("field: requires a two-user game")
+        raise ConfigError("field: requires a two-user game")
     policy = _policy(cfg, game)
-    points = _as_int(cfg.section("field").get("points", 20), "field.points")
+    points = _get(cfg, "field.points")
     if points < 2:
-        raise _fail(f"field.points: must be at least 2, got {points}")
+        raise ConfigError(f"field.points: must be at least 2, got {points}")
     grid = triangular_grid(game, policy, points)
     # mark the equilibrium: follow the dynamics and add its endpoint to the grid
     init = RateProfile((0.05 * game.mu / game.m,) * game.m)
     trajectory = run_dynamics(game, policy, init, tol=1e-10, max_iter=5000)
     if trajectory.converged:
         grid.append(trajectory.final_profile)
-    vectors = response_field(game, policy, grid)
-    header = ["rate_0", "rate_1", "step_0", "step_1"]
-    rows = [[p.rates[0], p.rates[1], v[0], v[1]] for p, v in vectors]
-    _emit(cfg, header, rows, "field")
+    records = [
+        {"rate_0": p.rates[0], "rate_1": p.rates[1], "step_0": v[0], "step_1": v[1]}
+        for p, v in response_field(game, policy, grid)
+    ]
+    _emit(cfg, "field", records)
     return EXIT_OK
 
 
 def _sim_config(cfg: ExperimentConfig, game: GameConfig, policy: DropPolicy) -> SimConfig:
-    section = cfg.section("simulate")
-    rates_raw = section.get("rates")
-    if rates_raw is None:
-        raise _fail("simulate.rates: required (a list of offered rates, or 'designed')")
+    rates_raw = _get(cfg, "simulate.rates")
     if rates_raw == "designed":
-        from .mechanism import design_linear
-
-        design = design_linear(_design_spec(cfg, game))
-        rates = design.predicted_ne
+        rates = design_linear(_design_spec(cfg, game)).predicted_ne
     else:
         values = _as_float_list(rates_raw, "simulate.rates")
         if len(values) != game.m:
-            raise _fail(f"simulate.rates: expected {game.m} rates, got {len(values)}")
+            raise ConfigError(f"simulate.rates: expected {game.m} rates, got {len(values)}")
         rates = RateProfile(tuple(values))
-    modes = {q.value: q for q in QueueMode}
-    mode_raw = section.get("queue_mode", QueueMode.EVENT_QUEUE.value)
-    if mode_raw not in modes:
-        raise _fail(
-            f"simulate.queue_mode: must be one of {sorted(modes)}, got {mode_raw!r}"
-        )
+    run_keys = ("queue_mode", "slots", "window", "seed", "queue_cap")
     try:
         return SimConfig(
             game=game,
             policy=policy,
             input_rates=rates,
-            slots=_as_int(section.get("slots", 100_000), "simulate.slots"),
-            window=_as_int(section.get("window", 1), "simulate.window"),
-            seed=_as_int(section.get("seed", 0), "simulate.seed"),
-            queue_mode=modes[mode_raw],
-            queue_cap=_as_int(section.get("queue_cap", 100_000), "simulate.queue_cap"),
+            **{key: _get(cfg, f"simulate.{key}") for key in run_keys},
         )
     except ValueError as exc:
-        raise _fail(f"simulate: {exc}") from exc
+        raise ConfigError(f"simulate: {exc}") from exc
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -536,49 +506,37 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     policy = _policy(cfg, game)
     sim = _sim_config(cfg, game, policy)
     report = run_simulation(sim)
-    header = [
-        "user",
-        "input_rate",
-        "arrivals",
-        "accepted",
-        "goodput",
-        "mean_delay",
-        "power",
-        "sum_welfare",
-        "log_welfare",
-        "empirical_poa",
-    ]
-    rows = [
-        [
-            i,
-            report.input_rates[i],
-            report.arrivals[i],
-            report.accepted[i],
-            report.goodput[i],
-            report.mean_delay[i],
-            report.power[i],
-            report.sum_welfare,
-            report.log_welfare,
-            report.empirical_poa,
-        ]
+    users = [
+        {
+            "user": i,
+            "input_rate": report.input_rates[i],
+            "arrivals": report.arrivals[i],
+            "accepted": report.accepted[i],
+            "goodput": report.goodput[i],
+            "mean_delay": report.mean_delay[i],
+            "power": report.power[i],
+            "sum_welfare": report.sum_welfare,
+            "log_welfare": report.log_welfare,
+            "empirical_poa": report.empirical_poa,
+        }
         for i in range(game.m)
     ]
     if cfg.fmt == "csv":
-        write_csv(cfg.out, header, rows)
+        write_csv(cfg.out, users)
         stem, ext = os.path.splitext(cfg.out)
-        slots_path = f"{stem}.slots{ext}"
-        slot_header = ["slot", "total_arrivals", "estimated_rate", "drop_prob"]
-        slot_rows = [
-            [t, report.slot_arrivals[t], report.estimated_rates[t], report.drop_probs[t]]
-            for t in range(report.slots)
+        slots = [
+            {"slot": t, "total_arrivals": n, "estimated_rate": est, "drop_prob": drop}
+            for t, n, est, drop in zip(
+                range(report.slots), report.slot_arrivals, report.estimated_rates, report.drop_probs
+            )
         ]
-        write_csv(slots_path, slot_header, slot_rows)
+        write_csv(f"{stem}.slots{ext}", slots)
     else:
         write_json(
             cfg.out,
             {
                 "command": "simulate",
-                "users": [dict(zip(header, row)) for row in rows],
+                "users": users,
                 "slots": {
                     "total_arrivals": list(report.slot_arrivals),
                     "estimated_rate": list(report.estimated_rates),
@@ -592,166 +550,74 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def _cmd_sweep(cfg: ExperimentConfig) -> int:
     game = _game_config(cfg)
-    section = cfg.section("sweep")
-    if "desired_poas" not in section:
-        raise _fail("sweep.desired_poas: required")
-    desired = _as_float_list(section["desired_poas"], "sweep.desired_poas")
-    mus = _as_float_list(section.get("mus", [game.mu]), "sweep.mus")
-    windows = [
-        _as_int(w, "sweep.windows")
-        for w in _as_float_list(section.get("windows", [1]), "sweep.windows")
-    ]
-    replications = _as_int(section.get("replications", 10), "sweep.replications")
-    modes = {q.value: q for q in QueueMode}
-    mode_raw = section.get("queue_mode", QueueMode.ANALYTIC_DELAY.value)
-    if mode_raw not in modes:
-        raise _fail(f"sweep.queue_mode: must be one of {sorted(modes)}, got {mode_raw!r}")
+    desired = _get(cfg, "sweep.desired_poas")
+    mus = _get(cfg, "sweep.mus") or [game.mu]
+    windows = [_as_int(w, "sweep.windows") for w in _get(cfg, "sweep.windows")]
+    replications = _get(cfg, "sweep.replications")
+    base_keys = ("queue_mode", "slots", "window", "seed")
+    base_options = {key: _get(cfg, f"sweep.{key}") for key in base_keys}
+    welfare_kind = _get(cfg, "sweep.welfare")
+    keep_prob = _get(cfg, "sweep.keep_prob")
     try:
         base = SimConfig(
             game=game,
             policy=NoDrop(),
             input_rates=RateProfile((0.0,) * game.m),
-            slots=_as_int(section.get("slots", 10_000), "sweep.slots"),
-            window=_as_int(section.get("window", 1), "sweep.window"),
-            seed=_as_int(section.get("seed", 0), "sweep.seed"),
-            queue_mode=modes[mode_raw],
+            **base_options,
         )
-        cells = run_sweep(
-            base,
-            desired,
-            mus,
-            windows,
-            replications,
-            welfare_kind=_welfare_kind(section.get("welfare", "sum_log"), "sweep.welfare"),
-            keep_prob=_as_float(section.get("keep_prob", 0.9), "sweep.keep_prob"),
-        )
-    except ConfigError:
-        raise
+        cells = run_sweep(base, desired, mus, windows, replications, welfare_kind, keep_prob)
     except ValueError as exc:
-        raise _fail(f"sweep: {exc}") from exc
-    header = [
-        "desired_poa",
-        "mu",
-        "window",
-        "replications",
-        "mean_poa",
-        "std_poa",
-        "error",
-    ]
-    rows = [
-        [c.desired_poa, c.mu, c.window, c.replications, c.mean_poa, c.std_poa, c.error]
-        for c in cells
-    ]
-    _emit(cfg, header, rows, "cells")
+        raise ConfigError(f"sweep: {exc}") from exc
+    _emit(cfg, "cells", [asdict(cell) for cell in cells])
     return EXIT_OK
 
 
-_DISPATCH = {
-    "analyze": _cmd_analyze,
-    "design": _cmd_design,
-    "dynamics": _cmd_dynamics,
-    "field": _cmd_field,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
+# command -> (handler, config sections it reads); top-level options go to every command
+_COMMANDS = {
+    "analyze": (_cmd_analyze, ("game",)),
+    "design": (_cmd_design, ("game", "design")),
+    "dynamics": (_cmd_dynamics, ("game", "policy", "design", "dynamics")),
+    "field": (_cmd_field, ("game", "policy", "design", "field")),
+    "simulate": (_cmd_simulate, ("game", "policy", "design", "simulate")),
+    "sweep": (_cmd_sweep, ("game", "sweep")),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command: ``--config`` plus a flag for every key it reads."""
     parser = argparse.ArgumentParser(
         prog="mm1game",
         description="Selfish rate control over a shared queue: closed forms, "
         "policy design, dynamics, and simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
+    for command, (_, sections) in _COMMANDS.items():
+        p = sub.add_parser(command)
         p.add_argument("--config", help="YAML configuration file")
-        p.add_argument("--out", help="output path (default: $MM1GAME_OUT_DIR/<command>.<format>)")
-        p.add_argument("--format", choices=["csv", "json"], help="output format")
-        p.add_argument("--mu", type=float, help="service rate")
-        p.add_argument("--alpha", help="shared exponent, or comma-separated per-user list")
-        p.add_argument("--m", type=int, help="number of users")
-        p.add_argument("--seed", type=int, help="simulation seed")
-        if name in ("design", "simulate", "sweep", "dynamics", "field"):
-            p.add_argument("--epsilon", type=float, help="allowed efficiency loss")
-            p.add_argument("--keep-prob", type=float, dest="keep_prob")
-            p.add_argument("--welfare", choices=["sum", "sum_log"])
+        names: set[str] = set()
+        for option in _OPTIONS:
+            section, _, name = option.key.rpartition(".")
+            if section and section not in sections:
+                continue
+            assert name not in names, f"{command} reads two keys named {name!r}"
+            names.add(name)
+            choices = _choices(option.type)
             p.add_argument(
-                "--target-effective-total", type=float, dest="target_effective_total"
+                option.flag or "--" + name.replace("_", "-"),
+                dest=option.key,
+                type=option.type if option.type in (float, int) else None,
+                choices=None if choices is None else list(choices),
+                help=option.help,
             )
-        if name in ("dynamics", "field", "simulate"):
-            p.add_argument("--policy", choices=["none", "step", "linear", "designed"])
-            p.add_argument("--r1", type=float)
-            p.add_argument("--r2", type=float)
-            p.add_argument("--threshold", type=float)
-        if name == "dynamics":
-            p.add_argument("--init", help="comma-separated starting rates")
-            p.add_argument("--tol", type=float)
-            p.add_argument("--max-iter", type=int, dest="max_iter")
-            p.add_argument("--mode", choices=[m.value for m in UpdateMode])
-        if name == "field":
-            p.add_argument("--points", type=int)
-        if name == "simulate":
-            p.add_argument("--rates", help="comma-separated offered rates, or 'designed'")
-            p.add_argument("--slots", type=int)
-            p.add_argument("--window", type=int)
-            p.add_argument("--queue-mode", choices=[q.value for q in QueueMode], dest="queue_mode")
-            p.add_argument("--queue-cap", type=int, dest="queue_cap")
-        if name == "sweep":
-            p.add_argument("--desired-poas", dest="desired_poas")
-            p.add_argument("--mus")
-            p.add_argument("--windows")
-            p.add_argument("--replications", type=int)
-            p.add_argument("--slots", type=int)
-            p.add_argument("--window", type=int)
-            p.add_argument("--queue-mode", choices=[q.value for q in QueueMode], dest="queue_mode")
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict[str, Any]:
-    command = args.command
-    mapping = {
-        "mu": "game.mu",
-        "alpha": "game.alpha",
-        "m": "game.m",
-        "epsilon": "design.epsilon",
-        "keep_prob": "design.keep_prob" if command != "sweep" else "sweep.keep_prob",
-        "welfare": "design.welfare" if command != "sweep" else "sweep.welfare",
-        "target_effective_total": "design.target_effective_total",
-        "policy": "policy.kind",
-        "r1": "policy.r1",
-        "r2": "policy.r2",
-        "threshold": "policy.threshold",
-        "init": "dynamics.init",
-        "tol": "dynamics.tol",
-        "max_iter": "dynamics.max_iter",
-        "mode": "dynamics.mode",
-        "points": "field.points",
-        "rates": "simulate.rates",
-        "slots": "simulate.slots" if command != "sweep" else "sweep.slots",
-        "window": "simulate.window" if command != "sweep" else "sweep.window",
-        "seed": "simulate.seed" if command != "sweep" else "sweep.seed",
-        "queue_mode": "simulate.queue_mode" if command != "sweep" else "sweep.queue_mode",
-        "queue_cap": "simulate.queue_cap",
-        "desired_poas": "sweep.desired_poas",
-        "mus": "sweep.mus",
-        "windows": "sweep.windows",
-        "replications": "sweep.replications",
-        "out": "out",
-        "format": "format",
-    }
-    out: dict[str, Any] = {}
-    for attr, dotted in mapping.items():
-        if hasattr(args, attr) and getattr(args, attr) is not None:
-            out[dotted] = getattr(args, attr)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    overrides = vars(_build_parser().parse_args(argv))
+    command = overrides.pop("command")
     try:
-        cfg = load_config(args.config, args.command, _overrides(args))
-        return _DISPATCH[args.command](cfg)
+        cfg = load_config(overrides.pop("config"), command, overrides)
+        return _COMMANDS[command][0](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

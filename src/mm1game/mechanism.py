@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 
 from .analysis import (
     WelfareKind,
+    _poa_ratio,
     optimal_total_rate,
     poa_of_equilibrium,
-    social_optimum_sum,
 )
 from .dynamics import UpdateMode, run_dynamics
 from .model import GameConfig, LinearPolicy, RateProfile, StepPolicy
@@ -138,14 +138,7 @@ def poa_at_symmetric_rate(
         raise ValueError(
             f"effective_total must lie in (0, mu={config.mu}), got {effective_total}"
         )
-    u = _symmetric_utility(config, effective_total)
-    if u <= 0.0:
-        return math.inf
-    if kind is WelfareKind.SUM_LOG_UTILITY:
-        opt = _symmetric_utility(config, optimal_total_rate(config))
-        return (opt / u) ** config.m
-    _, opt_value = social_optimum_sum(config)
-    return opt_value / (config.m * u)
+    return _poa_ratio([_symmetric_utility(config, effective_total)] * config.m, config, kind)
 
 
 def target_effective_rate(spec: DesignSpec) -> float:
@@ -168,8 +161,7 @@ def target_effective_rate(spec: DesignSpec) -> float:
             f"no symmetric equilibrium reaches a price of anarchy of {1 + spec.epsilon}: "
             f"the achievable infimum for this welfare kind is about {floor}"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # until lo and hi are adjacent floats
         if poa_at_symmetric_rate(config, spec.welfare_kind, mid) > goal:
             lo = mid
         else:

@@ -22,11 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import (
-    WelfareKind,
-    optimal_total_rate,
-    social_optimum_sum,
-)
+from .analysis import WelfareKind, _poa_ratio
 from .mechanism import DesignSpec, design_linear
 from .model import DropPolicy, GameConfig, RateProfile, keep_probability
 
@@ -248,21 +244,7 @@ def empirical_poa(report: SimReport, config: GameConfig, kind: WelfareKind) -> f
 
     A user with zero measured power makes the log-kind ratio +inf.
     """
-    alpha = config.alpha
-    if kind is WelfareKind.SUM_LOG_UTILITY:
-        lam_opt = optimal_total_rate(config)
-        per_user_opt = (lam_opt / config.m) ** alpha * (config.mu - lam_opt)
-        ratio = 1.0
-        for p in report.power:
-            if p == 0.0:
-                return math.inf
-            ratio *= per_user_opt / p
-        return ratio
-    _, opt_value = social_optimum_sum(config)
-    total = sum(report.power)
-    if total == 0.0:
-        return math.inf
-    return opt_value / total
+    return _poa_ratio(report.power, config, kind)
 
 
 @dataclass(frozen=True)

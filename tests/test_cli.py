@@ -1,10 +1,13 @@
 """CLI: config loading, overrides, output schema, exit codes."""
 
+import copy
 import json
 import math
 import os
+import re
 
 import pytest
+import yaml
 
 from mm1game.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, SCHEMA_VERSION, main
 
@@ -295,33 +298,161 @@ def _reject_constant(name):
     raise AssertionError(f"bare {name} is not JSON")
 
 
+_EVERY_COMMAND = [
+    ["analyze", "--mu", "6", "--alpha", "1,2"],
+    ["design", "--mu", "6", "--alpha", "2", "--m", "2", "--epsilon", "0.05"],
+    ["dynamics", "--mu", "10", "--alpha", "2", "--m", "2", "--policy", "linear",
+     "--r1", "7.0321", "--r2", "7.8222"],
+    ["field", "--mu", "6", "--alpha", "2", "--m", "2", "--points", "4"],
+    # a zero-rate user: log welfare -inf, empirical ratio +inf
+    ["simulate", "--mu", "20", "--alpha", "1", "--m", "2", "--rates", "0,5",
+     "--slots", "200", "--policy", "none"],
+    # the second target is infeasible: an error cell with NaN ratios
+    ["sweep", "--mu", "600", "--alpha", "2", "--m", "2", "--desired-poas", "2.5,1.5",
+     "--welfare", "sum", "--replications", "2", "--slots", "300"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv,fmt",
+    [
+        pytest.param(argv, fmt, id=argv[0] if fmt == "json" else f"{argv[0]}-csv")
+        for fmt in ("json", "csv")
+        for argv in _EVERY_COMMAND
+    ],
+)
+def test_every_command_writes_strict_json(tmp_path, argv, fmt):
+    """JSON is strict; a missing value is null in JSON and an empty cell in CSV."""
+    out = tmp_path / f"out.{fmt}"
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == EXIT_OK
+    if fmt == "json":
+        payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert payload["schema_version"] == SCHEMA_VERSION
+        rows, missing = payload.get("users", payload.get("cells")), None
+    else:
+        header, rows = read_csv(out)
+        assert header[0] == "schema_version"
+        missing = ""
+    if argv[0] == "simulate":
+        assert rows[0]["log_welfare"] == missing
+        assert rows[0]["empirical_poa"] == missing
+        assert float(rows[1]["power"]) > 0.0
+    if argv[0] == "sweep":
+        assert rows[0]["error"] == missing and float(rows[0]["mean_poa"]) >= 1.0
+        assert rows[1]["error"] and rows[1]["mean_poa"] == rows[1]["std_poa"] == missing
+
+
+# Every flag each command takes, a value for it other than the base config's,
+# and the config key the flag must set.  Written out by hand, so the option
+# table in the CLI is checked against an independent list.
+_GAME_FLAGS = [("--mu", "12", "game.mu"), ("--alpha", "0.8", "game.alpha"), ("--m", "3", "game.m")]
+_TOP_FLAGS = [("--format", "json", "format"), ("--out", "o.txt", "out")]
+_POLICY_FLAGS = [
+    ("--policy", "linear", "policy.kind"),
+    ("--r1", "3.5", "policy.r1"),
+    ("--r2", "8.5", "policy.r2"),
+    ("--threshold", "4.5", "policy.threshold"),
+]
+_DESIGN_FLAGS = [
+    ("--epsilon", "0.1", "design.epsilon"),
+    ("--keep-prob", "0.85", "design.keep_prob"),
+    ("--welfare", "sum", "design.welfare"),
+    ("--target-effective-total", "4.5", "design.target_effective_total"),
+]
+_FLAGS = {
+    "analyze": _TOP_FLAGS + _GAME_FLAGS,
+    "design": _TOP_FLAGS + _GAME_FLAGS + _DESIGN_FLAGS,
+    "dynamics": _TOP_FLAGS + _GAME_FLAGS + _POLICY_FLAGS + _DESIGN_FLAGS + [
+        ("--init", "0.5,0.5", "dynamics.init"),
+        ("--tol", "1e-6", "dynamics.tol"),
+        ("--max-iter", "4", "dynamics.max_iter"),
+        ("--mode", "simultaneous", "dynamics.mode"),
+    ],
+    "field": _TOP_FLAGS + _GAME_FLAGS + _POLICY_FLAGS + _DESIGN_FLAGS + [
+        ("--points", "5", "field.points"),
+    ],
+    "simulate": _TOP_FLAGS + _GAME_FLAGS + _POLICY_FLAGS + _DESIGN_FLAGS + [
+        ("--rates", "1.5,0.5", "simulate.rates"),
+        ("--slots", "250", "simulate.slots"),
+        ("--window", "3", "simulate.window"),
+        ("--seed", "7", "simulate.seed"),
+        ("--queue-mode", "analytic", "simulate.queue_mode"),
+        ("--queue-cap", "50", "simulate.queue_cap"),
+    ],
+    "sweep": _TOP_FLAGS + _GAME_FLAGS + [
+        ("--desired-poas", "1.3,1.1", "sweep.desired_poas"),
+        ("--mus", "500,700", "sweep.mus"),
+        ("--windows", "1,2", "sweep.windows"),
+        ("--replications", "3", "sweep.replications"),
+        ("--slots", "250", "sweep.slots"),
+        ("--window", "2", "sweep.window"),
+        ("--seed", "5", "sweep.seed"),
+        ("--queue-mode", "analytic", "sweep.queue_mode"),
+        ("--keep-prob", "0.85", "sweep.keep_prob"),
+        ("--welfare", "sum", "sweep.welfare"),
+    ],
+}
+_BASE = {
+    "out": "o.txt",
+    "game": {"mu": 10.0, "alpha": 1.0, "m": 2},
+    "policy": {"kind": "designed", "r1": 4.0, "r2": 9.0, "threshold": 5.0},
+    "design": {"epsilon": 0.05},
+    "dynamics": {"tol": 1e-9},
+    "field": {"points": 4},
+    "simulate": {"rates": [1.0, 1.0], "slots": 200},
+    "sweep": {"desired_poas": [1.2], "replications": 2, "slots": 200, "queue_mode": "event"},
+}
+
+
+def _run_in(directory, monkeypatch, command, config, argv):
+    """Run ``command`` inside ``directory``; return its exit code and every file it wrote."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    (directory / "cfg.yaml").write_text(yaml.safe_dump(config))
+    code = main([command, "--config", "cfg.yaml", *argv])
+    files = {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "cfg.yaml"}
+    return code, files
+
+
+@pytest.mark.parametrize(
+    "command,flag,text,key",
+    [
+        pytest.param(command, *case, id=f"{command} {case[0]}")
+        for command, cases in _FLAGS.items()
+        for case in cases
+    ],
+)
+def test_a_flag_writes_what_its_config_key_writes(tmp_path, monkeypatch, command, flag, text, key):
+    with_key = copy.deepcopy(_BASE)
+    section, _, name = key.rpartition(".")
+    (with_key[section] if section else with_key)[name] = yaml.safe_load(text)
+    by_flag = _run_in(tmp_path / "flag", monkeypatch, command, _BASE, [flag, text])
+    by_file = _run_in(tmp_path / "file", monkeypatch, command, with_key, [])
+    assert by_flag == by_file
+    assert by_flag[0] in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+
+
+def test_the_flag_list_covers_every_flag(capsys):
+    for command, cases in _FLAGS.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        offered = set(re.findall(r"(--[a-z][a-z0-9-]*)", capsys.readouterr().out))
+        assert offered == {"--help", "--config"} | {flag for flag, _, _ in cases}, command
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["analyze", "--mu", "6", "--alpha", "1,2"],
-        ["design", "--mu", "6", "--alpha", "2", "--m", "2", "--epsilon", "0.05"],
-        ["dynamics", "--mu", "10", "--alpha", "2", "--m", "2", "--policy", "linear",
-         "--r1", "7.0321", "--r2", "7.8222"],
-        ["field", "--mu", "6", "--alpha", "2", "--m", "2", "--points", "4"],
-        # a zero-rate user: log welfare -inf, empirical ratio +inf
-        ["simulate", "--mu", "20", "--alpha", "1", "--m", "2", "--rates", "0,5",
-         "--slots", "200", "--policy", "none"],
-        # the second target is infeasible: an error cell with NaN ratios
-        ["sweep", "--mu", "600", "--alpha", "2", "--m", "2", "--desired-poas", "2.5,1.5",
-         "--welfare", "sum", "--replications", "2", "--slots", "300"],
+        ["analyze", "--seed", "3"],
+        ["design", "--seed", "3"],
+        ["dynamics", "--seed", "3"],
+        ["field", "--seed", "3"],
+        ["sweep", "--epsilon", "0.1"],
+        ["sweep", "--target-effective-total", "4"],
     ],
-    ids=lambda argv: argv[0],
+    ids=lambda argv: f"{argv[0]} {argv[1]}",
 )
-def test_every_command_writes_strict_json(tmp_path, argv):
-    out = tmp_path / "out.json"
-    assert main([*argv, "--format", "json", "--out", str(out)]) == EXIT_OK
-    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
-    assert payload["schema_version"] == SCHEMA_VERSION
-    if argv[0] == "simulate":
-        assert payload["users"][0]["log_welfare"] is None
-        assert payload["users"][0]["empirical_poa"] is None
-        assert payload["users"][1]["power"] > 0.0
-    if argv[0] == "sweep":
-        cells = payload["cells"]
-        assert cells[0]["error"] is None and cells[0]["mean_poa"] >= 1.0
-        assert cells[1]["error"] and cells[1]["mean_poa"] is None
+def test_flags_for_keys_a_command_never_reads_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

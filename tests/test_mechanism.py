@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mm1game import (
     DesignInfeasibleError,
@@ -30,6 +32,7 @@ from mm1game import (
     utility,
     validate_design,
 )
+from mm1game.mechanism import _POA_MARGIN
 
 CFG = GameConfig.uniform(6.0, 2.0, 2)
 GOLDEN_SPEC = DesignSpec(CFG, epsilon=0.05, keep_prob=0.9, target_effective_total=3.9)
@@ -114,6 +117,41 @@ def test_sum_welfare_with_high_exponent_has_a_floor():
     # above the floor the design goes through
     ok = design_linear(DesignSpec(CFG, epsilon=1.5, welfare_kind=WelfareKind.SUM_UTILITY))
     assert ok.predicted_poa <= 2.5
+
+
+def _target_by_200_rounds(spec):
+    """The bisection as it was: a fixed 200 rounds, most of them no-ops."""
+    lam_opt = optimal_total_rate(spec.config)
+    goal = 1.0 + (1.0 - _POA_MARGIN) * spec.epsilon
+    lo = lam_opt * 1e-12
+    hi = lam_opt * (1.0 - 1e-12)
+    if poa_at_symmetric_rate(spec.config, spec.welfare_kind, hi) > goal:
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if poa_at_symmetric_rate(spec.config, spec.welfare_kind, mid) > goal:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    alpha=st.floats(0.2, 3.0),
+    mu=st.floats(0.1, 1e5),
+    kind=st.sampled_from(list(WelfareKind)),
+    epsilon=st.floats(1e-4, 3.0),
+)
+def test_target_rate_stops_where_the_fixed_round_bisection_ends(m, alpha, mu, kind, epsilon):
+    spec = DesignSpec(GameConfig.uniform(mu, alpha, m), epsilon=epsilon, welfare_kind=kind)
+    want = _target_by_200_rounds(spec)
+    if want is None:
+        with pytest.raises(DesignInfeasibleError):
+            target_effective_rate(spec)
+    else:
+        assert target_effective_rate(spec) == want  # bit for bit
 
 
 # ---------------------------------------------------------------- linear design
