@@ -30,9 +30,11 @@ from .mechanism import (
     DesignDiagnostics,
     DesignInfeasibleError,
     DesignSpec,
+    EquilibriumCensus,
     PolicyDesign,
     design_linear,
     designed_with_diagnostics,
+    equilibrium_census,
     poa_at_symmetric_rate,
     step_policy,
     target_effective_rate,

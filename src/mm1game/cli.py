@@ -109,7 +109,6 @@ _OPTIONS = (
     _Option("sweep.windows", list, (1,), "comma-separated rate-estimation windows"),
     _Option("sweep.replications", int, 10, "seeds per cell"),
     _Option("sweep.slots", int, 10_000, "horizon in slots"),
-    _Option("sweep.window", int, 1, "rate-estimation window of the base run"),
     _Option("sweep.seed", int, 0, "seed of each cell's first replication"),
     _Option("sweep.queue_mode", QueueMode, "analytic", "queue model"),
     _Option("sweep.keep_prob", float, 0.9, "keep probability at each designed equilibrium"),
@@ -416,6 +415,7 @@ def _cmd_design(cfg: ExperimentConfig) -> int:
         "check_r1_below_mu": diag.r1_below_service_rate,
         "check_ne_matches": diag.ne_matches_prediction,
         "check_poa_bound": diag.poa_within_bound,
+        "check_unique": diag.certified_unique,
     }
     _emit(cfg, "design", [record])
     return EXIT_OK
@@ -483,12 +483,21 @@ def _cmd_field(cfg: ExperimentConfig) -> int:
 def _sim_config(cfg: ExperimentConfig, game: GameConfig, policy: DropPolicy) -> SimConfig:
     rates_raw = _get(cfg, "simulate.rates")
     if rates_raw == "designed":
+        kind = _get(cfg, "policy.kind")
+        if kind != "designed":
+            raise ConfigError(
+                "simulate.rates: 'designed' offers the designed equilibrium, which needs "
+                f"policy.kind: designed, got {kind!r}"
+            )
         rates = design_linear(_design_spec(cfg, game)).predicted_ne
     else:
         values = _as_float_list(rates_raw, "simulate.rates")
         if len(values) != game.m:
             raise ConfigError(f"simulate.rates: expected {game.m} rates, got {len(values)}")
-        rates = RateProfile(tuple(values))
+        try:
+            rates = RateProfile(tuple(values))
+        except ValueError as exc:
+            raise ConfigError(f"simulate.rates: {exc}") from exc
     run_keys = ("queue_mode", "slots", "window", "seed", "queue_cap")
     try:
         return SimConfig(
@@ -554,7 +563,7 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
     mus = _get(cfg, "sweep.mus") or [game.mu]
     windows = [_as_int(w, "sweep.windows") for w in _get(cfg, "sweep.windows")]
     replications = _get(cfg, "sweep.replications")
-    base_keys = ("queue_mode", "slots", "window", "seed")
+    base_keys = ("queue_mode", "slots", "seed")
     base_options = {key: _get(cfg, f"sweep.{key}") for key in base_keys}
     welfare_kind = _get(cfg, "sweep.welfare")
     keep_prob = _get(cfg, "sweep.keep_prob")
@@ -592,7 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, sections) in _COMMANDS.items():
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)  # `--window` is not `--windows`
         p.add_argument("--config", help="YAML configuration file")
         names: set[str] = set()
         for option in _OPTIONS:

@@ -118,6 +118,29 @@ def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
     return [r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
 
 
+def _polished_cubic_roots(a: float, b: float, c: float, d: float, condition) -> list[float]:
+    """Real roots of ``a x^3 + b x^2 + c x + d``, each polished by Newton steps.
+
+    ``condition`` evaluates the same cubic from unexpanded factors, which
+    stays accurate near a root where the expanded sum cancels; a step is
+    kept only while it shrinks ``|condition|``.
+    """
+    roots = []
+    for x in _cubic_roots(a, b, c, d):
+        g = condition(x)
+        for _ in range(2):
+            slope = (3.0 * a * x + 2.0 * b) * x + c
+            if slope == 0.0:
+                break
+            step = x - g / slope
+            g_step = condition(step)
+            if not abs(g_step) < abs(g):
+                break
+            x, g = step, g_step
+        roots.append(x)
+    return roots
+
+
 def _ramp_best_response(b: float, alpha: float, mu: float, policy: LinearPolicy) -> float:
     """Closed-form argmax of the one-user utility on a linear drop policy.
 
@@ -142,17 +165,7 @@ def _ramp_best_response(b: float, alpha: float, mu: float, policy: LinearPolicy)
     a1 = -alpha * (e * d + 2.0 * h) - d * e
     lo = max(0.0, policy.r1 - b)
     candidates = [(lo, 1.0)]
-    for x in _cubic_roots(a3, a2, a1, alpha * h * d):
-        g = condition(x)
-        for _ in range(2):  # Newton polish on the unexpanded condition
-            slope = (3.0 * a3 * x + 2.0 * a2) * x + a1
-            if slope == 0.0:
-                break
-            step = x - g / slope
-            g_step = condition(step)
-            if not abs(g_step) < abs(g):
-                break
-            x, g = step, g_step
+    for x in _polished_cubic_roots(a3, a2, a1, alpha * h * d, condition):
         if lo < x < d:
             candidates.append((x, (d - x) / w))
     valued = [(x, (x * p) ** alpha * (mu - (b + x) * p)) for x, p in candidates]

@@ -18,7 +18,7 @@ from .analysis import (
     optimal_total_rate,
     poa_of_equilibrium,
 )
-from .dynamics import UpdateMode, run_dynamics
+from .dynamics import UpdateMode, _polished_cubic_roots, run_dynamics
 from .model import GameConfig, LinearPolicy, RateProfile, StepPolicy
 
 __all__ = [
@@ -26,16 +26,19 @@ __all__ = [
     "DesignSpec",
     "PolicyDesign",
     "DesignDiagnostics",
+    "EquilibriumCensus",
     "step_policy",
     "poa_at_symmetric_rate",
     "target_effective_rate",
     "design_linear",
+    "equilibrium_census",
     "validate_design",
     "designed_with_diagnostics",
 ]
 
-# The target solver aims a hair inside the requested bound so that floating
-# point and best-response refinement noise cannot push the realized ratio past it.
+# The target solver aims a hair inside the requested bound so that rounding in
+# the designed breakpoints and in the realized equilibrium cannot push the
+# realized ratio past it.
 _POA_MARGIN = 1e-3
 
 
@@ -86,9 +89,18 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class DesignDiagnostics:
-    """Validation outcome of a produced design."""
+    """Validation outcome of a produced design.
+
+    ``certified_unique`` is the census certificate of
+    :func:`equilibrium_census`: the designed game has no equilibrium candidate
+    besides one ramp total.  ``slope_exceeds_uniqueness_bound`` is the paper's
+    sufficient slope condition, reported beside it; it cannot hold when ``r1``
+    lies below the welfare-optimal total, however unique the equilibrium is.
+    ``all_ok`` asks the certificate, not the slope condition.
+    """
 
     slope_exceeds_uniqueness_bound: bool
+    certified_unique: bool
     r1_below_service_rate: bool
     ne_matches_prediction: bool
     poa_within_bound: bool
@@ -99,11 +111,32 @@ class DesignDiagnostics:
     @property
     def all_ok(self) -> bool:
         return (
-            self.slope_exceeds_uniqueness_bound
+            self.certified_unique
             and self.r1_below_service_rate
             and self.ne_matches_prediction
             and self.poa_within_bound
         )
+
+
+@dataclass(frozen=True)
+class EquilibriumCensus:
+    """Every candidate total of an equilibrium of a shared-exponent ramp game.
+
+    ``roots`` are the interior totals on the ramp, ascending; ``kink`` is the
+    range ``(lo, hi)`` of per-user rates that a profile with total ``r1``
+    must keep to, or None when no profile summing to ``r1`` fits it;
+    ``flat`` is a lone user's drop-free optimum when it lies below ``r1``.
+    Profiles in which every user's others already reach ``r2`` earn nothing
+    whatever anyone sends; they are not counted.
+    """
+
+    roots: tuple[float, ...]
+    kink: tuple[float, float] | None
+    flat: float | None
+
+    @property
+    def unique(self) -> bool:
+        return len(self.roots) == 1 and self.kink is None and self.flat is None
 
 
 @dataclass(frozen=True)
@@ -220,13 +253,81 @@ def design_linear(spec: DesignSpec) -> PolicyDesign:
     )
 
 
+def equilibrium_census(policy: LinearPolicy, config: GameConfig) -> EquilibriumCensus:
+    """Every candidate equilibrium of a shared-exponent game on a ramp, without iteration.
+
+    The game is aggregative: fix the total ``T`` on the ramp, with keep
+    probability ``p = s T + c`` (``s`` and ``c`` are the policy's slope and
+    intercept) and headroom ``q = mu - T p``.  The stationarity condition in
+    :func:`~mm1game.dynamics.best_response` is then linear in a user's own
+    rate, so every user sends ``x(T) = alpha p q / D(T)`` with
+    ``D(T) = (2 + alpha) s^2 T^2 + (3 + alpha) s c T + c^2 - alpha s mu``.
+    An interior equilibrium total is a root of the cubic
+    ``m alpha p q - T D(T)``, whose coefficients from ``T^3`` down are
+    ``-(m alpha + 2 + alpha) s^2``, ``-(2 m alpha + 3 + alpha) s c``,
+    ``m alpha (s mu - c^2) - c^2 + alpha s mu`` and ``m alpha c mu``.  They
+    are used times ``w^2 = 1 / s^2`` with ``w = r2 - r1``, which keeps them
+    the size of the breakpoints on a steep ramp, and each root is polished
+    by Newton steps on the unexpanded condition.  A root counts when
+    ``r1 < T < r2`` and ``q > 0``; at a root ``T D = m alpha p q``, so
+    ``D > 0`` follows, and ``x(T)`` is a positive rate into a stable queue.
+
+    At the kink ``T = r1`` no user may gain by moving either way: the
+    drop-free side asks ``x <= alpha (mu - r1)`` of each rate, the ramp side
+    ``x >= alpha / ((1 + s r1) / (mu - r1) - alpha s)``.  Below ``r1`` a ramp
+    rate beats the drop-free optimum whenever the others send anything (see
+    :func:`~mm1game.dynamics.best_response`), so the flat piece holds an
+    equilibrium only for a lone user.
+
+    These are first-order conditions, so every equilibrium that lets traffic
+    through is a member: one root and nothing else certifies that the
+    equilibrium is unique.  Whether a member is an equilibrium at all is
+    left to best-response play.
+    """
+    alpha = config.alpha  # raises for heterogeneous exponents
+    m = config.m
+    mu = config.mu
+    r1, r2 = policy.r1, policy.r2
+    w = r2 - r1
+    ma = m * alpha
+
+    def condition(t: float) -> float:  # w^2 (m alpha p q - T D(T))
+        room = r2 - t  # w p
+        head = mu * w - t * room  # w q
+        return ma * room * head - t * (room * (r2 - 2.0 * t) + alpha * head)
+
+    a3 = -(ma + 2.0 + alpha)
+    a2 = (2.0 * ma + 3.0 + alpha) * r2
+    a1 = -ma * (r2 * r2 + mu * w) - r2 * r2 - alpha * mu * w
+    roots = []
+    for t in _polished_cubic_roots(a3, a2, a1, ma * r2 * mu * w, condition):
+        if r1 < t < r2 and mu * w > t * (r2 - t):  # q > 0
+            roots.append(t)
+
+    kink = None
+    if r1 < mu:
+        hi = alpha * (mu - r1)
+        gain = r2 - 2.0 * r1 + alpha * (mu - r1)  # w (mu - r1) times the ramp-side bound
+        if gain > 0.0:
+            lo = alpha * w * (mu - r1) / gain
+            if m * lo <= r1 <= m * hi:
+                kink = (lo, hi)
+
+    star = optimal_total_rate(config)  # a lone user's drop-free optimum
+    flat = star if m == 1 and star < r1 else None
+    return EquilibriumCensus(tuple(sorted(roots)), kink, flat)
+
+
 def validate_design(design: PolicyDesign, spec: DesignSpec) -> DesignDiagnostics:
     """Check a produced design against its spec.
 
-    Verifies the slope condition that makes the designed equilibrium unique,
-    that the keep-everything region stays below the service rate, and — by
-    actually running best-response dynamics — that the realized equilibrium
-    and its price of anarchy match the prediction.
+    Reports the paper's sufficient slope condition for uniqueness, the
+    census certificate of :func:`equilibrium_census`, and that the
+    keep-everything region stays below the service rate.  Best-response
+    play then starts from the census member nearest the prediction (from
+    the prediction itself if the census is empty); at an equilibrium the
+    first round changes nothing.  The realized equilibrium and its price of
+    anarchy are where that play ends.
     """
     config = spec.config
     alpha = config.alpha
@@ -241,7 +342,15 @@ def validate_design(design: PolicyDesign, spec: DesignSpec) -> DesignDiagnostics
         slope_ok = False
     r1_ok = policy.r1 < config.mu
 
-    init = RateProfile((0.05 * config.mu / config.m,) * config.m)
+    census = equilibrium_census(policy, config)
+    members = list(census.roots)
+    if census.kink is not None:
+        members.append(policy.r1)
+    if census.flat is not None:
+        members.append(census.flat)
+    predicted = design.predicted_ne.total
+    start = min(members, key=lambda t: abs(t - predicted), default=predicted)
+    init = RateProfile((start / config.m,) * config.m)
     trajectory = run_dynamics(
         config, policy, init, mode=UpdateMode.ROUND_ROBIN, tol=1e-10, max_iter=20_000
     )
@@ -255,6 +364,7 @@ def validate_design(design: PolicyDesign, spec: DesignSpec) -> DesignDiagnostics
 
     return DesignDiagnostics(
         slope_exceeds_uniqueness_bound=slope_ok,
+        certified_unique=census.unique,
         r1_below_service_rate=r1_ok,
         ne_matches_prediction=ne_ok,
         poa_within_bound=poa_ok,

@@ -225,6 +225,43 @@ def test_simulate_rates_are_required(tmp_path, capsys):
     assert "simulate.rates" in capsys.readouterr().err
 
 
+def test_simulate_negative_rate_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "neg.yaml"
+    cfg.write_text(yaml.safe_dump({"game": {"mu": 20, "alpha": 2, "m": 2}, "simulate": {"rates": [-1, 2]}}))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+    assert code == EXIT_CONFIG
+    assert "simulate.rates" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("policy", ["none", "step", "linear"])
+def test_designed_rates_need_the_designed_policy(tmp_path, capsys, policy):
+    code = main(
+        [
+            "simulate", "--mu", "20", "--alpha", "1", "--m", "3", "--epsilon", "0.05",
+            "--rates", "designed", "--policy", policy, "--r1", "9", "--r2", "14",
+            "--slots", "100", "--out", str(tmp_path / "s.csv"),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "simulate.rates" in err and "policy.kind" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_designed_rates_run_with_the_designed_policy(tmp_path):
+    out = tmp_path / "s.csv"
+    code = main(
+        [
+            "simulate", "--mu", "20", "--alpha", "1", "--m", "3", "--epsilon", "0.05",
+            "--rates", "designed", "--policy", "designed", "--slots", "300", "--out", str(out),
+        ]
+    )
+    assert code == EXIT_OK
+    _, slots = read_csv(tmp_path / "s.slots.csv")
+    assert any(float(row["drop_prob"]) > 0.0 for row in slots)
+
+
 def test_simulate_json_single_file(tmp_path):
     out = tmp_path / "s.json"
     code = main(
@@ -270,6 +307,20 @@ def test_sweep_grid_and_error_cells(tmp_path):
     assert code == EXIT_OK
     _, rows = read_csv(out)
     assert rows[0]["error"] != ""
+
+
+def test_sweep_window_longer_than_the_horizon_is_a_cell_error(tmp_path):
+    out = tmp_path / "w.csv"
+    code = main(
+        [
+            "sweep", "--mu", "600", "--alpha", "2", "--m", "2", "--desired-poas", "1.2",
+            "--windows", "500,1", "--replications", "1", "--slots", "400", "--out", str(out),
+        ]
+    )
+    assert code == EXIT_OK
+    _, rows = read_csv(out)
+    assert [row["window"] for row in rows] == ["500", "1"]
+    assert "window" in rows[0]["error"] and rows[1]["error"] == ""
 
 
 def test_default_output_uses_env_dir(tmp_path, monkeypatch):
@@ -385,7 +436,6 @@ _FLAGS = {
         ("--windows", "1,2", "sweep.windows"),
         ("--replications", "3", "sweep.replications"),
         ("--slots", "250", "sweep.slots"),
-        ("--window", "2", "sweep.window"),
         ("--seed", "5", "sweep.seed"),
         ("--queue-mode", "analytic", "sweep.queue_mode"),
         ("--keep-prob", "0.85", "sweep.keep_prob"),
@@ -449,6 +499,7 @@ def test_the_flag_list_covers_every_flag(capsys):
         ["field", "--seed", "3"],
         ["sweep", "--epsilon", "0.1"],
         ["sweep", "--target-effective-total", "4"],
+        ["sweep", "--window", "2"],
     ],
     ids=lambda argv: f"{argv[0]} {argv[1]}",
 )

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mm1game import (
@@ -24,13 +24,16 @@ from mm1game import (
     best_response,
     design_linear,
     designed_with_diagnostics,
+    equilibrium_census,
     keep_probability,
     optimal_total_rate,
     poa_at_symmetric_rate,
+    run_dynamics,
     step_policy,
     target_effective_rate,
     utility,
     validate_design,
+    verify_equilibrium,
 )
 from mm1game.mechanism import _POA_MARGIN
 
@@ -277,19 +280,20 @@ def test_realized_equilibrium_stays_inside_the_budget(eps):
 
 
 def test_sufficient_slope_condition_applies_only_to_tight_budgets():
-    """The uniqueness check is a sufficient condition for ramps whose
+    """The slope check is a sufficient condition for ramps whose
     keep-everything region ends above the optimal total.  Loose budgets put
-    r1 below it, so the flag reports not-proven (infinite bound) even though
-    the realized equilibrium still lands on the prediction; tight budgets
-    satisfy the condition outright."""
+    r1 below it, so the flag reports not-proven (infinite bound); the census
+    still certifies the equilibrium unique, so the design is all_ok.  Tight
+    budgets satisfy both."""
     loose = designed_with_diagnostics(DesignSpec(CFG, epsilon=0.2))
     diag = loose.diagnostics
     assert diag is not None
     assert loose.policy.r1 < optimal_total_rate(CFG)
     assert not diag.slope_exceeds_uniqueness_bound
     assert math.isinf(diag.uniqueness_bound)
-    assert not diag.all_ok
-    assert diag.ne_matches_prediction  # the design still verifies empirically
+    assert diag.certified_unique
+    assert diag.ne_matches_prediction
+    assert diag.all_ok
 
     tight = designed_with_diagnostics(DesignSpec(CFG, epsilon=0.01))
     diag = tight.diagnostics
@@ -297,4 +301,82 @@ def test_sufficient_slope_condition_applies_only_to_tight_budgets():
     assert tight.policy.r1 > optimal_total_rate(CFG)
     assert diag.slope_exceeds_uniqueness_bound
     assert abs(tight.policy.slope) > diag.uniqueness_bound
+    assert diag.certified_unique
     assert diag.all_ok
+
+
+# ------------------------------------------------------------------ census
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 50),
+    alpha=st.floats(0.2, 3.0),
+    mu=st.floats(0.1, 1e4),
+    epsilon=st.floats(1e-4, 3.0),
+    keep_frac=st.floats(1e-3, 1.0 - 1e-3),
+)
+# large service rates, where an unpolished root is off by more than the play's tol
+@example(m=36, alpha=1.8, mu=9993.0, epsilon=0.0017, keep_frac=0.36)
+@example(m=44, alpha=2.77, mu=7388.0, epsilon=0.0445, keep_frac=0.36)
+def test_census_of_every_design_is_its_target(m, alpha, mu, epsilon, keep_frac):
+    cfg = GameConfig.uniform(mu, alpha, m)
+    low = alpha / (alpha + 1.0)
+    spec = DesignSpec(cfg, epsilon=epsilon, keep_prob=low + keep_frac * (1.0 - low))
+    try:
+        design = design_linear(spec)
+    except DesignInfeasibleError:
+        return
+    census = equilibrium_census(design.policy, cfg)
+    assert census.kink is None and census.flat is None
+    (total,) = census.roots
+    assert total == pytest.approx(design.target_raw_total, rel=1e-12)
+    assert validate_design(design, spec).certified_unique
+    profile = RateProfile((total / m,) * m)
+    # validate_design's play from here must stop after its first round
+    assert run_dynamics(cfg, design.policy, profile, tol=1e-10, max_iter=1).converged
+    own = utility(0, profile, design.policy, cfg)
+    assert verify_equilibrium(profile, design.policy, cfg, tol=1e-10 * own)
+
+
+@pytest.mark.parametrize("m", [10, 12])
+def test_many_user_designs_verify(m):
+    # round-robin play from a cold start ran out of rounds on these
+    design = designed_with_diagnostics(DesignSpec(GameConfig.uniform(50.0, 1.0, m), epsilon=0.01))
+    diag = design.diagnostics
+    assert diag is not None
+    assert diag.ne_matches_prediction
+    assert diag.certified_unique
+    assert diag.all_ok
+
+
+def test_a_steep_ramp_has_a_continuum_of_kink_equilibria():
+    steep = LinearPolicy(3.0, 3.01)
+    for rates in ((1.5, 1.5), (1.0, 2.0)):
+        assert verify_equilibrium(RateProfile(rates), steep, CFG)
+    census = equilibrium_census(steep, CFG)
+    assert census.roots == ()
+    lo, hi = census.kink
+    assert lo <= 1.0 and 2.0 <= hi
+    assert not census.unique
+    design = PolicyDesign(
+        policy=steep,
+        predicted_ne=RateProfile((1.5, 1.5)),
+        predicted_poa=1.0,
+        keep_prob=1.0,
+        target_effective_total=3.0,
+        target_raw_total=3.0,
+    )
+    diag = validate_design(design, DesignSpec(CFG, epsilon=0.05, target_effective_total=3.0))
+    assert not diag.certified_unique
+    assert not diag.all_ok
+
+
+def test_a_lone_user_below_the_ramp_is_a_census_member():
+    # a lone user's drop-free optimum (4 here) is an equilibrium when r1 lies above it
+    lone = GameConfig.uniform(6.0, 2.0, 1)
+    ramp = LinearPolicy(5.0, 6.0)
+    census = equilibrium_census(ramp, lone)
+    assert census.flat == pytest.approx(optimal_total_rate(lone))
+    assert not census.unique
+    assert verify_equilibrium(RateProfile((census.flat,)), ramp, lone)
