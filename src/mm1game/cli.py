@@ -26,6 +26,7 @@ from .dynamics import UpdateMode, response_field, run_dynamics, triangular_grid
 from .mechanism import (
     DesignInfeasibleError,
     DesignSpec,
+    PolicyDesign,
     design_linear,
     designed_with_diagnostics,
     step_policy,
@@ -282,24 +283,26 @@ def _design_spec(cfg: ExperimentConfig, game: GameConfig) -> DesignSpec:
         raise ConfigError(f"design: {exc}") from exc
 
 
-def _policy(cfg: ExperimentConfig, game: GameConfig) -> DropPolicy:
+def _policy(cfg: ExperimentConfig, game: GameConfig) -> tuple[DropPolicy, PolicyDesign | None]:
+    """The configured drop policy, and the design it came from if it is designed."""
     kind = _get(cfg, "policy.kind")
     try:
         if kind == "step":
             threshold = _get(cfg, "policy.threshold")
-            return step_policy(game) if threshold is None else StepPolicy(threshold)
+            return (step_policy(game) if threshold is None else StepPolicy(threshold)), None
         if kind == "linear":
             r1, r2 = _get(cfg, "policy.r1"), _get(cfg, "policy.r2")
             if r1 is None or r2 is None:
                 raise ConfigError("policy.r1 and policy.r2: required for a linear policy")
-            return LinearPolicy(r1, r2)
+            return LinearPolicy(r1, r2), None
         if kind == "designed":
-            return design_linear(_design_spec(cfg, game)).policy
+            design = design_linear(_design_spec(cfg, game))
+            return design.policy, design
     except ConfigError:
         raise
     except (ValueError, UnsupportedGameError) as exc:
         raise ConfigError(f"policy: {exc}") from exc
-    return NoDrop()
+    return NoDrop(), None
 
 
 def _fmt_value(value: Any) -> str:
@@ -435,7 +438,7 @@ def _dynamics_init(cfg: ExperimentConfig, game: GameConfig) -> RateProfile:
 
 def _cmd_dynamics(cfg: ExperimentConfig) -> int:
     game = _game_config(cfg)
-    policy = _policy(cfg, game)
+    policy, _ = _policy(cfg, game)
     init = _dynamics_init(cfg, game)
     tol = _get(cfg, "dynamics.tol")
     max_iter = _get(cfg, "dynamics.max_iter")
@@ -462,7 +465,7 @@ def _cmd_field(cfg: ExperimentConfig) -> int:
     game = _game_config(cfg)
     if game.m != 2:
         raise ConfigError("field: requires a two-user game")
-    policy = _policy(cfg, game)
+    policy, _ = _policy(cfg, game)
     points = _get(cfg, "field.points")
     if points < 2:
         raise ConfigError(f"field.points: must be at least 2, got {points}")
@@ -480,16 +483,16 @@ def _cmd_field(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _sim_config(cfg: ExperimentConfig, game: GameConfig, policy: DropPolicy) -> SimConfig:
+def _sim_config(cfg: ExperimentConfig, game: GameConfig) -> SimConfig:
+    policy, design = _policy(cfg, game)
     rates_raw = _get(cfg, "simulate.rates")
     if rates_raw == "designed":
-        kind = _get(cfg, "policy.kind")
-        if kind != "designed":
+        if design is None:
             raise ConfigError(
                 "simulate.rates: 'designed' offers the designed equilibrium, which needs "
-                f"policy.kind: designed, got {kind!r}"
+                f"policy.kind: designed, got {_get(cfg, 'policy.kind')!r}"
             )
-        rates = design_linear(_design_spec(cfg, game)).predicted_ne
+        rates = design.predicted_ne
     else:
         values = _as_float_list(rates_raw, "simulate.rates")
         if len(values) != game.m:
@@ -512,8 +515,7 @@ def _sim_config(cfg: ExperimentConfig, game: GameConfig, policy: DropPolicy) -> 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
     game = _game_config(cfg)
-    policy = _policy(cfg, game)
-    sim = _sim_config(cfg, game, policy)
+    sim = _sim_config(cfg, game)
     report = run_simulation(sim)
     users = [
         {

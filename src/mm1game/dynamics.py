@@ -11,10 +11,7 @@ import numpy as np
 from .model import (
     DropPolicy,
     GameConfig,
-    LinearPolicy,
-    NoDrop,
     RateProfile,
-    StepPolicy,
     UnstableQueueError,
     _potential_raw,
     feasible,
@@ -141,8 +138,8 @@ def _polished_cubic_roots(a: float, b: float, c: float, d: float, condition) -> 
     return roots
 
 
-def _ramp_best_response(b: float, alpha: float, mu: float, policy: LinearPolicy) -> float:
-    """Closed-form argmax of the one-user utility on a linear drop policy.
+def _ramp_best_response(b: float, alpha: float, mu: float, policy: DropPolicy) -> float:
+    """Closed-form argmax of the one-user utility on a ramp of positive width.
 
     See :func:`best_response`.  Rates are measured against ``d = r2 - b``, the
     room left before everything is dropped, so the keep probability on the
@@ -181,10 +178,11 @@ def best_response(
     """Rate maximizing user ``i``'s utility against a fixed total of the others.
 
     With ``B`` the others' total, the flat-piece optimum is
-    ``star = alpha (mu - B) / (alpha + 1)``: the answer without dropping, and
-    capped at the threshold on a step policy.
+    ``star = alpha (mu - B) / (alpha + 1)``.  When ``r1 = r2`` (a step, or
+    no dropping at all when ``r2`` is infinite) the answer is ``star``
+    capped at ``r2 - B``.
 
-    On a linear policy the keep probability on the ramp is ``p = s T + c``
+    On a ramp (``r1 < r2``) the keep probability is ``p = s T + c``
     with ``T = B + x`` (``s``, ``c`` are the policy's slope and intercept) and
     the headroom is ``q = mu - T p``.  Multiplying the stationarity condition
     of ``log u``, ``alpha / x + alpha s / p - (p + s T) / q = 0``, by
@@ -209,12 +207,10 @@ def best_response(
         raise ValueError("others_total must be non-negative")
     alpha = config.alphas[i]
     mu = config.mu
-    if isinstance(policy, LinearPolicy):
+    if policy.r1 < policy.r2:
         return _ramp_best_response(others_total, alpha, mu, policy)
     star = alpha * (mu - others_total) / (alpha + 1.0) if others_total < mu else 0.0
-    if isinstance(policy, NoDrop):
-        return max(0.0, star)
-    return max(0.0, min(star, policy.threshold - others_total))
+    return max(0.0, min(star, policy.r2 - others_total))  # no cap when r2 is infinite
 
 
 def run_dynamics(
@@ -262,11 +258,7 @@ def run_dynamics(
 
 def _scan_cutoff(policy: DropPolicy, mu: float) -> float:
     """Total beyond which no unilateral rate can earn positive utility."""
-    if isinstance(policy, NoDrop):
-        return mu
-    if isinstance(policy, StepPolicy):
-        return policy.threshold
-    return policy.r2
+    return policy.r2 if math.isfinite(policy.r2) else mu
 
 
 def verify_equilibrium(

@@ -19,7 +19,7 @@ from .analysis import (
     poa_of_equilibrium,
 )
 from .dynamics import UpdateMode, _polished_cubic_roots, run_dynamics
-from .model import GameConfig, LinearPolicy, RateProfile, StepPolicy
+from .model import DropPolicy, GameConfig, LinearPolicy, RateProfile, StepPolicy
 
 __all__ = [
     "DesignInfeasibleError",
@@ -253,7 +253,7 @@ def design_linear(spec: DesignSpec) -> PolicyDesign:
     )
 
 
-def equilibrium_census(policy: LinearPolicy, config: GameConfig) -> EquilibriumCensus:
+def equilibrium_census(policy: DropPolicy, config: GameConfig) -> EquilibriumCensus:
     """Every candidate equilibrium of a shared-exponent game on a ramp, without iteration.
 
     The game is aggregative: fix the total ``T`` on the ramp, with keep
@@ -283,11 +283,17 @@ def equilibrium_census(policy: LinearPolicy, config: GameConfig) -> EquilibriumC
     through is a member: one root and nothing else certifies that the
     equilibrium is unique.  Whether a member is an equilibrium at all is
     left to best-response play.
+
+    A policy without a ramp (``r1 == r2``: a step, or no dropping) raises
+    ValueError: at a step's threshold every split can be an equilibrium,
+    a continuum this census does not list.
     """
     alpha = config.alpha  # raises for heterogeneous exponents
     m = config.m
     mu = config.mu
     r1, r2 = policy.r1, policy.r2
+    if not r1 < r2:
+        raise ValueError(f"the census needs a ramp with r1 < r2, got r1={r1}, r2={r2}")
     w = r2 - r1
     ma = m * alpha
 

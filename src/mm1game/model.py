@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
 
 import numpy as np
 
@@ -120,27 +119,12 @@ class RateProfile:
 
 
 @dataclass(frozen=True)
-class NoDrop:
-    """Server keeps everything."""
+class DropPolicy:
+    """Keep everything up to ``r1``, drop everything from ``r2`` on, fall linearly between.
 
-
-@dataclass(frozen=True)
-class StepPolicy:
-    """Keep everything while the offered total is at most ``threshold``, else drop all."""
-
-    threshold: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "threshold", float(self.threshold))
-        if not math.isfinite(self.threshold) or self.threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
-
-
-@dataclass(frozen=True)
-class LinearPolicy:
-    """Keep everything below ``r1``, drop everything above ``r2``, interpolate between.
-
-    The keep probability falls affinely from 1 at ``r1`` to 0 at ``r2``.
+    The paper's single dropping function: the keep probability falls affinely
+    from 1 at ``r1`` to 0 at ``r2``.  A step at ``theta`` is the degenerate
+    ramp ``r1 = r2 = theta``, and keeping everything is the step at infinity.
     """
 
     r1: float
@@ -149,8 +133,42 @@ class LinearPolicy:
     def __post_init__(self) -> None:
         object.__setattr__(self, "r1", float(self.r1))
         object.__setattr__(self, "r2", float(self.r2))
-        if not (0 < self.r1 < self.r2):
-            raise ValueError(f"need 0 < r1 < r2, got r1={self.r1}, r2={self.r2}")
+        if not 0 < self.r1 <= self.r2 or (self.r1 < self.r2 and math.isinf(self.r2)):
+            raise ValueError(
+                f"need 0 < r1 <= r2 and a finite r2 on a ramp, got r1={self.r1}, r2={self.r2}"
+            )
+
+
+class NoDrop(DropPolicy):
+    """Server keeps everything: the step at infinity."""
+
+    def __init__(self) -> None:
+        super().__init__(math.inf, math.inf)
+
+
+class StepPolicy(DropPolicy):
+    """Keep everything while the offered total is at most ``threshold``, else drop all."""
+
+    def __init__(self, threshold: float) -> None:
+        threshold = float(threshold)
+        if not math.isfinite(threshold) or threshold <= 0:
+            raise ValueError(f"threshold must be positive, got {threshold}")
+        super().__init__(threshold, threshold)
+
+    @property
+    def threshold(self) -> float:
+        """The largest offered total that is kept: both breakpoints."""
+        return self.r1
+
+
+class LinearPolicy(DropPolicy):
+    """A ramp of positive width: ``r1 < r2``."""
+
+    def __init__(self, r1: float, r2: float) -> None:
+        r1, r2 = float(r1), float(r2)
+        if not 0 < r1 < r2:
+            raise ValueError(f"need 0 < r1 < r2, got r1={r1}, r2={r2}")
+        super().__init__(r1, r2)
 
     @property
     def slope(self) -> float:
@@ -163,42 +181,32 @@ class LinearPolicy:
         return -self.slope * self.r2
 
 
-DropPolicy = Union[NoDrop, StepPolicy, LinearPolicy]
-
-
 _SCALARS = (int, float, np.integer, np.floating)
 
 
 def keep_probability(policy: DropPolicy, total_rate):
     """Probability an arrival survives when the offered total is ``total_rate``.
 
+    1 up to ``r1``, 0 from ``r2`` on, ``(r2 - T) / (r2 - r1)`` between.
     Accepts a scalar or a numpy array of totals.  Python and numpy scalars
     take a plain-float path with the same expression, so both give the same
-    bits.
+    bits.  Negative and NaN totals raise ValueError.
     """
+    if not isinstance(policy, DropPolicy):
+        raise TypeError(f"unknown drop policy {policy!r}")
+    r1, r2 = policy.r1, policy.r2
     if isinstance(total_rate, _SCALARS):
         t = float(total_rate)
-        if t < 0:
+        if not t >= 0:
             raise ValueError("total_rate must be non-negative")
-        if isinstance(policy, NoDrop):
-            return 1.0
-        if isinstance(policy, StepPolicy):
-            return 1.0 if t <= policy.threshold else 0.0
-        if isinstance(policy, LinearPolicy):
-            x = (policy.r2 - t) / (policy.r2 - policy.r1)
-            return 1.0 if x > 1.0 else 0.0 if x < 0.0 else x  # np.clip, NaN kept
-        raise TypeError(f"unknown drop policy {policy!r}")
+        return 1.0 if t <= r1 else 0.0 if t >= r2 else (r2 - t) / (r2 - r1)
     t = np.asarray(total_rate, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("total_rate must be non-negative")
-    if isinstance(policy, NoDrop):
-        out = np.ones_like(t)
-    elif isinstance(policy, StepPolicy):
-        out = np.where(t <= policy.threshold, 1.0, 0.0)
-    elif isinstance(policy, LinearPolicy):
-        out = np.clip((policy.r2 - t) / (policy.r2 - policy.r1), 0.0, 1.0)
-    else:
-        raise TypeError(f"unknown drop policy {policy!r}")
+    if r1 < r2:
+        out = np.clip((r2 - t) / (r2 - r1), 0.0, 1.0)
+    else:  # a step, where the ramp expression would divide by zero
+        out = (t <= r1).astype(float)
     if np.ndim(total_rate) == 0:
         return float(out)
     return out
@@ -221,22 +229,32 @@ def effective_rates(profile: RateProfile, policy: DropPolicy) -> EffectiveRates:
     )
 
 
-def feasible(profile: RateProfile, policy: DropPolicy, config: GameConfig) -> bool:
-    """Whether the surviving load is strictly below the service rate."""
+def _keep_and_load(
+    profile: RateProfile, policy: DropPolicy, config: GameConfig
+) -> tuple[float, float]:
+    """Keep probability at the profile's total, and the load that survives it."""
     if len(profile.rates) != config.m:
         raise ValueError(
             f"profile has {len(profile.rates)} users but the game has {config.m}"
         )
-    return profile.total * keep_probability(policy, profile.total) < config.mu
+    p = keep_probability(policy, profile.total)
+    return p, profile.total * p
 
 
-def _require_feasible(profile: RateProfile, policy: DropPolicy, config: GameConfig) -> None:
-    if not feasible(profile, policy, config):
-        eff = profile.total * keep_probability(policy, profile.total)
+def feasible(profile: RateProfile, policy: DropPolicy, config: GameConfig) -> bool:
+    """Whether the surviving load is strictly below the service rate."""
+    return _keep_and_load(profile, policy, config)[1] < config.mu
+
+
+def _require_feasible(profile: RateProfile, policy: DropPolicy, config: GameConfig) -> float:
+    """Keep probability at the profile's total; raises unless the surviving load is stable."""
+    p, eff = _keep_and_load(profile, policy, config)
+    if not eff < config.mu:
         raise UnstableQueueError(
             f"effective load {eff} is not below the service rate {config.mu}; "
             "the queue has no steady state"
         )
+    return p
 
 
 def utility(i: int, profile: RateProfile, policy: DropPolicy, config: GameConfig) -> float:
@@ -245,18 +263,20 @@ def utility(i: int, profile: RateProfile, policy: DropPolicy, config: GameConfig
     With total effective load ``s`` the FCFS delay is ``1 / (mu - s)``, so the
     power equals ``(rate_i * keep)**alpha_i * (mu - total * keep)``.
     """
-    _require_feasible(profile, policy, config)
-    p = keep_probability(policy, profile.total)
+    p = _require_feasible(profile, policy, config)
     eff_i = profile.rates[i] * p
     return eff_i ** config.alphas[i] * (config.mu - profile.total * p)
 
 
-def _potential_raw(profile: RateProfile, policy: DropPolicy, config: GameConfig) -> float:
-    p = keep_probability(policy, profile.total)
+def _potential_at(profile: RateProfile, p: float, config: GameConfig) -> float:
     prod = p ** max(config.alphas)
     for r, a in zip(profile.rates, config.alphas):
         prod *= r**a
     return (config.mu - profile.total * p) * prod
+
+
+def _potential_raw(profile: RateProfile, policy: DropPolicy, config: GameConfig) -> float:
+    return _potential_at(profile, keep_probability(policy, profile.total), config)
 
 
 def potential(profile: RateProfile, policy: DropPolicy, config: GameConfig) -> float:
@@ -276,31 +296,7 @@ def potential(profile: RateProfile, policy: DropPolicy, config: GameConfig) -> f
     no ordinal potential exists (strict improvement cycles occur), and
     ``A = max(alphas)`` is a convention that keeps the value defined there.
     """
-    _require_feasible(profile, policy, config)
-    return _potential_raw(profile, policy, config)
-
-
-def _piece(policy: DropPolicy, total: float) -> tuple[float, float]:
-    """Keep probability and its slope on the piece containing ``total``.
-
-    Raises ValueError at a kink, where the keep probability is not
-    differentiable.  Comparisons against breakpoints are exact.
-    """
-    if isinstance(policy, NoDrop):
-        return 1.0, 0.0
-    if isinstance(policy, StepPolicy):
-        if total == policy.threshold:
-            raise ValueError(
-                f"keep probability is not differentiable at the threshold {total}"
-            )
-        return (1.0, 0.0) if total < policy.threshold else (0.0, 0.0)
-    if total == policy.r1 or total == policy.r2:
-        raise ValueError(f"keep probability is not differentiable at breakpoint {total}")
-    if total < policy.r1:
-        return 1.0, 0.0
-    if total > policy.r2:
-        return 0.0, 0.0
-    return float(keep_probability(policy, total)), policy.slope
+    return _potential_at(profile, _require_feasible(profile, policy, config), config)
 
 
 def marginal_utility(
@@ -311,12 +307,12 @@ def marginal_utility(
     Only defined strictly inside one differentiable piece of the policy;
     evaluation exactly at a breakpoint raises ValueError.
     """
-    if len(profile.rates) != config.m:
-        raise ValueError(
-            f"profile has {len(profile.rates)} users but the game has {config.m}"
-        )
+    p, _ = _keep_and_load(profile, policy, config)
     total = profile.total
-    p, dp = _piece(policy, total)
+    r1, r2 = policy.r1, policy.r2
+    if total == r1 or total == r2:  # exact comparison against the breakpoints
+        raise ValueError(f"keep probability is not differentiable at breakpoint {total}")
+    dp = 1.0 / (r1 - r2) if r1 < total < r2 else 0.0  # the keep probability's slope
     if p == 0.0:
         return 0.0  # everything is dropped on this piece, utility is flat zero
     alpha = config.alphas[i]

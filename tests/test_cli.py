@@ -262,6 +262,28 @@ def test_designed_rates_run_with_the_designed_policy(tmp_path):
     assert any(float(row["drop_prob"]) > 0.0 for row in slots)
 
 
+def test_designed_simulate_solves_the_design_once(tmp_path, monkeypatch):
+    from mm1game import cli
+
+    calls = []
+    solve = cli.design_linear
+
+    def counting(spec):
+        calls.append(spec)
+        return solve(spec)
+
+    monkeypatch.setattr(cli, "design_linear", counting)
+    code = main(
+        [
+            "simulate", "--mu", "20", "--alpha", "1", "--m", "3", "--epsilon", "0.05",
+            "--rates", "designed", "--policy", "designed", "--slots", "50",
+            "--out", str(tmp_path / "s.csv"),
+        ]
+    )
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_simulate_json_single_file(tmp_path):
     out = tmp_path / "s.json"
     code = main(

@@ -18,6 +18,7 @@ from mm1game import (
     DesignSpec,
     GameConfig,
     LinearPolicy,
+    NoDrop,
     PolicyDesign,
     RateProfile,
     WelfareKind,
@@ -370,6 +371,13 @@ def test_a_steep_ramp_has_a_continuum_of_kink_equilibria():
     diag = validate_design(design, DesignSpec(CFG, epsilon=0.05, target_effective_total=3.0))
     assert not diag.certified_unique
     assert not diag.all_ok
+
+
+@pytest.mark.parametrize("policy", [step_policy(CFG), NoDrop()], ids=["step", "no_drop"])
+def test_census_refuses_a_policy_without_a_ramp(policy):
+    # every split of the step's threshold can be an equilibrium: no finite list
+    with pytest.raises(ValueError, match="r1 < r2"):
+        equilibrium_census(policy, CFG)
 
 
 def test_a_lone_user_below_the_ramp_is_a_census_member():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mm1game import (
+    DropPolicy,
     GameConfig,
     LinearPolicy,
     NoDrop,
@@ -104,6 +105,14 @@ def test_linear_validation():
         LinearPolicy(6.0, 4.0)
 
 
+def test_a_ramp_needs_a_finite_r2():
+    # (inf - T) / (inf - r1) would make every keep probability on the ramp NaN
+    for make in (LinearPolicy, DropPolicy):
+        with pytest.raises(ValueError, match="finite r2"):
+            make(1.0, math.inf)
+    assert DropPolicy(math.inf, math.inf) == DropPolicy(math.inf, math.inf)
+
+
 def test_keep_probability_vectorized_matches_scalar():
     pol = LinearPolicy(3.0, 7.0)
     totals = np.linspace(0.0, 9.0, 57)
@@ -112,14 +121,14 @@ def test_keep_probability_vectorized_matches_scalar():
     for t, v in zip(totals, vec):
         assert v == keep_probability(pol, float(t))
     # Python and numpy scalars take the plain-float path: same bits, float out
-    edge = np.array([0.0, 3.0, 4.0, 5.5, 6.9999999999, 7.0, 7.5, math.inf, math.nan])
+    edge = np.array([0.0, 3.0, 4.0, 5.5, 6.9999999999, 7.0, 7.5, math.inf])
     for policy in (NoDrop(), StepPolicy(4.0), pol, LinearPolicy(0.1, 1e-3 + 0.1)):
         want = keep_probability(policy, edge)
         for t, w in zip(edge, want):
             for scalar in (float(t), t, np.array(t)):
                 got = keep_probability(policy, scalar)
                 assert type(got) is float
-                assert got == w or (math.isnan(got) and math.isnan(w))
+                assert got == w
         assert keep_probability(policy, 4) == keep_probability(policy, np.int64(4))
         assert keep_probability(policy, 4) == float(keep_probability(policy, np.array([4.0]))[0])
     # non-increasing in the total for every policy shape
@@ -129,7 +138,8 @@ def test_keep_probability_vectorized_matches_scalar():
 
 
 def test_keep_probability_rejects_negative_totals():
-    for total in (-0.1, np.float64(-0.1), -1, np.array([1.0, -0.1])):
+    nan = math.nan
+    for total in (-0.1, np.float64(-0.1), -1, np.array([1.0, -0.1]), nan, np.array([1.0, nan])):
         with pytest.raises(ValueError):
             keep_probability(NoDrop(), total)
 
@@ -138,6 +148,27 @@ def test_keep_probability_rejects_unknown_policies():
     for total in (1.0, np.float64(1.0), np.array([1.0])):
         with pytest.raises(TypeError):
             keep_probability(object(), total)
+
+
+def test_utility_and_potential_evaluate_the_keep_probability_once(monkeypatch):
+    from mm1game import model
+
+    calls = []
+
+    def counting(policy, total):
+        calls.append(total)
+        return keep_probability(policy, total)
+
+    monkeypatch.setattr(model, "keep_probability", counting)
+    pol = LinearPolicy(3.0, 7.0)
+    profile = RateProfile((1.5, 2.5))
+    utility(0, profile, pol, CFG)
+    potential(profile, pol, CFG)
+    assert calls == [4.0, 4.0]
+    calls.clear()
+    with pytest.raises(UnstableQueueError, match="effective load 6.0 is not below"):
+        utility(0, RateProfile((3.0, 3.0)), NoDrop(), CFG)
+    assert calls == [6.0]
 
 
 # ------------------------------------------------------------- effective rates
