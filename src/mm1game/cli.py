@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from enum import Enum
 from typing import Any, NamedTuple
 
@@ -122,26 +122,6 @@ class ConfigError(ValueError):
     """The effective configuration is invalid; the message names the field."""
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated, merged view of the config file and command-line flags."""
-
-    command: str
-    raw: dict[str, Any]
-    out: str = field(init=False)
-    fmt: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.fmt = _get(self, "format")
-        out = _get(self, "out")
-        if out is None:
-            out = os.path.join(os.environ.get(OUT_DIR_ENV, "."), f"{self.command}.{self.fmt}")
-        self.out = str(out)
-
-    def section(self, name: str) -> dict[str, Any]:
-        return self.raw.get(name) or {}
-
-
 def _as_float(value: Any, field: str) -> float:
     try:
         return float(value)
@@ -178,11 +158,10 @@ def _choices(kind: Any) -> dict[str, Any] | None:
     return None
 
 
-def _get(cfg: ExperimentConfig, key: str) -> Any:
+def _get(cfg: dict[str, Any], key: str) -> Any:
     """One option of the merged config: defaulted, then typed or choice-checked."""
     option = _OPTION_BY_KEY[key]
-    section, _, name = key.rpartition(".")
-    value = (cfg.section(section) if section else cfg.raw).get(name)
+    value = cfg.get(key)
     if value is None:
         if option.default is _REQUIRED:
             raise ConfigError(f"{key}: required")
@@ -214,8 +193,13 @@ def _check_keys(mapping: dict[str, Any], allowed: set[str], where: str) -> None:
         )
 
 
-def load_config(path: str | None, command: str, overrides: dict[str, Any]) -> ExperimentConfig:
-    """Read the YAML file (if any), apply flag overrides, and validate keys."""
+def load_config(path: str | None, command: str, overrides: dict[str, Any]) -> dict[str, Any]:
+    """Read the YAML file (if any), validate its keys, and apply flag overrides.
+
+    The result is flat, keyed like the option table (``format``, ``game.mu``);
+    a key set to null is kept and reads as its default.  It also holds the
+    ``command``, the choice-checked ``format`` and the resolved ``out`` path.
+    """
     raw: dict[str, Any] = {}
     if path is not None:
         try:
@@ -233,6 +217,7 @@ def load_config(path: str | None, command: str, overrides: dict[str, Any]) -> Ex
     sections = _keys_by_section()
     top_level = sections.pop("")
     _check_keys(raw, {"command", *top_level, *sections}, "config")
+    cfg = {key: raw[key] for key in top_level if key in raw}
     for name, keys in sections.items():
         section = raw.get(name)
         if section is None:
@@ -240,29 +225,29 @@ def load_config(path: str | None, command: str, overrides: dict[str, Any]) -> Ex
         if not isinstance(section, dict):
             raise ConfigError(f"config.{name}: expected a mapping")
         _check_keys(section, keys, f"config.{name}")
+        cfg.update((f"{name}.{key}", value) for key, value in section.items())
     file_command = raw.get("command")
     if file_command is not None and file_command != command:
         raise ConfigError(
             f"command: config file says {file_command!r} but {command!r} was requested"
         )
 
-    for dotted, value in overrides.items():
-        if value is None:
-            continue
-        section_name, _, key = dotted.rpartition(".")
-        if section_name:
-            raw[section_name] = {**(raw.get(section_name) or {}), key: value}
-        else:
-            raw[key] = value
-    return ExperimentConfig(command=command, raw=raw)
+    cfg.update((key, value) for key, value in overrides.items() if value is not None)
+    cfg["command"] = command
+    cfg["format"] = _get(cfg, "format")
+    out = _get(cfg, "out")
+    if out is None:
+        out = os.path.join(os.environ.get(OUT_DIR_ENV, "."), f"{command}.{cfg['format']}")
+    cfg["out"] = str(out)
+    return cfg
 
 
-def _game_config(cfg: ExperimentConfig) -> GameConfig:
+def _game_config(cfg: dict[str, Any]) -> GameConfig:
     mu = _get(cfg, "game.mu")
     alpha = _get(cfg, "game.alpha")
     if isinstance(alpha, (list, tuple)) or (isinstance(alpha, str) and "," in alpha):
         alphas = _as_float_list(alpha, "game.alpha")
-        if "m" in cfg.section("game") and _get(cfg, "game.m") != len(alphas):
+        if cfg.get("game.m") is not None and _get(cfg, "game.m") != len(alphas):
             raise ConfigError("game.m: disagrees with the length of game.alpha")
     else:
         alphas = [_as_float(alpha, "game.alpha")] * _get(cfg, "game.m")
@@ -272,7 +257,7 @@ def _game_config(cfg: ExperimentConfig) -> GameConfig:
         raise ConfigError(f"game: {exc}") from exc
 
 
-def _design_spec(cfg: ExperimentConfig, game: GameConfig) -> DesignSpec:
+def _design_spec(cfg: dict[str, Any], game: GameConfig) -> DesignSpec:
     epsilon = _get(cfg, "design.epsilon")
     keep_prob = _get(cfg, "design.keep_prob")
     welfare_kind = _get(cfg, "design.welfare")
@@ -283,7 +268,7 @@ def _design_spec(cfg: ExperimentConfig, game: GameConfig) -> DesignSpec:
         raise ConfigError(f"design: {exc}") from exc
 
 
-def _policy(cfg: ExperimentConfig, game: GameConfig) -> tuple[DropPolicy, PolicyDesign | None]:
+def _policy(cfg: dict[str, Any], game: GameConfig) -> tuple[DropPolicy, PolicyDesign | None]:
     """The configured drop policy, and the design it came from if it is designed."""
     kind = _get(cfg, "policy.kind")
     try:
@@ -300,7 +285,7 @@ def _policy(cfg: ExperimentConfig, game: GameConfig) -> tuple[DropPolicy, Policy
             return design.policy, design
     except ConfigError:
         raise
-    except (ValueError, UnsupportedGameError) as exc:
+    except ValueError as exc:  # UnsupportedGameError included
         raise ConfigError(f"policy: {exc}") from exc
     return NoDrop(), None
 
@@ -354,14 +339,14 @@ def write_json(path: str, payload: dict[str, Any]) -> None:
         fh.write(text + "\n")
 
 
-def _emit(cfg: ExperimentConfig, name: str, records: list[dict[str, Any]]) -> None:
-    if cfg.fmt == "csv":
-        write_csv(cfg.out, records)
+def _emit(cfg: dict[str, Any], name: str, records: list[dict[str, Any]]) -> None:
+    if cfg["format"] == "csv":
+        write_csv(cfg["out"], records)
     else:
-        write_json(cfg.out, {"command": cfg.command, name: records})
+        write_json(cfg["out"], {"command": cfg["command"], name: records})
 
 
-def _cmd_analyze(cfg: ExperimentConfig) -> int:
+def _cmd_analyze(cfg: dict[str, Any]) -> int:
     game = _game_config(cfg)
     ne = ne_closed_form(game)
     alpha = _fmt_value(game.alphas[0]) if game.homogeneous else _fmt_rates(game.alphas)
@@ -391,7 +376,7 @@ def _cmd_analyze(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_design(cfg: ExperimentConfig) -> int:
+def _cmd_design(cfg: dict[str, Any]) -> int:
     game = _game_config(cfg)
     spec = _design_spec(cfg, game)
     design = designed_with_diagnostics(spec)
@@ -424,22 +409,26 @@ def _cmd_design(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _dynamics_init(cfg: ExperimentConfig, game: GameConfig) -> RateProfile:
-    init = _get(cfg, "dynamics.init")
-    if init is None:
-        return RateProfile((0.05 * game.mu / game.m,) * game.m)
-    if len(init) != game.m:
-        raise ConfigError(f"dynamics.init: expected {game.m} rates, got {len(init)}")
+def _default_start(game: GameConfig) -> RateProfile:
+    """Where best-response play starts unless told otherwise: mu/20m for every user."""
+    return RateProfile((0.05 * game.mu / game.m,) * game.m)
+
+
+def _rate_profile(rates: list[float], game: GameConfig, key: str) -> RateProfile:
+    """One non-negative rate per user, read from config ``key``."""
+    if len(rates) != game.m:
+        raise ConfigError(f"{key}: expected {game.m} rates, got {len(rates)}")
     try:
-        return RateProfile(tuple(init))
+        return RateProfile(tuple(rates))
     except ValueError as exc:
-        raise ConfigError(f"dynamics.init: {exc}") from exc
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _cmd_dynamics(cfg: ExperimentConfig) -> int:
+def _cmd_dynamics(cfg: dict[str, Any]) -> int:
     game = _game_config(cfg)
     policy, _ = _policy(cfg, game)
-    init = _dynamics_init(cfg, game)
+    rates = _get(cfg, "dynamics.init")
+    init = _default_start(game) if rates is None else _rate_profile(rates, game, "dynamics.init")
     tol = _get(cfg, "dynamics.tol")
     max_iter = _get(cfg, "dynamics.max_iter")
     mode = _get(cfg, "dynamics.mode")
@@ -454,14 +443,14 @@ def _cmd_dynamics(cfg: ExperimentConfig) -> int:
     if not trajectory.converged:
         print(
             f"dynamics did not converge within {max_iter} rounds; "
-            f"trajectory written to {cfg.out}",
+            f"trajectory written to {cfg['out']}",
             file=sys.stderr,
         )
         return EXIT_NUMERIC
     return EXIT_OK
 
 
-def _cmd_field(cfg: ExperimentConfig) -> int:
+def _cmd_field(cfg: dict[str, Any]) -> int:
     game = _game_config(cfg)
     if game.m != 2:
         raise ConfigError("field: requires a two-user game")
@@ -471,8 +460,7 @@ def _cmd_field(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"field.points: must be at least 2, got {points}")
     grid = triangular_grid(game, policy, points)
     # mark the equilibrium: follow the dynamics and add its endpoint to the grid
-    init = RateProfile((0.05 * game.mu / game.m,) * game.m)
-    trajectory = run_dynamics(game, policy, init, tol=1e-10, max_iter=5000)
+    trajectory = run_dynamics(game, policy, _default_start(game), tol=1e-10, max_iter=5000)
     if trajectory.converged:
         grid.append(trajectory.final_profile)
     records = [
@@ -483,7 +471,7 @@ def _cmd_field(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _sim_config(cfg: ExperimentConfig, game: GameConfig) -> SimConfig:
+def _sim_config(cfg: dict[str, Any], game: GameConfig) -> SimConfig:
     policy, design = _policy(cfg, game)
     rates_raw = _get(cfg, "simulate.rates")
     if rates_raw == "designed":
@@ -495,12 +483,7 @@ def _sim_config(cfg: ExperimentConfig, game: GameConfig) -> SimConfig:
         rates = design.predicted_ne
     else:
         values = _as_float_list(rates_raw, "simulate.rates")
-        if len(values) != game.m:
-            raise ConfigError(f"simulate.rates: expected {game.m} rates, got {len(values)}")
-        try:
-            rates = RateProfile(tuple(values))
-        except ValueError as exc:
-            raise ConfigError(f"simulate.rates: {exc}") from exc
+        rates = _rate_profile(values, game, "simulate.rates")
     run_keys = ("queue_mode", "slots", "window", "seed", "queue_cap")
     try:
         return SimConfig(
@@ -513,7 +496,7 @@ def _sim_config(cfg: ExperimentConfig, game: GameConfig) -> SimConfig:
         raise ConfigError(f"simulate: {exc}") from exc
 
 
-def _cmd_simulate(cfg: ExperimentConfig) -> int:
+def _cmd_simulate(cfg: dict[str, Any]) -> int:
     game = _game_config(cfg)
     sim = _sim_config(cfg, game)
     report = run_simulation(sim)
@@ -532,9 +515,9 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
         }
         for i in range(game.m)
     ]
-    if cfg.fmt == "csv":
-        write_csv(cfg.out, users)
-        stem, ext = os.path.splitext(cfg.out)
+    if cfg["format"] == "csv":
+        write_csv(cfg["out"], users)
+        stem, ext = os.path.splitext(cfg["out"])
         slots = [
             {"slot": t, "total_arrivals": n, "estimated_rate": est, "drop_prob": drop}
             for t, n, est, drop in zip(
@@ -544,7 +527,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
         write_csv(f"{stem}.slots{ext}", slots)
     else:
         write_json(
-            cfg.out,
+            cfg["out"],
             {
                 "command": "simulate",
                 "users": users,
@@ -559,7 +542,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(cfg: ExperimentConfig) -> int:
+def _cmd_sweep(cfg: dict[str, Any]) -> int:
     game = _game_config(cfg)
     desired = _get(cfg, "sweep.desired_poas")
     mus = _get(cfg, "sweep.mus") or [game.mu]

@@ -13,7 +13,7 @@ from .model import (
     GameConfig,
     RateProfile,
     UnstableQueueError,
-    _potential_raw,
+    _potential_at,
     feasible,
     keep_probability,
     utility,
@@ -233,7 +233,6 @@ def run_dynamics(
         raise UnstableQueueError("initial profile is not feasible")
     rates = list(init.rates)
     iterates = [RateProfile(tuple(rates))]
-    potentials = [_potential_raw(iterates[0], policy, config)]
     converged = False
     for _ in range(max_iter):
         prev = list(rates)
@@ -247,12 +246,11 @@ def run_dynamics(
                 best_response(i, total_prev - prev[i], policy, config)
                 for i in range(config.m)
             ]
-        profile = RateProfile(tuple(rates))
-        iterates.append(profile)
-        potentials.append(_potential_raw(profile, policy, config))
+        iterates.append(RateProfile(tuple(rates)))
         if max(abs(r - q) for r, q in zip(rates, prev)) < tol:
             converged = True
             break
+    potentials = [_potential_at(p, keep_probability(policy, p.total), config) for p in iterates]
     return Trajectory(tuple(iterates), tuple(potentials), converged)
 
 
@@ -266,13 +264,12 @@ def verify_equilibrium(
     policy: DropPolicy,
     config: GameConfig,
     tol: float = 1e-7,
-    grid_points: int = 10_000,
 ) -> bool:
     """Deviation scan: no user can gain more than ``tol`` by moving alone.
 
-    Each user's alternatives are swept on a dense grid (with golden-section
-    refinement around the best grid point), independently of how best
-    responses are computed elsewhere.
+    Each user's alternatives are swept on a grid of 10,001 points (with
+    golden-section refinement around the best grid point), independently of
+    how best responses are computed elsewhere.
     """
     if not feasible(profile, policy, config):
         raise UnstableQueueError("profile is not feasible")
@@ -288,7 +285,7 @@ def verify_equilibrium(
             def u(rate):
                 return _own_utility(rate, others, alpha, config.mu, policy)
 
-            _, best_alt = _grid_golden_max(u, 0.0, hi, grid_points + 1, 1e-10)
+            _, best_alt = _grid_golden_max(u, 0.0, hi, 10_001, 1e-10)
         if best_alt > own + tol:
             return False
     return True

@@ -275,10 +275,6 @@ def _potential_at(profile: RateProfile, p: float, config: GameConfig) -> float:
     return (config.mu - profile.total * p) * prod
 
 
-def _potential_raw(profile: RateProfile, policy: DropPolicy, config: GameConfig) -> float:
-    return _potential_at(profile, keep_probability(policy, profile.total), config)
-
-
 def potential(profile: RateProfile, policy: DropPolicy, config: GameConfig) -> float:
     """Scalar landscape tracked by best-response play.
 

@@ -529,3 +529,110 @@ def test_flags_for_keys_a_command_never_reads_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_an_empty_section_takes_its_keys_from_flags(tmp_path, monkeypatch, capsys):
+    argv = ["--mu", "6", "--alpha", "2", "--m", "2", "--out", "a.csv"]
+    code, files = _run_in(tmp_path / "run", monkeypatch, "analyze", {"game": None}, argv)
+    assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+    _, rows = read_csv(tmp_path / "run" / "a.csv")
+    assert list(files) == ["a.csv"]
+    assert rows[1]["ne_rates"] == "2.4;2.4"
+
+
+def test_a_key_set_to_null_reads_as_its_default(tmp_path, monkeypatch):
+    monkeypatch.delenv("MM1GAME_OUT_DIR", raising=False)
+    base = {"game": {"mu": 6, "alpha": 2}, "dynamics": {"tol": 1e-9}}
+    nulls = {
+        "out": None,
+        "format": None,
+        "game": {**base["game"], "m": None},
+        "policy": {"kind": None, "r1": None},
+        "design": None,
+        "dynamics": {**base["dynamics"], "init": None, "max_iter": None, "mode": None},
+    }
+    plain = _run_in(tmp_path / "plain", monkeypatch, "dynamics", base, [])
+    assert plain[0] == EXIT_OK and list(plain[1]) == ["dynamics.csv"]
+    assert _run_in(tmp_path / "nulls", monkeypatch, "dynamics", nulls, []) == plain
+
+
+def test_a_null_m_beside_a_list_alpha_reads_as_unset(tmp_path, monkeypatch):
+    monkeypatch.delenv("MM1GAME_OUT_DIR", raising=False)
+    game = {"mu": 6, "alpha": [1, 2]}
+    plain = _run_in(tmp_path / "plain", monkeypatch, "analyze", {"game": game}, [])
+    assert plain[0] == EXIT_OK and list(plain[1]) == ["analyze.csv"]
+    null_m = {"game": {**game, "m": None}}
+    assert _run_in(tmp_path / "null", monkeypatch, "analyze", null_m, []) == plain
+
+
+def test_out_and_format_from_the_config_file(tmp_path, monkeypatch):
+    config = {"out": "result.json", "format": "json", "game": {"mu": 6, "alpha": 2, "m": 2}}
+    code, files = _run_in(tmp_path / "run", monkeypatch, "analyze", config, [])
+    assert code == EXIT_OK and list(files) == ["result.json"]
+    assert json.loads(files["result.json"])["command"] == "analyze"
+
+
+_INFEASIBLE_DESIGN = {
+    "game": {"mu": 6, "alpha": 3, "m": 4},
+    "design": {"epsilon": 0.001, "welfare": "sum"},
+}
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("game: 3\n", "config.game: expected a mapping"),
+        ("- 1\n- 2\n", "config: cfg.yaml must hold a mapping at the top level"),
+        (
+            "bogus: 1\n",
+            "config: unknown key(s) bogus; allowed: command, design, dynamics, field, format, "
+            "game, out, policy, simulate, sweep",
+        ),
+        ("game:\n  users: 4\n", "config.game: unknown key(s) users; allowed: alpha, m, mu"),
+        # the design is infeasible (exit 3), but the format is checked before anything runs
+        (
+            yaml.safe_dump({"format": "xml", **_INFEASIBLE_DESIGN}),
+            "format: must be one of ['csv', 'json'], got 'xml'",
+        ),
+    ],
+    ids=["section-not-a-mapping", "top-level-list", "unknown-top-key", "unknown-section-key",
+         "bad-format-first"],
+)
+def test_a_bad_config_file_is_rejected_with_its_message(tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.yaml").write_text(text)
+    assert main(["design", "--config", "cfg.yaml"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
+
+def test_invalid_yaml_and_an_unreadable_config_are_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.yaml").write_text("game: [1\n")
+    assert main(["analyze", "--config", "cfg.yaml"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: config: cfg.yaml is not valid YAML: ")
+    assert main(["analyze", "--config", "missing.yaml"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: config: cannot read missing.yaml: "
+        "[Errno 2] No such file or directory: 'missing.yaml'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--mu", "6", "--alpha", "3", "--m", "4", "--epsilon", "0.001", "--welfare", "sum"],
+        ["simulate", "--mu", "5", "--alpha", "2", "--m", "2", "--rates", "5,5",
+         "--queue-mode", "analytic"],
+        ["dynamics", "--mu", "6", "--alpha", "2", "--m", "2", "--init", "5,5"],
+        # numpy's own ValueError, caught by the fallback handler
+        ["simulate", "--mu", "5", "--alpha", "2", "--m", "2", "--rates", "1e20,1"],
+    ],
+    ids=["infeasible-design", "overload", "unstable-start", "numpy-value-error"],
+)
+def test_a_numerical_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "x.csv"]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert list(tmp_path.iterdir()) == []
