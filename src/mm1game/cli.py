@@ -5,7 +5,9 @@ names.  Every command is deterministic given its effective configuration
 (seeds included) and writes CSV or JSON with an embedded schema version.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(non-convergence, infeasible design, overload), 4 output I/O error.
+(non-convergence, infeasible design, overload), 4 output I/O error.  Exit 2
+comes only from reading the config or from a library constructor rejecting a
+value of it (``_build``); anything the computation raises exits 3.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ import os
 import sys
 from dataclasses import asdict
 from enum import Enum
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple, TypeVar
 
 import yaml
 
 from .analysis import WelfareKind, ne_closed_form, no_drop_report, welfare
 from .dynamics import UpdateMode, response_field, run_dynamics, triangular_grid
 from .mechanism import (
-    DesignInfeasibleError,
     DesignSpec,
     PolicyDesign,
     design_linear,
@@ -38,7 +39,6 @@ from .model import (
     NoDrop,
     RateProfile,
     StepPolicy,
-    UnstableQueueError,
     UnsupportedGameError,
 )
 from .simulator import (
@@ -58,6 +58,7 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 _REQUIRED = object()  # the default of an option that has none
+_T = TypeVar("_T")
 
 
 class _Option(NamedTuple):
@@ -120,6 +121,14 @@ _OPTION_BY_KEY = {option.key: option for option in _OPTIONS}
 
 class ConfigError(ValueError):
     """The effective configuration is invalid; the message names the field."""
+
+
+def _build(where: str, make: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
+    """One library constructor on config values; its ValueError is a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _as_float(value: Any, field: str) -> float:
@@ -185,8 +194,8 @@ def _keys_by_section() -> dict[str, set[str]]:
     return sections
 
 
-def _check_keys(mapping: dict[str, Any], allowed: set[str], where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+def _check_keys(mapping: dict[Any, Any], allowed: set[str], where: str) -> None:
+    unknown = sorted(str(key) for key in mapping if key not in allowed)  # YAML keys may be ints
     if unknown:
         raise ConfigError(
             f"{where}: unknown key(s) {', '.join(unknown)}; allowed: {', '.join(sorted(allowed))}"
@@ -205,7 +214,7 @@ def load_config(path: str | None, command: str, overrides: dict[str, Any]) -> di
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 loaded = yaml.safe_load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config: cannot read {path}: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"config: {path} is not valid YAML: {exc}") from exc
@@ -251,10 +260,7 @@ def _game_config(cfg: dict[str, Any]) -> GameConfig:
             raise ConfigError("game.m: disagrees with the length of game.alpha")
     else:
         alphas = [_as_float(alpha, "game.alpha")] * _get(cfg, "game.m")
-    try:
-        return GameConfig(mu, tuple(alphas))
-    except ValueError as exc:
-        raise ConfigError(f"game: {exc}") from exc
+    return _build("game", GameConfig, mu, tuple(alphas))
 
 
 def _design_spec(cfg: dict[str, Any], game: GameConfig) -> DesignSpec:
@@ -262,31 +268,25 @@ def _design_spec(cfg: dict[str, Any], game: GameConfig) -> DesignSpec:
     keep_prob = _get(cfg, "design.keep_prob")
     welfare_kind = _get(cfg, "design.welfare")
     target = _get(cfg, "design.target_effective_total")
-    try:
-        return DesignSpec(game, epsilon, keep_prob, welfare_kind, target)
-    except ValueError as exc:
-        raise ConfigError(f"design: {exc}") from exc
+    return _build("design", DesignSpec, game, epsilon, keep_prob, welfare_kind, target)
 
 
 def _policy(cfg: dict[str, Any], game: GameConfig) -> tuple[DropPolicy, PolicyDesign | None]:
     """The configured drop policy, and the design it came from if it is designed."""
     kind = _get(cfg, "policy.kind")
-    try:
-        if kind == "step":
-            threshold = _get(cfg, "policy.threshold")
-            return (step_policy(game) if threshold is None else StepPolicy(threshold)), None
-        if kind == "linear":
-            r1, r2 = _get(cfg, "policy.r1"), _get(cfg, "policy.r2")
-            if r1 is None or r2 is None:
-                raise ConfigError("policy.r1 and policy.r2: required for a linear policy")
-            return LinearPolicy(r1, r2), None
-        if kind == "designed":
-            design = design_linear(_design_spec(cfg, game))
-            return design.policy, design
-    except ConfigError:
-        raise
-    except ValueError as exc:  # UnsupportedGameError included
-        raise ConfigError(f"policy: {exc}") from exc
+    if kind == "step":
+        threshold = _get(cfg, "policy.threshold")
+        if threshold is None:  # step_policy raises UnsupportedGameError on mixed exponents
+            return _build("policy", step_policy, game), None
+        return _build("policy", StepPolicy, threshold), None
+    if kind == "linear":
+        r1, r2 = _get(cfg, "policy.r1"), _get(cfg, "policy.r2")
+        if r1 is None or r2 is None:
+            raise ConfigError("policy.r1 and policy.r2: required for a linear policy")
+        return _build("policy", LinearPolicy, r1, r2), None
+    if kind == "designed":
+        design = design_linear(_design_spec(cfg, game))
+        return design.policy, design
     return NoDrop(), None
 
 
@@ -418,10 +418,7 @@ def _rate_profile(rates: list[float], game: GameConfig, key: str) -> RateProfile
     """One non-negative rate per user, read from config ``key``."""
     if len(rates) != game.m:
         raise ConfigError(f"{key}: expected {game.m} rates, got {len(rates)}")
-    try:
-        return RateProfile(tuple(rates))
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+    return _build(key, RateProfile, tuple(rates))
 
 
 def _cmd_dynamics(cfg: dict[str, Any]) -> int:
@@ -485,15 +482,8 @@ def _sim_config(cfg: dict[str, Any], game: GameConfig) -> SimConfig:
         values = _as_float_list(rates_raw, "simulate.rates")
         rates = _rate_profile(values, game, "simulate.rates")
     run_keys = ("queue_mode", "slots", "window", "seed", "queue_cap")
-    try:
-        return SimConfig(
-            game=game,
-            policy=policy,
-            input_rates=rates,
-            **{key: _get(cfg, f"simulate.{key}") for key in run_keys},
-        )
-    except ValueError as exc:
-        raise ConfigError(f"simulate: {exc}") from exc
+    run_options = {key: _get(cfg, f"simulate.{key}") for key in run_keys}
+    return _build("simulate", SimConfig, game=game, policy=policy, input_rates=rates, **run_options)
 
 
 def _cmd_simulate(cfg: dict[str, Any]) -> int:
@@ -548,20 +538,15 @@ def _cmd_sweep(cfg: dict[str, Any]) -> int:
     mus = _get(cfg, "sweep.mus") or [game.mu]
     windows = [_as_int(w, "sweep.windows") for w in _get(cfg, "sweep.windows")]
     replications = _get(cfg, "sweep.replications")
+    if replications < 1:
+        raise ConfigError(f"sweep.replications: must be at least 1, got {replications}")
     base_keys = ("queue_mode", "slots", "seed")
     base_options = {key: _get(cfg, f"sweep.{key}") for key in base_keys}
     welfare_kind = _get(cfg, "sweep.welfare")
     keep_prob = _get(cfg, "sweep.keep_prob")
-    try:
-        base = SimConfig(
-            game=game,
-            policy=NoDrop(),
-            input_rates=RateProfile((0.0,) * game.m),
-            **base_options,
-        )
-        cells = run_sweep(base, desired, mus, windows, replications, welfare_kind, keep_prob)
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
+    idle = RateProfile((0.0,) * game.m)
+    base = _build("sweep", SimConfig, game=game, policy=NoDrop(), input_rates=idle, **base_options)
+    cells = run_sweep(base, desired, mus, windows, replications, welfare_kind, keep_prob)
     _emit(cfg, "cells", [asdict(cell) for cell in cells])
     return EXIT_OK
 
@@ -615,14 +600,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DesignInfeasibleError, UnstableQueueError, OverloadError, UnsupportedGameError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
+    except OSError as exc:  # before ValueError: io.UnsupportedOperation is both
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        # domain guards deep in the numerics (infeasible profiles, kinks, ...)
+    except (OverloadError, ValueError) as exc:
+        # domain guards deep in the numerics (infeasible designs and profiles,
+        # unstable queues, kinks, ...)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -47,6 +47,13 @@ class OverloadError(RuntimeError):
     """The accepted load exceeded what the server can drain."""
 
 
+# Most packets a run may expect to draw: the offered total times the slots.
+# 2**62 leaves 2x headroom under the int64 maximum for the sums over slots
+# and the estimate's prefix sum, and keeps every single Poisson draw under
+# numpy's limit of about 9.22e18.
+_MAX_PACKETS = 2**62
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation run: game, policy, offered rates (packets per slot)."""
@@ -74,6 +81,11 @@ class SimConfig:
             )
         if self.queue_cap < 1:
             raise ValueError(f"queue_cap must be positive, got {self.queue_cap}")
+        if self.input_rates.total * self.slots > _MAX_PACKETS:
+            raise ValueError(
+                f"input_rates total {self.input_rates.total:.6g} per slot over {self.slots} "
+                "slots is more than 2**62 packets, too many to count in int64"
+            )
 
 
 @dataclass(frozen=True)

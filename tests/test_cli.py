@@ -589,6 +589,17 @@ _INFEASIBLE_DESIGN = {
             "game, out, policy, simulate, sweep",
         ),
         ("game:\n  users: 4\n", "config.game: unknown key(s) users; allowed: alpha, m, mu"),
+        # YAML keys need not be strings
+        ("game: {1: 2}\n", "config.game: unknown key(s) 1; allowed: alpha, m, mu"),
+        (
+            "1: 2\n",
+            "config: unknown key(s) 1; allowed: command, design, dynamics, field, format, "
+            "game, out, policy, simulate, sweep",
+        ),
+        (
+            "game: {users: 4, 1: 2}\n",
+            "config.game: unknown key(s) 1, users; allowed: alpha, m, mu",
+        ),
         # the design is infeasible (exit 3), but the format is checked before anything runs
         (
             yaml.safe_dump({"format": "xml", **_INFEASIBLE_DESIGN}),
@@ -596,7 +607,7 @@ _INFEASIBLE_DESIGN = {
         ),
     ],
     ids=["section-not-a-mapping", "top-level-list", "unknown-top-key", "unknown-section-key",
-         "bad-format-first"],
+         "int-section-key", "int-top-key", "int-and-str-keys", "bad-format-first"],
 )
 def test_a_bad_config_file_is_rejected_with_its_message(tmp_path, monkeypatch, capsys, text, message):
     monkeypatch.chdir(tmp_path)
@@ -626,13 +637,103 @@ def test_invalid_yaml_and_an_unreadable_config_are_rejected(tmp_path, monkeypatc
         ["simulate", "--mu", "5", "--alpha", "2", "--m", "2", "--rates", "5,5",
          "--queue-mode", "analytic"],
         ["dynamics", "--mu", "6", "--alpha", "2", "--m", "2", "--init", "5,5"],
-        # numpy's own ValueError, caught by the fallback handler
-        ["simulate", "--mu", "5", "--alpha", "2", "--m", "2", "--rates", "1e20,1"],
     ],
-    ids=["infeasible-design", "overload", "unstable-start", "numpy-value-error"],
+    ids=["infeasible-design", "overload", "unstable-start"],
 )
 def test_a_numerical_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", "x.csv"]) == EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("numerical failure: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("run_simulation", ["simulate", "--mu", "20", "--alpha", "2", "--m", "2", "--rates", "4,4"]),
+        ("run_sweep", ["sweep", "--mu", "600", "--alpha", "2", "--m", "2", "--desired-poas", "1.2"]),
+    ],
+    ids=["run_simulation", "run_sweep"],
+)
+def test_a_value_error_from_the_computation_exits_3(tmp_path, monkeypatch, capsys, name, argv):
+    # a bug deep in a run must not read as a configuration error
+    from mm1game import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("deep in the run")
+
+    monkeypatch.setattr(cli, name, broken)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "x.csv"]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numerical failure: deep in the run\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["dynamics", "simulate", "field"])
+def test_an_infeasible_design_exits_3_under_every_command(tmp_path, monkeypatch, capsys, command):
+    m = "2" if command == "field" else "4"  # field needs two users; both designs are infeasible
+    spec = ["--mu", "6", "--alpha", "3", "--m", m, "--epsilon", "0.001", "--welfare", "sum"]
+    monkeypatch.chdir(tmp_path)
+    assert main(["design", *spec, "--out", "x.csv"]) == EXIT_NUMERIC
+    expected = capsys.readouterr().err
+    assert expected.startswith("numerical failure: no symmetric equilibrium")
+    argv = [command, *spec, "--policy", "designed", "--out", "x.csv"]
+    if command == "simulate":
+        argv += ["--rates", "designed"]
+    assert main(argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err == expected
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mu", "5", "--rates", "1e20,1"],  # beyond numpy's Poisson limit
+        ["--mu", "1e18", "--rates", "1e17,1e17", "--slots", "100", "--queue-mode", "analytic"],
+        ["--mu", "1e18", "--rates", "1e17,1e17", "--slots", "100", "--queue-mode", "analytic",
+         "--window", "50"],
+    ],
+    ids=["poisson-limit", "int64-sums", "int64-window"],
+)
+def test_too_many_packets_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--alpha", "2", "--m", "2", *argv, "--out", "x.csv"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: simulate: input_rates total ")
+    assert "2**62 packets" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sweep_cell_with_too_many_packets_records_the_error(tmp_path):
+    out = tmp_path / "w.csv"
+    code = main(
+        [
+            "sweep", "--mu", "600", "--alpha", "2", "--m", "2", "--desired-poas", "1.2",
+            "--mus", "1e20,600", "--replications", "1", "--slots", "100", "--out", str(out),
+        ]
+    )
+    assert code == EXIT_OK
+    _, rows = read_csv(out)
+    assert "2**62 packets" in rows[0]["error"]
+    assert rows[1]["error"] == "" and float(rows[1]["mean_poa"]) >= 1.0
+
+
+def test_zero_sweep_replications_names_the_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--mu", "600", "--alpha", "2", "--m", "2", "--desired-poas", "1.2"]
+    assert main([*argv, "--replications", "0", "--out", "x.csv"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: sweep.replications: must be at least 1, got 0\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_config_file_that_is_not_utf8_cannot_be_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.yaml").write_bytes(b"\xff\xfegame: 1\n")
+    assert main(["analyze", "--config", "cfg.yaml"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: config: cannot read cfg.yaml: 'utf-8' codec can't decode "
+        "byte 0xff in position 0: invalid start byte\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]

@@ -60,6 +60,24 @@ def test_sim_config_validation():
         )
 
 
+def test_sim_config_bounds_the_packets_a_run_can_count():
+    # int64 sums over 2**62 expected packets cannot wrap, and no draw meets numpy's limit
+    at_bound = SimConfig(
+        game=GameConfig.uniform(1e19, 2.0, 2),
+        policy=NoDrop(),
+        input_rates=RateProfile((2.0**60, 2.0**60)),
+        slots=2,
+        queue_mode=QueueMode.ANALYTIC_DELAY,
+    )
+    rep = run(at_bound)
+    assert min(rep.arrivals) > 2**59 and min(rep.slot_arrivals) > 2**60
+    assert rep.accepted == rep.arrivals
+    with pytest.raises(ValueError, match=r"input_rates total .* over 3 slots .* 2\*\*62 packets"):
+        replace(at_bound, slots=3)
+    with pytest.raises(ValueError, match=r"2\*\*62 packets"):
+        SimConfig(game=CFG, policy=NoDrop(), input_rates=RateProfile((1e20, 1.0)), slots=1)
+
+
 def test_same_seed_same_report():
     sim = SimConfig(
         game=GameConfig.uniform(20.0, 2.0, 2),
