@@ -16,11 +16,13 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from enum import Enum
 from typing import Any, Callable, NamedTuple, TypeVar
 
+import numpy as np
 import yaml
 
 from .analysis import WelfareKind, ne_closed_form, no_drop_report, welfare
@@ -290,6 +292,9 @@ def _policy(cfg: dict[str, Any], game: GameConfig) -> tuple[DropPolicy, PolicyDe
     return NoDrop(), None
 
 
+_QUOTED = re.compile(r'[,"\r\n]')  # a text cell holding one of these is quoted
+
+
 def _fmt_value(value: Any) -> str:
     if isinstance(value, float):
         return format(value, ".12g") if math.isfinite(value) else ""
@@ -297,23 +302,50 @@ def _fmt_value(value: Any) -> str:
         return "true" if value else "false"
     if value is None:
         return ""
-    return str(value)
+    text = str(value)
+    if _QUOTED.search(text):  # as csv.writer quotes it
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _fmt_rates(rates: tuple[float, ...]) -> str:
     return ";".join(format(r, ".12g") for r in rates)
 
 
-def write_csv(path: str, records: list[dict[str, Any]]) -> None:
-    """Write records as CSV rows, the first record's keys as the columns.
+def _fmt_column(column: Any) -> list[str]:
+    """One column's cells: a float array in one ``%.12g`` pass with its
+    non-finite entries blanked, an int array through ``str``, anything else
+    cell by cell."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            cells = list(map("%.12g".__mod__, column.tolist()))
+            for i in np.flatnonzero(~np.isfinite(column)).tolist():
+                cells[i] = ""
+            return cells
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
+        column = column.tolist()
+    return list(map(_fmt_value, column))
 
-    A missing value (None, NaN or infinite) is an empty cell.
+
+def write_csv(path: str, columns: dict[str, Any]) -> None:
+    """Write equal-length columns as CSV, one row per entry, after a
+    ``schema_version`` column.
+
+    A missing value (None, NaN or infinite) is an empty cell, and a text cell
+    holding a comma, a quote or a line break is quoted.
     """
-    lines = [",".join(["schema_version", *records[0]])]
-    for record in records:
-        lines.append(",".join([SCHEMA_VERSION, *map(_fmt_value, record.values())]))
+    cells = [_fmt_column(column) for column in columns.values()]
+    schema = [SCHEMA_VERSION] * len(cells[0])
+    lines = [",".join(["schema_version", *columns])]
+    lines += map(",".join, zip(schema, *cells, strict=True))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _columns(records: list[dict[str, Any]]) -> dict[str, list[Any]]:
+    """Records as columns, keyed by the first record's keys."""
+    return {key: [record[key] for record in records] for key in records[0]}
 
 
 def _finite_or_null(value: Any) -> Any:
@@ -328,20 +360,20 @@ def _finite_or_null(value: Any) -> Any:
 
 
 def write_json(path: str, payload: dict[str, Any]) -> None:
-    """Write strict JSON: non-finite floats (an unbounded ratio, the log of a
-    zero utility, a failed sweep cell) are written as null."""
+    """Write strict JSON on one line: non-finite floats (an unbounded ratio,
+    the log of a zero utility, a failed sweep cell) are written as null."""
     body = {"schema_version": SCHEMA_VERSION, **payload}
-    try:
-        text = json.dumps(body, indent=2, allow_nan=False)
+    try:  # no indent: an indent makes json fall back from its C encoder
+        text = json.dumps(body, allow_nan=False)
     except ValueError:  # a non-finite float somewhere; only then walk the payload
-        text = json.dumps(_finite_or_null(body), indent=2, allow_nan=False)
+        text = json.dumps(_finite_or_null(body), allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text + "\n")
 
 
 def _emit(cfg: dict[str, Any], name: str, records: list[dict[str, Any]]) -> None:
     if cfg["format"] == "csv":
-        write_csv(cfg["out"], records)
+        write_csv(cfg["out"], _columns(records))
     else:
         write_json(cfg["out"], {"command": cfg["command"], name: records})
 
@@ -506,14 +538,14 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
         for i in range(game.m)
     ]
     if cfg["format"] == "csv":
-        write_csv(cfg["out"], users)
+        write_csv(cfg["out"], _columns(users))
         stem, ext = os.path.splitext(cfg["out"])
-        slots = [
-            {"slot": t, "total_arrivals": n, "estimated_rate": est, "drop_prob": drop}
-            for t, n, est, drop in zip(
-                range(report.slots), report.slot_arrivals, report.estimated_rates, report.drop_probs
-            )
-        ]
+        slots = {
+            "slot": np.arange(report.slots),
+            "total_arrivals": np.asarray(report.slot_arrivals),
+            "estimated_rate": np.asarray(report.estimated_rates),
+            "drop_prob": np.asarray(report.drop_probs),
+        }
         write_csv(f"{stem}.slots{ext}", slots)
     else:
         write_json(
@@ -522,9 +554,9 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
                 "command": "simulate",
                 "users": users,
                 "slots": {
-                    "total_arrivals": list(report.slot_arrivals),
-                    "estimated_rate": list(report.estimated_rates),
-                    "drop_prob": list(report.drop_probs),
+                    "total_arrivals": report.slot_arrivals,
+                    "estimated_rate": report.estimated_rates,
+                    "drop_prob": report.drop_probs,
                 },
                 "warmup_slots": report.warmup_slots,
             },
@@ -562,8 +594,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """One subcommand per command: ``--config`` plus a flag for every key it reads."""
+def _build_parser(invoked: str | None) -> argparse.ArgumentParser:
+    """One subcommand per command.  Only the invoked one parses arguments, so
+    it alone gets ``--config`` and a flag for every key it reads."""
     parser = argparse.ArgumentParser(
         prog="mm1game",
         description="Selfish rate control over a shared queue: closed forms, "
@@ -572,6 +605,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, sections) in _COMMANDS.items():
         p = sub.add_parser(command, allow_abbrev=False)  # `--window` is not `--windows`
+        if command != invoked:
+            continue
         p.add_argument("--config", help="YAML configuration file")
         names: set[str] = set()
         for option in _OPTIONS:
@@ -592,7 +627,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    overrides = vars(_build_parser().parse_args(argv))
+    args = sys.argv[1:] if argv is None else argv
+    # argparse hands the arguments to the first command name among them
+    invoked = next((arg for arg in args if arg in _COMMANDS), None)
+    overrides = vars(_build_parser(invoked).parse_args(args))
     command = overrides.pop("command")
     try:
         cfg = load_config(overrides.pop("config"), command, overrides)

@@ -1,6 +1,7 @@
 """CLI: config loading, overrides, output schema, exit codes."""
 
 import copy
+import csv
 import json
 import math
 import os
@@ -9,7 +10,16 @@ import re
 import pytest
 import yaml
 
-from mm1game.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, SCHEMA_VERSION, main
+from mm1game.cli import (
+    _COMMANDS,
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    SCHEMA_VERSION,
+    _build_parser,
+    main,
+)
 
 
 def read_csv(path):
@@ -345,6 +355,24 @@ def test_sweep_window_longer_than_the_horizon_is_a_cell_error(tmp_path):
     assert "window" in rows[0]["error"] and rows[1]["error"] == ""
 
 
+def test_a_sweep_error_holding_a_comma_stays_in_one_quoted_cell(tmp_path):
+    out = tmp_path / "w.csv"
+    code = main(
+        [
+            "sweep", "--mu", "600", "--alpha", "2", "--m", "2", "--desired-poas", "1.2",
+            "--mus=-5,600", "--replications", "1", "--slots", "200", "--out", str(out),
+        ]
+    )
+    assert code == EXIT_OK
+    with open(out, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert all(None not in row and None not in row.values() for row in rows)
+    assert len(rows) == 2 and len(reader.fieldnames) == 8
+    assert rows[0]["error"] == "mu must be a positive finite rate, got -5.0"
+    assert rows[1]["error"] == ""
+
+
 def test_default_output_uses_env_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("MM1GAME_OUT_DIR", str(tmp_path))
     code = main(["analyze", "--mu", "6", "--alpha", "2", "--m", "2"])
@@ -510,6 +538,39 @@ def test_the_flag_list_covers_every_flag(capsys):
             main([command, "--help"])
         offered = set(re.findall(r"(--[a-z][a-z0-9-]*)", capsys.readouterr().out))
         assert offered == {"--help", "--config"} | {flag for flag, _, _ in cases}, command
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_each_command_parser_builds_with_its_flags(command):
+    parsed = vars(_build_parser(command).parse_args([command]))
+    assert parsed["command"] == command
+    assert {"config", "out", "format", "game.mu"} <= set(parsed)
+
+
+def test_the_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{analyze,design,dynamics,field,simulate,sweep}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["bogus"], ["--mu", "6"]], ids=["none", "unknown", "flag-only"]
+)
+def test_an_unknown_or_missing_command_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: mm1game [-h]")
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch):
+    out = tmp_path / "a.csv"
+    argv = ["mm1game", "analyze", "--mu", "6", "--alpha", "2", "--m", "2", "--out", str(out)]
+    monkeypatch.setattr("sys.argv", argv)
+    assert main() == EXIT_OK
+    _, rows = read_csv(out)
+    assert rows[1]["ne_rates"] == "2.4;2.4"
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,146 @@
+"""The column-wise CSV writer and the compact JSON writer against per-cell references.
+
+The references are the record writers the CLI used before it wrote columns:
+one ``format(value, ".12g")`` per float cell, a CSV row per record, and JSON
+indented by the pure-Python encoder.  The CSV reference quotes text cells as
+``csv.writer(lineterminator="\\n")`` does.
+"""
+
+import csv
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mm1game.cli import SCHEMA_VERSION, write_csv, write_json
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, 1e-7, 123456789012.5]
+
+
+def _reference_cell(value):
+    if isinstance(value, float):
+        return format(value, ".12g") if math.isfinite(value) else ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _reference_csv(records):
+    lines = [",".join(["schema_version", *records[0]])]
+    for record in records:
+        lines.append(",".join([SCHEMA_VERSION, *map(_reference_cell, record.values())]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(payload):
+    def finite_or_null(value):
+        if isinstance(value, float):
+            return value if math.isfinite(value) else None
+        if isinstance(value, dict):
+            return {key: finite_or_null(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite_or_null(item) for item in value]
+        return value
+
+    body = {"schema_version": SCHEMA_VERSION, **payload}
+    return json.dumps(finite_or_null(body), indent=2, allow_nan=False) + "\n"
+
+
+_floats = st.floats() | st.sampled_from(_SPECIAL)
+_ints = st.integers(-(2**63), 2**63 - 1)
+# no surrogates, which UTF-8 cannot encode, and no NUL, which Python 3.10's csv.reader rejects
+_chars = st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
+_texts = st.text(_chars) | st.sampled_from(
+    ["a,b", 'say "hi"', "line\nbreak", "cr\r", '"', ",", ""]
+)
+_cells = st.one_of(_floats, _ints, st.booleans(), st.none(), _texts)
+
+
+def _column(n):
+    """A column of n cells: a typed array, a list of one kind, or a mixed list."""
+    return st.one_of(
+        st.lists(_floats, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.float64)),
+        st.lists(_ints, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(_floats, min_size=n, max_size=n),
+        st.lists(_ints, min_size=n, max_size=n),
+        st.lists(_texts, min_size=n, max_size=n),
+        st.lists(_cells, min_size=n, max_size=n),
+    )
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 6))
+    return {f"c{j}": draw(_column(n)) for j in range(width)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_write_csv_matches_the_record_writer(tmp_path_factory, columns):
+    path = tmp_path_factory.getbasetemp() / "writers.csv"
+    write_csv(str(path), columns)
+    n = len(next(iter(columns.values())))
+    as_lists = {
+        key: col.tolist() if isinstance(col, np.ndarray) else col for key, col in columns.items()
+    }
+    records = [{key: col[i] for key, col in as_lists.items()} for i in range(n)]
+    text = path.read_bytes().decode("utf-8")
+    assert text == _reference_csv(records)
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["schema_version", *columns]
+    for row, record in zip(rows[1:], records, strict=True):
+        assert len(row) == len(columns) + 1
+        for cell, value in zip(row[1:], record.values()):
+            if isinstance(value, str):
+                assert cell == value  # text reads back intact
+
+
+_json_leaves = st.one_of(_floats, _ints, st.booleans(), st.none(), st.text())
+_payloads = st.dictionaries(
+    st.text(),
+    st.recursive(
+        _json_leaves,
+        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+        max_leaves=30,
+    ),
+    max_size=5,
+)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"bare {name} is not JSON")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_payloads)
+def test_write_json_parses_to_the_indented_reference(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "writers.json"
+    write_json(str(path), payload)
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n") and "\n" not in text[:-1]  # one line
+    expected = json.loads(_reference_json(payload))
+    assert json.loads(text, parse_constant=_reject_constant) == expected
+
+
+def test_write_json_on_a_slot_trace_with_and_without_non_finite_values(tmp_path):
+    rng = np.random.default_rng(1)
+    trace = {
+        "total_arrivals": tuple(rng.poisson(5.0, 300).tolist()),
+        "estimated_rate": tuple(rng.uniform(0.0, 10.0, 300).tolist()),
+    }
+    for log_welfare in (-3.5, -math.inf):
+        payload = {"users": [{"log_welfare": log_welfare}], "slots": trace}
+        write_json(str(tmp_path / "s.json"), payload)
+        text = (tmp_path / "s.json").read_text(encoding="utf-8")
+        assert json.loads(text, parse_constant=_reject_constant) == json.loads(
+            _reference_json(payload)
+        )
