@@ -41,6 +41,7 @@ from .mechanism import (
     validate_design,
 )
 from .model import (
+    SERVICE_RATE_LIMIT,
     DropPolicy,
     EffectiveRates,
     GameConfig,

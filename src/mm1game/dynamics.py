@@ -265,11 +265,13 @@ def verify_equilibrium(
     config: GameConfig,
     tol: float = 1e-7,
 ) -> bool:
-    """Deviation scan: no user can gain more than ``tol`` by moving alone.
+    """Deviation scan: no user can gain more than ``tol * max(1, |own|)`` by moving alone.
 
-    Each user's alternatives are swept on a grid of 10,001 points (with
-    golden-section refinement around the best grid point), independently of
-    how best responses are computed elsewhere.
+    ``own`` is the user's utility at the profile, so ``tol`` is relative for
+    utilities above one and absolute below.  Each user's alternatives are
+    swept on a grid of 10,001 points (with golden-section refinement around
+    the best grid point), independently of how best responses are computed
+    elsewhere.
     """
     if not feasible(profile, policy, config):
         raise UnstableQueueError("profile is not feasible")
@@ -286,7 +288,7 @@ def verify_equilibrium(
                 return _own_utility(rate, others, alpha, config.mu, policy)
 
             _, best_alt = _grid_golden_max(u, 0.0, hi, 10_001, 1e-10)
-        if best_alt > own + tol:
+        if best_alt > own + tol * max(1.0, abs(own)):
             return False
     return True
 

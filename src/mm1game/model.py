@@ -11,11 +11,12 @@ delay of the resulting FCFS queue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "SERVICE_RATE_LIMIT",
     "GameConfig",
     "RateProfile",
     "NoDrop",
@@ -34,6 +35,16 @@ __all__ = [
 ]
 
 
+# Every service rate lies below this.  Far above it the float arithmetic
+# fails: with alpha <= 3 and m <= 12, the census overflows cubing its
+# coefficients from about mu = 1e52, the closed forms overflow raising rates
+# to the power alpha + 1 from about 1e80, and the design divides by zero from
+# about 1e155.  The bound keeps thirty decades under the first of these and
+# admits every service rate at which the simulator can still run one slot at
+# a load near mu (a run counts at most 2**62, about 4.6e18, packets).
+SERVICE_RATE_LIMIT = 1e21
+
+
 class UnstableQueueError(ValueError):
     """Effective load reaches the service rate, so the queue has no steady state."""
 
@@ -48,22 +59,29 @@ class GameConfig:
 
     ``alphas[i]`` is user *i*'s exponent: the user maximizes
     ``throughput**alphas[i] / delay``.  Exponents above one favour throughput,
-    below one favour low delay.
+    below one favour low delay.  ``mu`` must lie below
+    :data:`SERVICE_RATE_LIMIT`.  ``homogeneous`` (all users share one
+    exponent) is computed once; it takes no part in ``==``, ``hash`` or
+    ``repr``.
     """
 
     mu: float
     alphas: tuple[float, ...]
+    homogeneous: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         if not math.isfinite(self.mu) or self.mu <= 0:
             raise ValueError(f"mu must be a positive finite rate, got {self.mu}")
+        if not self.mu < SERVICE_RATE_LIMIT:
+            raise ValueError(f"mu must be below {SERVICE_RATE_LIMIT:g}, got {self.mu}")
         if len(self.alphas) == 0:
             raise ValueError("alphas must contain at least one user")
         for a in self.alphas:
             if not math.isfinite(a) or a <= 0:
                 raise ValueError(f"every alpha must be positive and finite, got {a}")
+        object.__setattr__(self, "homogeneous", len(set(self.alphas)) == 1)
 
     @classmethod
     def uniform(cls, mu: float, alpha: float, m: int) -> "GameConfig":
@@ -75,10 +93,6 @@ class GameConfig:
     @property
     def m(self) -> int:
         return len(self.alphas)
-
-    @property
-    def homogeneous(self) -> bool:
-        return len(set(self.alphas)) == 1
 
     @property
     def alpha(self) -> float:

@@ -98,6 +98,26 @@ def test_design_epsilon_zero_exits_with_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--mu", "1e300", "--alpha", "2", "--m", "2", "--epsilon", "0.05"],
+        ["analyze", "--mu", "1e300", "--alpha", "3", "--m", "3"],
+        ["dynamics", "--mu", "1e300", "--alpha", "0.5", "--m", "3", "--policy", "designed",
+         "--epsilon", "0.05"],
+    ],
+    ids=["design", "analyze", "dynamics"],
+)
+def test_a_service_rate_above_the_bound_is_a_config_error(tmp_path, capsys, argv):
+    # without the bound these overflow, or divide by zero, deep in the numerics
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: game: mu must be below 1e+21, got 1e+300\n"
+    )
+    assert not out.exists()
+
+
 def test_design_json_payload(tmp_path):
     out = tmp_path / "d.json"
     code = main(

@@ -26,6 +26,7 @@ from mm1game import (
     UpdateMode,
     best_response,
     design_linear,
+    designed_with_diagnostics,
     DesignSpec,
     keep_probability,
     marginal_utility,
@@ -422,6 +423,25 @@ def test_verify_tolerance_scales_sensitivity():
     near = RateProfile((2.4 + 1e-5, 2.4))
     assert verify_equilibrium(near, NoDrop(), CFG, tol=1e-3)
     assert verify_equilibrium(near, NoDrop(), CFG)  # gain is about 1e-10 here
+
+
+def test_verify_tolerance_is_relative_above_a_utility_of_one():
+    # the designed equilibrium's utility is 1.0e12, where 1e-7 is below one ulp
+    cfg = GameConfig.uniform(5000.0, 3.0, 4)
+    design = designed_with_diagnostics(DesignSpec(cfg, epsilon=0.05))
+    ne = design.diagnostics.realized_ne
+    assert utility(0, ne, design.policy, cfg) == pytest.approx(1.0175e12, rel=1e-4)
+    assert verify_equilibrium(ne, design.policy, cfg)
+    assert verify_equilibrium(design.predicted_ne, design.policy, cfg)
+    for factor in (0.999, 1.001):
+        assert not verify_equilibrium(ne.replace(0, ne.rates[0] * factor), design.policy, cfg)
+
+
+def test_verify_tolerance_is_absolute_below_a_utility_of_one():
+    cfg = GameConfig.uniform(0.5, 2.0, 2)  # utility 0.004 at the equilibrium (0.2, 0.2)
+    near = RateProfile((0.2 + 2e-4, 0.2))  # gain is about 1.2e-8 here
+    assert verify_equilibrium(near, NoDrop(), cfg)
+    assert not verify_equilibrium(near, NoDrop(), cfg, tol=1e-9)
 
 
 # ------------------------------------------------------------------- the field

@@ -148,6 +148,13 @@ def _target_by_200_rounds(spec):
     kind=st.sampled_from(list(WelfareKind)),
     epsilon=st.floats(1e-4, 3.0),
 )
+# the ends of the user range, in both welfare kinds
+@example(m=1, alpha=2.0, mu=6.0, kind=WelfareKind.SUM_LOG_UTILITY, epsilon=0.05)
+@example(m=1, alpha=2.0, mu=6.0, kind=WelfareKind.SUM_UTILITY, epsilon=0.05)
+@example(m=12, alpha=0.7, mu=50.0, kind=WelfareKind.SUM_LOG_UTILITY, epsilon=0.01)
+@example(m=12, alpha=0.7, mu=50.0, kind=WelfareKind.SUM_UTILITY, epsilon=0.01)
+# the plain sum with exponent above one, asked for less than its m**(alpha-1) floor
+@example(m=3, alpha=2.0, mu=6.0, kind=WelfareKind.SUM_UTILITY, epsilon=0.5)
 def test_target_rate_stops_where_the_fixed_round_bisection_ends(m, alpha, mu, kind, epsilon):
     spec = DesignSpec(GameConfig.uniform(mu, alpha, m), epsilon=epsilon, welfare_kind=kind)
     want = _target_by_200_rounds(spec)
@@ -156,6 +163,21 @@ def test_target_rate_stops_where_the_fixed_round_bisection_ends(m, alpha, mu, ki
             target_effective_rate(spec)
     else:
         assert target_effective_rate(spec) == want  # bit for bit
+
+
+def test_an_infeasible_target_reports_the_ratio_at_the_bracket_end():
+    spec = DesignSpec(
+        GameConfig.uniform(6.0, 2.0, 3), epsilon=0.5, welfare_kind=WelfareKind.SUM_UTILITY
+    )
+    hi = optimal_total_rate(spec.config) * (1.0 - 1e-12)
+    floor = poa_at_symmetric_rate(spec.config, spec.welfare_kind, hi)
+    assert floor == pytest.approx(3.0)  # m**(alpha-1)
+    with pytest.raises(DesignInfeasibleError) as info:
+        target_effective_rate(spec)
+    assert str(info.value) == (
+        "no symmetric equilibrium reaches a price of anarchy of 1.5: "
+        f"the achievable infimum for this welfare kind is about {floor}"
+    )
 
 
 # ---------------------------------------------------------------- linear design
@@ -337,7 +359,8 @@ def test_census_of_every_design_is_its_target(m, alpha, mu, epsilon, keep_frac):
     # validate_design's play from here must stop after its first round
     assert run_dynamics(cfg, design.policy, profile, tol=1e-10, max_iter=1).converged
     own = utility(0, profile, design.policy, cfg)
-    assert verify_equilibrium(profile, design.policy, cfg, tol=1e-10 * own)
+    # relative 1e-10: verify_equilibrium scales tol by max(1, own)
+    assert verify_equilibrium(profile, design.policy, cfg, tol=1e-10 * min(1.0, own))
 
 
 @pytest.mark.parametrize("m", [10, 12])

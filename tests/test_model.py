@@ -4,12 +4,16 @@ Golden values are frozen from hand calculation; derivative checks run
 against central finite differences rather than the closed form they test.
 """
 
+import dataclasses
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
 
 from mm1game import (
+    SERVICE_RATE_LIMIT,
     DropPolicy,
     GameConfig,
     LinearPolicy,
@@ -52,6 +56,37 @@ def test_heterogeneous_alpha_guard():
 def test_config_validation(mu, alphas):
     with pytest.raises(ValueError):
         GameConfig(mu, alphas)
+
+
+def test_the_cached_flag_leaves_equality_hash_repr_replace_and_pickle_alone():
+    mixed = GameConfig(6.0, (1.0, 2.0))
+    assert repr(CFG) == "GameConfig(mu=6.0, alphas=(2.0, 2.0))"
+    assert CFG == GameConfig(6, [2, 2]) and CFG != mixed
+    assert hash(CFG) == hash((6.0, (2.0, 2.0)))
+    assert [f.name for f in dataclasses.fields(CFG) if f.init] == ["mu", "alphas"]
+    assert dataclasses.replace(mixed, alphas=(2.0, 2.0)) == CFG
+    assert dataclasses.replace(mixed, alphas=(2.0, 2.0)).homogeneous
+    assert not dataclasses.replace(CFG, alphas=(2.0, 3.0)).homogeneous
+    with pytest.raises(ValueError):
+        dataclasses.replace(CFG, homogeneous=False)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CFG.homogeneous = False
+    for cfg in (CFG, mixed):
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg and hash(back) == hash(cfg)
+        assert back.homogeneous == cfg.homogeneous
+    with pytest.raises(UnsupportedGameError):
+        _ = pickle.loads(pickle.dumps(mixed)).alpha
+    with pytest.raises(UnsupportedGameError):
+        _ = dataclasses.replace(CFG, alphas=(2.0, 3.0)).alpha
+
+
+def test_mu_is_bounded_above():
+    inside = math.nextafter(SERVICE_RATE_LIMIT, 0.0)
+    assert GameConfig(inside, (2.0,)).mu == inside
+    for mu in (SERVICE_RATE_LIMIT, 1e300):
+        with pytest.raises(ValueError, match=re.escape(f"mu must be below 1e+21, got {mu}")):
+            GameConfig.uniform(mu, 2.0, 2)
 
 
 def test_profile_validation_and_helpers():
