@@ -359,14 +359,24 @@ def _finite_or_null(value: Any) -> Any:
     return value
 
 
+def _dumps_finite(value: Any) -> str:
+    try:  # no indent: an indent makes json fall back from its C encoder
+        return json.dumps(value, allow_nan=False)
+    except ValueError:  # a non-finite float somewhere; only then walk the value
+        return json.dumps(_finite_or_null(value), allow_nan=False)
+
+
 def write_json(path: str, payload: dict[str, Any]) -> None:
     """Write strict JSON on one line: non-finite floats (an unbounded ratio,
-    the log of a zero utility, a failed sweep cell) are written as null."""
+    the log of a zero utility, a failed sweep cell) are written as null.
+
+    The keys of ``payload`` are strings.  Each top-level value is encoded on
+    its own, so a non-finite summary field re-walks only the value holding
+    it, never a per-slot trace beside it.
+    """
     body = {"schema_version": SCHEMA_VERSION, **payload}
-    try:  # no indent: an indent makes json fall back from its C encoder
-        text = json.dumps(body, allow_nan=False)
-    except ValueError:  # a non-finite float somewhere; only then walk the payload
-        text = json.dumps(_finite_or_null(body), allow_nan=False)
+    members = (f"{json.dumps(key)}: {_dumps_finite(value)}" for key, value in body.items())
+    text = "{" + ", ".join(members) + "}"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text + "\n")
 
@@ -542,9 +552,9 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
         stem, ext = os.path.splitext(cfg["out"])
         slots = {
             "slot": np.arange(report.slots),
-            "total_arrivals": np.asarray(report.slot_arrivals),
-            "estimated_rate": np.asarray(report.estimated_rates),
-            "drop_prob": np.asarray(report.drop_probs),
+            "total_arrivals": report.slot_arrivals,
+            "estimated_rate": report.estimated_rates,
+            "drop_prob": report.drop_probs,
         }
         write_csv(f"{stem}.slots{ext}", slots)
     else:
@@ -554,9 +564,9 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
                 "command": "simulate",
                 "users": users,
                 "slots": {
-                    "total_arrivals": report.slot_arrivals,
-                    "estimated_rate": report.estimated_rates,
-                    "drop_prob": report.drop_probs,
+                    "total_arrivals": report.slot_arrivals.tolist(),
+                    "estimated_rate": report.estimated_rates.tolist(),
+                    "drop_prob": report.drop_probs.tolist(),
                 },
                 "warmup_slots": report.warmup_slots,
             },
@@ -641,9 +651,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # before ValueError: io.UnsupportedOperation is both
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (OverloadError, ValueError) as exc:
+    except (OverloadError, OverflowError, ValueError) as exc:
         # domain guards deep in the numerics (infeasible designs and profiles,
-        # unstable queues, kinks, ...)
+        # unstable queues, kinks, ...) and float powers past the largest double
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

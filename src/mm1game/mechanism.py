@@ -68,10 +68,10 @@ class DesignSpec:
 
     def __post_init__(self) -> None:
         alpha = self.config.alpha  # raises for heterogeneous exponents
-        if self.epsilon <= 0:
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(
-                "epsilon must be positive: no policy of this family reaches a "
-                "price of anarchy of exactly 1, it can only be approached"
+                f"epsilon must be positive and finite, got {self.epsilon}: no policy of "
+                "this family reaches a price of anarchy of exactly 1, it can only be approached"
             )
         low = alpha / (alpha + 1.0)
         if not low < self.keep_prob < 1.0:
@@ -390,8 +390,10 @@ def validate_design(design: PolicyDesign, spec: DesignSpec) -> DesignDiagnostics
     predicted = design.predicted_ne.total
     start = min(members, key=lambda t: abs(t - predicted), default=predicted)
     init = RateProfile((start / config.m,) * config.m)
+    # play may stop at a step of a few ulps: 1e-10 is below one ulp of rates near 1e15
+    tol = max(1e-10, 8 * math.ulp(predicted))
     trajectory = run_dynamics(
-        config, policy, init, mode=UpdateMode.ROUND_ROBIN, tol=1e-10, max_iter=20_000
+        config, policy, init, mode=UpdateMode.ROUND_ROBIN, tol=tol, max_iter=20_000
     )
     realized = trajectory.final_profile
     ne_ok = trajectory.converged and all(

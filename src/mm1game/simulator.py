@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from itertools import product
 from typing import Sequence
@@ -88,9 +88,17 @@ class SimConfig:
             )
 
 
-@dataclass(frozen=True)
+_TRACES = ("estimated_rates", "drop_probs", "slot_arrivals")
+
+
+@dataclass(frozen=True, eq=False)
 class SimReport:
-    """Aggregates past warm-up, plus a per-slot trace of the dropping loop."""
+    """Aggregates past warm-up, plus a per-slot trace of the dropping loop.
+
+    The per-user summaries are tuples.  The per-slot traces are read-only
+    numpy arrays, so two reports compare equal when their traces hold the
+    same values and their other fields are equal; a report is not hashable.
+    """
 
     input_rates: tuple[float, ...]
     arrivals: tuple[int, ...]
@@ -101,11 +109,20 @@ class SimReport:
     sum_welfare: float
     log_welfare: float
     empirical_poa: float
-    estimated_rates: tuple[float, ...]
-    drop_probs: tuple[float, ...]
-    slot_arrivals: tuple[int, ...]
+    estimated_rates: np.ndarray
+    drop_probs: np.ndarray
+    slot_arrivals: np.ndarray
     slots: int
     warmup_slots: int
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = [f.name for f in fields(self) if f.name not in _TRACES]
+        # one tuple comparison, as a generated __eq__ makes it
+        if tuple(getattr(self, n) for n in names) != tuple(getattr(other, n) for n in names):
+            return False
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _TRACES)
 
 
 # Slots per event-queue block.  Bounds the per-packet arrays by the block,
@@ -182,23 +199,28 @@ def run(sim: SimConfig) -> SimReport:
     mu = sim.game.mu
     rates = np.asarray(sim.input_rates.rates, dtype=float)
     warmup = sim.window
+    kept_slots = sim.slots - warmup
+    # integer totals as products with ones: exact in int64, and much cheaper
+    # than a sum along the short axis
+    ones_m = np.ones(m, dtype=np.int64)
+    ones_kept = np.ones(kept_slots, dtype=np.int64)
 
     arrivals = rng.poisson(rates, size=(sim.slots, m))
-    slot_totals = arrivals.sum(axis=1)
+    slot_totals = arrivals @ ones_m
     # the estimate at slot t is the mean of the last min(t, window) totals,
-    # 0.0 at slot 0
-    prefix = np.concatenate(([0], np.cumsum(slot_totals)))
-    t = np.arange(1, sim.slots)
-    span = np.minimum(t, sim.window)
+    # 0.0 at slot 0; prefix[k] sums the totals of slots 0..k
+    prefix = np.cumsum(slot_totals)
+    ramp_up = min(warmup, sim.slots - 1)
     est = np.zeros(sim.slots)
-    est[1:] = (prefix[t] - prefix[t - span]) / span
+    est[1 : ramp_up + 1] = prefix[:ramp_up] / np.arange(1, ramp_up + 1)
+    est[ramp_up + 1 :] = (prefix[warmup:-1] - prefix[: -warmup - 1]) / warmup
     keep = keep_probability(sim.policy, est)
     accepted = rng.binomial(arrivals, keep[:, None])
 
     if sim.queue_mode is QueueMode.EVENT_QUEUE:
         delay_weight = _event_queue_delays(sim, accepted, rng)
     else:
-        acc_sum = accepted.sum(axis=1)
+        acc_sum = accepted @ ones_m
         over = np.flatnonzero(acc_sum >= mu)
         if over.size:
             first = int(over[0])
@@ -206,14 +228,11 @@ def run(sim: SimConfig) -> SimReport:
                 f"accepted load {int(acc_sum[first])} reached the per-slot service rate "
                 f"{mu} at slot {first}; the steady-state delay is undefined"
             )
-        delay_weight = (
-            accepted[warmup:] * (1.0 / (mu - acc_sum[warmup:]))[:, None]
-        ).sum(axis=0)
+        delay_weight = (1.0 / (mu - acc_sum[warmup:])) @ accepted[warmup:]
 
-    arrivals_total = arrivals[warmup:].sum(axis=0)
-    accepted_total = accepted[warmup:].sum(axis=0)
+    arrivals_total = ones_kept @ arrivals[warmup:]
+    accepted_total = ones_kept @ accepted[warmup:]
 
-    kept_slots = sim.slots - warmup
     if kept_slots > 0:
         goodput = accepted_total / kept_slots
     else:
@@ -224,31 +243,32 @@ def run(sim: SimConfig) -> SimReport:
         goodput ** np.asarray(sim.game.alphas) / np.where(mean_delay > 0, mean_delay, 1.0),
         0.0,
     )
-    sum_welfare = float(power.sum())
+    power_t = tuple(power.tolist())
     log_welfare = float(np.sum(np.log(power))) if np.all(power > 0) else -math.inf
+    if sim.game.homogeneous:
+        poa = _poa_ratio(power_t, sim.game, WelfareKind.SUM_LOG_UTILITY)
+    else:
+        poa = math.nan
+    drop_probs = 1.0 - keep
+    for trace in (est, drop_probs, slot_totals):
+        trace.flags.writeable = False
 
-    report = SimReport(
+    return SimReport(
         input_rates=tuple(rates.tolist()),
         arrivals=tuple(arrivals_total.tolist()),
         accepted=tuple(accepted_total.tolist()),
         goodput=tuple(goodput.tolist()),
         mean_delay=tuple(mean_delay.tolist()),
-        power=tuple(power.tolist()),
-        sum_welfare=sum_welfare,
+        power=power_t,
+        sum_welfare=float(power.sum()),
         log_welfare=log_welfare,
-        empirical_poa=math.nan,
-        estimated_rates=tuple(est.tolist()),
-        drop_probs=tuple((1.0 - keep).tolist()),
-        slot_arrivals=tuple(slot_totals.tolist()),
+        empirical_poa=poa,
+        estimated_rates=est,
+        drop_probs=drop_probs,
+        slot_arrivals=slot_totals,
         slots=sim.slots,
         warmup_slots=warmup,
     )
-    if sim.game.homogeneous:
-        report = replace(
-            report,
-            empirical_poa=empirical_poa(report, sim.game, WelfareKind.SUM_LOG_UTILITY),
-        )
-    return report
 
 
 def empirical_poa(report: SimReport, config: GameConfig, kind: WelfareKind) -> float:

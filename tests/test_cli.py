@@ -98,6 +98,17 @@ def test_design_epsilon_zero_exits_with_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_a_non_finite_epsilon_exits_with_config_error(tmp_path, capsys, epsilon):
+    out = tmp_path / "d.csv"
+    argv = ["design", "--mu", "6", "--alpha", "2", "--m", "2", "--epsilon", epsilon]
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: design: epsilon must be positive and finite, got {epsilon}:"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -718,8 +729,14 @@ def test_invalid_yaml_and_an_unreadable_config_are_rejected(tmp_path, monkeypatc
         ["simulate", "--mu", "5", "--alpha", "2", "--m", "2", "--rates", "5,5",
          "--queue-mode", "analytic"],
         ["dynamics", "--mu", "6", "--alpha", "2", "--m", "2", "--init", "5,5"],
+        # the closed forms' powers overflow a double: ratio**m, and **(alpha + 1)
+        ["analyze", "--mu", "6", "--alpha", "3", "--m", "200"],
+        ["analyze", "--mu", "6", "--alpha", "400", "--m", "2"],
     ],
-    ids=["infeasible-design", "overload", "unstable-start"],
+    ids=[
+        "infeasible-design", "overload", "unstable-start",
+        "analyze-many-users", "analyze-large-exponent",
+    ],
 )
 def test_a_numerical_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

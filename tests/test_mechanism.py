@@ -58,6 +58,13 @@ def test_epsilon_zero_is_impossible():
         DesignSpec(CFG, epsilon=-0.1)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_epsilon_must_be_finite(epsilon):
+    # NaN fails every comparison, so a test of epsilon <= 0 alone lets it through
+    with pytest.raises(ValueError, match="positive and finite"):
+        DesignSpec(CFG, epsilon=epsilon)
+
+
 def test_keep_prob_must_exceed_its_floor():
     # alpha/(alpha+1) = 2/3 for exponent 2
     with pytest.raises(ValueError):
@@ -283,6 +290,25 @@ def test_validate_flags_a_flat_ramp():
     assert not diag.slope_exceeds_uniqueness_bound
     assert not diag.all_ok
     assert math.isfinite(diag.uniqueness_bound)
+
+
+@pytest.mark.parametrize("alpha, m", [(0.5, 5), (1.0, 2), (2.0, 2)])
+def test_validation_plays_to_a_few_ulps_at_a_large_service_rate(monkeypatch, alpha, m):
+    # an absolute 1e-10 is below one ulp of these rates, so play never stopped
+    from mm1game import mechanism
+
+    trajectories = []
+
+    def recording_run_dynamics(*args, **kwargs):
+        trajectories.append(run_dynamics(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(mechanism, "run_dynamics", recording_run_dynamics)
+    spec = DesignSpec(GameConfig.uniform(1e15, alpha, m), epsilon=0.05)
+    diag = validate_design(design_linear(spec), spec)
+    (trajectory,) = trajectories
+    assert trajectory.converged
+    assert diag.ne_matches_prediction
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.05])

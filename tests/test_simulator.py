@@ -92,6 +92,32 @@ def test_same_seed_same_report():
     assert other != run(sim)
 
 
+def test_report_equality_compares_the_traces_by_value():
+    sim = SimConfig(
+        game=CFG, policy=LinearPolicy(3.0, 8.0), input_rates=RateProfile((1.0, 1.5)),
+        slots=300, window=4, seed=5,
+    )
+    rep = run(sim)
+    assert rep == replace(rep, drop_probs=rep.drop_probs.copy())
+    # the summaries match, only one slot's count differs
+    assert rep != replace(rep, slot_arrivals=rep.slot_arrivals + (np.arange(sim.slots) == 0))
+
+
+@pytest.mark.parametrize("name", ["estimated_rates", "drop_probs", "slot_arrivals"])
+def test_report_traces_are_read_only_and_the_report_is_unhashable(name):
+    sim = SimConfig(
+        game=CFG, policy=NoDrop(), input_rates=RateProfile((1.0, 1.5)), slots=50, seed=2
+    )
+    rep = run(sim)
+    trace = getattr(rep, name)
+    with pytest.raises(ValueError, match="read-only"):
+        trace[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        trace += 1
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(rep)
+
+
 def test_zero_input_is_a_zero_throughput_report():
     sim = SimConfig(
         game=CFG, policy=NoDrop(), input_rates=RateProfile((0.0, 0.0)), slots=200
@@ -205,6 +231,58 @@ def test_report_traces_match_a_plain_python_oracle(
         assert rep.drop_probs[t] == 1.0 - keep_probability(policy, rep.estimated_rates[t])
     assert sum(rep.arrivals) == sum(totals[rep.warmup_slots :])
     assert all(a <= b for a, b in zip(rep.accepted, rep.arrivals))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rates=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=4),
+    window=st.integers(1, 30),
+    extra_slots=st.integers(0, 300),
+    shape=st.sampled_from(sorted(_POLICIES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_analytic_delay_matches_a_plain_python_per_slot_sum(
+    rates, window, extra_slots, shape, seed
+):
+    policy = _POLICIES[shape]
+    mu, alpha, m = 60.0, 2.0, len(rates)
+    sim = SimConfig(
+        game=GameConfig.uniform(mu, alpha, m),
+        policy=policy,
+        input_rates=RateProfile(tuple(rates)),
+        slots=window + extra_slots,
+        window=window,
+        seed=seed,
+        queue_mode=QueueMode.ANALYTIC_DELAY,
+    )
+    rep = run(sim)
+    # the generator calls run makes, in its order: the arrivals, then the thinning
+    gen = np.random.Generator(np.random.PCG64(seed))
+    arrivals = gen.poisson(np.asarray(rates), size=(sim.slots, m))
+    totals = [sum(row) for row in arrivals.tolist()]
+    est = [sum(totals[t - min(t, window) : t]) / min(t, window) if t else 0.0
+           for t in range(sim.slots)]
+    accepted = gen.binomial(arrivals, keep_probability(policy, np.asarray(est))[:, None]).tolist()
+
+    weight, counted = [0.0] * m, [0] * m
+    for row in accepted[window:]:
+        load = sum(row)
+        for i, a in enumerate(row):
+            weight[i] += a / (mu - load)
+            counted[i] += a
+    kept = sim.slots - window
+    power = []
+    for i in range(m):
+        delay = weight[i] / counted[i] if counted[i] else 0.0
+        goodput = counted[i] / kept if kept else 0.0
+        power.append(goodput**alpha / delay if goodput > 0 and delay > 0 else 0.0)
+        assert rep.accepted[i] == counted[i]
+        assert rep.mean_delay[i] == pytest.approx(delay, rel=1e-12, abs=0.0)
+        assert rep.power[i] == pytest.approx(power[i], rel=1e-12, abs=0.0)
+    # the log kind's optimum splits alpha mu / (alpha + 1) evenly
+    per_user_opt = (alpha * mu / (alpha + 1.0) / m) ** alpha * (mu / (alpha + 1.0))
+    poa = math.prod(per_user_opt / p for p in power) if all(power) else math.inf
+    assert rep.empirical_poa == pytest.approx(poa, rel=1e-12, abs=0.0)
 
 
 # --------------------------------------------------------------- queue physics

@@ -144,3 +144,36 @@ def test_write_json_on_a_slot_trace_with_and_without_non_finite_values(tmp_path)
         assert json.loads(text, parse_constant=_reject_constant) == json.loads(
             _reference_json(payload)
         )
+
+
+def test_simulate_json_walks_only_the_summary_rows(tmp_path, monkeypatch):
+    # a zero-rate user: log welfare -inf and ratio +inf in every summary row
+    from mm1game import cli
+
+    payloads, walked = [], []
+    write_json_, finite_or_null = cli.write_json, cli._finite_or_null
+
+    def recording_write_json(path, payload):
+        payloads.append(payload)
+        write_json_(path, payload)
+
+    def recording_finite_or_null(value):
+        walked.append(value)
+        return finite_or_null(value)
+
+    monkeypatch.setattr(cli, "write_json", recording_write_json)
+    monkeypatch.setattr(cli, "_finite_or_null", recording_finite_or_null)
+    out = tmp_path / "s.json"
+    argv = [
+        "simulate", "--mu", "20", "--alpha", "1", "--m", "2", "--rates", "0,5",
+        "--slots", "500", "--format", "json", "--out", str(out),
+    ]
+    assert cli.main(argv) == cli.EXIT_OK
+    (payload,) = payloads
+    assert any(value is payload["users"] for value in walked)
+    traces = [payload["slots"], *payload["slots"].values()]
+    assert not any(value is trace for value in walked for trace in traces)
+    text = out.read_text(encoding="utf-8")
+    assert json.loads(text, parse_constant=_reject_constant) == json.loads(
+        _reference_json(payload)
+    )
