@@ -71,7 +71,12 @@ def social_optimum_sum(config: GameConfig) -> tuple[RateProfile, float]:
     m = config.m
     mu = config.mu
     lam = optimal_total_rate(config)
-    base = a**a * mu ** (a + 1.0) / (a + 1.0) ** (a + 1.0)
+    try:
+        base = a**a * mu ** (a + 1.0) / (a + 1.0) ** (a + 1.0)
+    except OverflowError as exc:
+        raise OverflowError(
+            f"the social optimum overflows a float at mu={mu:g}, alpha={a:g}"
+        ) from exc
     if a > 1.0:
         profile = RateProfile((lam,) + (0.0,) * (m - 1))
         return profile, base
@@ -114,14 +119,19 @@ def poa_closed_form(m: int, alpha: float, kind: WelfareKind) -> float:
         raise ValueError(f"m must be at least 1, got {m}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    top = (alpha * m + 1.0) ** (alpha + 1.0)
-    denom = (alpha + 1.0) ** (alpha + 1.0)
-    ratio = top / (m**alpha * denom)
-    if kind is WelfareKind.SUM_UTILITY:
-        if alpha > 1.0:
-            return top / (m * denom)
-        return ratio
-    return ratio**m
+    try:
+        top = (alpha * m + 1.0) ** (alpha + 1.0)
+        denom = (alpha + 1.0) ** (alpha + 1.0)
+        ratio = top / (m**alpha * denom)
+        if kind is WelfareKind.SUM_UTILITY:
+            if alpha > 1.0:
+                return top / (m * denom)
+            return ratio
+        return ratio**m
+    except OverflowError as exc:
+        raise OverflowError(
+            f"the price of anarchy overflows a float at m={m}, alpha={alpha:g}"
+        ) from exc
 
 
 def _poa_ratio(utilities: Sequence[float], config: GameConfig, kind: WelfareKind) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import sub
 
 import numpy as np
 
@@ -13,7 +14,7 @@ from .model import (
     GameConfig,
     RateProfile,
     UnstableQueueError,
-    _potential_at,
+    _potentials,
     feasible,
     keep_probability,
     utility,
@@ -30,6 +31,7 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_TWO_PI, _FOUR_PI = 2.0 * math.pi, 2.0 * math.pi * 2  # 2 pi k for the cubic's roots k = 1, 2
 _TIE_RTOL = 1e-12  # best-response utilities this close count as a tie
 
 
@@ -90,10 +92,18 @@ def _own_utility(rate, others_total: float, alpha: float, mu: float, policy: Dro
     """Utility of one user at ``rate`` against a fixed total of everyone else.
 
     Takes a float or an array of rates; negative where the load would be
-    unstable, which keeps such points out of any argmax.
+    unstable, which keeps such points out of any argmax.  On a ramp the keep
+    probability is ``(d - rate) / w`` with ``d = r2 - others_total``, clipped
+    to [0, 1]: no total near ``r2`` is formed and subtracted again, so tiny
+    keep probabilities carry no cancellation noise.
     """
     total = others_total + rate
-    p = keep_probability(policy, total)
+    r1, r2 = policy.r1, policy.r2
+    if r1 < r2:
+        p = (r2 - others_total - rate) / (r2 - r1)
+        p = np.clip(p, 0.0, 1.0) if isinstance(p, np.ndarray) else min(1.0, max(0.0, p))
+    else:
+        p = keep_probability(policy, total)
     return (rate * p) ** alpha * (mu - total * p)
 
 
@@ -112,30 +122,44 @@ def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
         return [-shift]
     r = 2.0 * math.sqrt(-p / 3.0)
     phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * r))))
-    return [r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
+    cos = math.cos
+    return [
+        r * cos(phi / 3.0) - shift,
+        r * cos((phi - _TWO_PI) / 3.0) - shift,
+        r * cos((phi - _FOUR_PI) / 3.0) - shift,
+    ]
 
 
-def _polished_cubic_roots(a: float, b: float, c: float, d: float, condition) -> list[float]:
+def _polished_cubic_roots(
+    a: float, b: float, c: float, d: float, condition, params: tuple
+) -> list[float]:
     """Real roots of ``a x^3 + b x^2 + c x + d``, each polished by Newton steps.
 
-    ``condition`` evaluates the same cubic from unexpanded factors, which
-    stays accurate near a root where the expanded sum cancels; a step is
-    kept only while it shrinks ``|condition|``.
+    ``condition(x, params)`` evaluates the same cubic from unexpanded
+    factors, which stays accurate near a root where the expanded sum
+    cancels; a step is kept only while it shrinks ``|condition|``.
     """
+    a3, b2 = 3.0 * a, 2.0 * b
     roots = []
     for x in _cubic_roots(a, b, c, d):
-        g = condition(x)
+        g = condition(x, params)
         for _ in range(2):
-            slope = (3.0 * a * x + 2.0 * b) * x + c
+            slope = (a3 * x + b2) * x + c
             if slope == 0.0:
                 break
             step = x - g / slope
-            g_step = condition(step)
+            g_step = condition(step, params)
             if not abs(g_step) < abs(g):
                 break
             x, g = step, g_step
         roots.append(x)
     return roots
+
+
+def _ramp_condition(x: float, params: tuple) -> float:
+    """``w^2 x p q`` times ``d/dx log u``, i.e. ``alpha q (p + s x) - x p (p + s T)``."""
+    alpha, muw, b, d, e = params
+    return alpha * (muw - (b + x) * (d - x)) * (d - 2.0 * x) - x * (d - x) * (e - 2.0 * x)
 
 
 def _ramp_best_response(b: float, alpha: float, mu: float, policy: DropPolicy) -> float:
@@ -146,30 +170,41 @@ def _ramp_best_response(b: float, alpha: float, mu: float, policy: DropPolicy) -
     ramp is ``(d - x) / w`` with ``w = r2 - r1``: no total near ``r2`` is
     formed and subtracted again, which keeps tiny keep probabilities exact.
     """
-    d = policy.r2 - b
+    r1, r2 = policy.r1, policy.r2
+    d = r2 - b
     if d <= 0.0:
         return 0.0  # everything the user could send is dropped
-    w = policy.r2 - policy.r1
+    w = r2 - r1
     e = d - b  # r2 - 2b
-    h = mu * w - b * d  # w times the headroom q at x = 0
-
-    def condition(x: float) -> float:
-        # w^2 x p q times d/dx log u, i.e. alpha q (p + s x) - x p (p + s T)
-        return alpha * (mu * w - (b + x) * (d - x)) * (d - 2.0 * x) - x * (d - x) * (e - 2.0 * x)
-
-    a3 = -2.0 * (alpha + 1.0)
-    a2 = alpha * (d + 2.0 * e) + 2.0 * d + e
-    a1 = -alpha * (e * d + 2.0 * h) - d * e
-    lo = max(0.0, policy.r1 - b)
-    candidates = [(lo, 1.0)]
-    for x in _polished_cubic_roots(a3, a2, a1, alpha * h * d, condition):
+    muw = mu * w
+    h = muw - b * d  # w times the headroom q at x = 0
+    lo = r1 - b
+    if not lo > 0.0:  # max(0, r1 - b): the ramp start
+        lo = 0.0
+    xs = [lo]
+    us = [lo**alpha * (mu - (b + lo))]  # the ramp start keeps everything
+    roots = _polished_cubic_roots(
+        -2.0 * (alpha + 1.0),
+        alpha * (d + 2.0 * e) + 2.0 * d + e,
+        -alpha * (e * d + 2.0 * h) - d * e,
+        alpha * h * d,
+        _ramp_condition,
+        (alpha, muw, b, d, e),
+    )
+    for x in roots:
         if lo < x < d:
-            candidates.append((x, (d - x) / w))
-    valued = [(x, (x * p) ** alpha * (mu - (b + x) * p)) for x, p in candidates]
-    best = max(u for _, u in valued)
+            p = (d - x) / w
+            xs.append(x)
+            us.append((x * p) ** alpha * (mu - (b + x) * p))
+    best = max(us)
     if best <= 0.0:
         return 0.0
-    return max(x for x, u in valued if u >= best - _TIE_RTOL * best)
+    floor = best - _TIE_RTOL * best  # the largest rate this close to the best wins
+    answer = 0.0
+    for x, u in zip(xs, us):
+        if u >= floor and x > answer:
+            answer = x
+    return answer
 
 
 def best_response(
@@ -231,27 +266,29 @@ def run_dynamics(
     """
     if not feasible(init, policy, config):
         raise UnstableQueueError("initial profile is not feasible")
-    rates = list(init.rates)
-    iterates = [RateProfile(tuple(rates))]
+    users = range(config.m)
+    round_robin = mode is UpdateMode.ROUND_ROBIN
+    rates = init.rates
+    history = [rates]  # one tuple per round; profiles are built once, at the end
     converged = False
     for _ in range(max_iter):
-        prev = list(rates)
-        if mode is UpdateMode.ROUND_ROBIN:
-            for i in range(config.m):
-                others = sum(rates) - rates[i]
-                rates[i] = best_response(i, others, policy, config)
+        prev = rates
+        if round_robin:
+            new = list(prev)
+            for i in users:
+                new[i] = best_response(i, sum(new) - new[i], policy, config)
         else:
             total_prev = sum(prev)
-            rates = [
-                best_response(i, total_prev - prev[i], policy, config)
-                for i in range(config.m)
-            ]
-        iterates.append(RateProfile(tuple(rates)))
-        if max(abs(r - q) for r, q in zip(rates, prev)) < tol:
+            new = [best_response(i, total_prev - prev[i], policy, config) for i in users]
+        rates = tuple(new)
+        history.append(rates)
+        if max(map(abs, map(sub, rates, prev))) < tol:
             converged = True
             break
-    potentials = [_potential_at(p, keep_probability(policy, p.total), config) for p in iterates]
-    return Trajectory(tuple(iterates), tuple(potentials), converged)
+    totals = [sum(r) for r in history]
+    keeps = [keep_probability(policy, t) for t in totals]
+    potentials = _potentials(history, totals, keeps, config)
+    return Trajectory(tuple(map(RateProfile, history)), tuple(potentials), converged)
 
 
 def _scan_cutoff(policy: DropPolicy, mu: float) -> float:

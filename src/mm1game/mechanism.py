@@ -286,6 +286,14 @@ def design_linear(spec: DesignSpec) -> PolicyDesign:
     )
 
 
+def _census_condition(t: float, params: tuple) -> float:
+    """``w^2 (m alpha p q - T D(T))``, the census cubic from unexpanded factors."""
+    ma, r2, muw, alpha = params
+    room = r2 - t  # w p
+    head = muw - t * room  # w q
+    return ma * room * head - t * (room * (r2 - 2.0 * t) + alpha * head)
+
+
 def equilibrium_census(policy: DropPolicy, config: GameConfig) -> EquilibriumCensus:
     """Every candidate equilibrium of a shared-exponent game on a ramp, without iteration.
 
@@ -330,16 +338,12 @@ def equilibrium_census(policy: DropPolicy, config: GameConfig) -> EquilibriumCen
     w = r2 - r1
     ma = m * alpha
 
-    def condition(t: float) -> float:  # w^2 (m alpha p q - T D(T))
-        room = r2 - t  # w p
-        head = mu * w - t * room  # w q
-        return ma * room * head - t * (room * (r2 - 2.0 * t) + alpha * head)
-
     a3 = -(ma + 2.0 + alpha)
     a2 = (2.0 * ma + 3.0 + alpha) * r2
     a1 = -ma * (r2 * r2 + mu * w) - r2 * r2 - alpha * mu * w
     roots = []
-    for t in _polished_cubic_roots(a3, a2, a1, ma * r2 * mu * w, condition):
+    params = (ma, r2, mu * w, alpha)
+    for t in _polished_cubic_roots(a3, a2, a1, ma * r2 * mu * w, _census_condition, params):
         if r1 < t < r2 and mu * w > t * (r2 - t):  # q > 0
             roots.append(t)
 

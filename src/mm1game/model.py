@@ -112,9 +112,10 @@ class RateProfile:
     rates: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        for r in self.rates:
-            if not math.isfinite(r) or r < 0:
+        rates = tuple(map(float, self.rates))
+        object.__setattr__(self, "rates", rates)
+        for r in rates:
+            if not 0.0 <= r < math.inf:  # false for NaN too
                 raise ValueError(f"rates must be non-negative and finite, got {r}")
 
     @property
@@ -282,11 +283,17 @@ def utility(i: int, profile: RateProfile, policy: DropPolicy, config: GameConfig
     return eff_i ** config.alphas[i] * (config.mu - profile.total * p)
 
 
-def _potential_at(profile: RateProfile, p: float, config: GameConfig) -> float:
-    prod = p ** max(config.alphas)
-    for r, a in zip(profile.rates, config.alphas):
-        prod *= r**a
-    return (config.mu - profile.total * p) * prod
+def _potentials(rate_rows, totals, keeps, config: GameConfig) -> list[float]:
+    """:func:`potential` of each row of rates, given its total and keep probability."""
+    mu, alphas = config.mu, config.alphas
+    top = max(alphas)
+    out = []
+    for rates, total, p in zip(rate_rows, totals, keeps):
+        prod = p**top
+        for r, a in zip(rates, alphas):
+            prod *= r**a
+        out.append((mu - total * p) * prod)
+    return out
 
 
 def potential(profile: RateProfile, policy: DropPolicy, config: GameConfig) -> float:
@@ -306,7 +313,8 @@ def potential(profile: RateProfile, policy: DropPolicy, config: GameConfig) -> f
     no ordinal potential exists (strict improvement cycles occur), and
     ``A = max(alphas)`` is a convention that keeps the value defined there.
     """
-    return _potential_at(profile, _require_feasible(profile, policy, config), config)
+    p = _require_feasible(profile, policy, config)
+    return _potentials((profile.rates,), (profile.total,), (p,), config)[0]
 
 
 def marginal_utility(

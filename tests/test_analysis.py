@@ -110,6 +110,15 @@ def test_poa_closed_form_validation():
         poa_closed_form(2, 0.0, WelfareKind.SUM_UTILITY)
 
 
+def test_closed_form_overflows_name_their_inputs():
+    with pytest.raises(OverflowError, match=r"^the price of anarchy overflows a float at m=200, alpha=3$"):
+        poa_closed_form(200, 3.0, WelfareKind.SUM_LOG_UTILITY)
+    with pytest.raises(OverflowError, match=r"at m=2, alpha=400$"):
+        poa_closed_form(2, 400.0, WelfareKind.SUM_UTILITY)
+    with pytest.raises(OverflowError, match=r"^the social optimum overflows a float at mu=6, alpha=400$"):
+        social_optimum_sum(GameConfig.uniform(6.0, 400.0, 2))
+
+
 @pytest.mark.parametrize("alpha,m", list(itertools.product([0.5, 1.0, 2.0, 3.0], [1, 2, 3, 5])))
 def test_poa_formula_matches_direct_evaluation(alpha, m):
     """Dual route: formula vs welfare ratios computed from the actual profiles."""

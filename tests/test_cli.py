@@ -746,6 +746,20 @@ def test_a_numerical_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize(
+    "argv,cause",
+    [
+        (["--alpha", "3", "--m", "200"], "the price of anarchy overflows a float at m=200, alpha=3"),
+        (["--alpha", "400", "--m", "2"], "the social optimum overflows a float at mu=6, alpha=400"),
+    ],
+    ids=["many-users", "large-exponent"],
+)
+def test_an_overflow_names_the_quantity_and_the_input(tmp_path, monkeypatch, capsys, argv, cause):
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "--mu", "6", *argv, "--out", "x.csv"]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"numerical failure: {cause}\n"
+
+
+@pytest.mark.parametrize(
     "name,argv",
     [
         ("run_simulation", ["simulate", "--mu", "20", "--alpha", "2", "--m", "2", "--rates", "4,4"]),

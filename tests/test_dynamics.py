@@ -6,13 +6,18 @@ scalar minimizer, which share none of its code; its interior answers must
 zero ``marginal_utility``, and each kind of candidate it weighs (a root of
 the cubic, the ramp start), the dominance of the flat-piece optimum that
 needs no candidate, and its tie rule are pinned by cases of their own.
+Best responses and whole trajectories are also compared bit for bit with the
+closure-based code and per-round loop they replaced, kept here as references.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from mm1game import dynamics
@@ -394,6 +399,154 @@ def test_trajectory_records_every_round():
     assert traj.final_profile is traj.iterates[-1]
 
 
+# ------------------------------------------------- the lean paths against references
+# The closure-based ramp best response and the per-round loop of profiles that
+# ``best_response`` and ``run_dynamics`` were before their call overhead was
+# cut.  The lean code keeps every float operation and its order, so it must
+# reproduce these bit for bit.
+
+
+def _reference_cubic_roots(a, b, c, d):
+    b, c, d = b / a, c / a, d / a
+    shift = b / 3.0
+    p = c - b * shift
+    q = d - shift * c + 2.0 * shift**3
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    if disc > 0.0:
+        v = -q / 2.0 - math.copysign(math.sqrt(disc), q)
+        u = math.copysign(abs(v) ** (1.0 / 3.0), v)
+        return [u - p / (3.0 * u) - shift]
+    if p == 0.0:
+        return [-shift]
+    r = 2.0 * math.sqrt(-p / 3.0)
+    phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * r))))
+    return [r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
+
+
+def _reference_polished_roots(a, b, c, d, condition):
+    roots = []
+    for x in _reference_cubic_roots(a, b, c, d):
+        g = condition(x)
+        for _ in range(2):
+            slope = (3.0 * a * x + 2.0 * b) * x + c
+            if slope == 0.0:
+                break
+            step = x - g / slope
+            g_step = condition(step)
+            if not abs(g_step) < abs(g):
+                break
+            x, g = step, g_step
+        roots.append(x)
+    return roots
+
+
+def _reference_ramp_best_response(b, alpha, mu, policy):
+    d = policy.r2 - b
+    if d <= 0.0:
+        return 0.0
+    w = policy.r2 - policy.r1
+    e = d - b
+    h = mu * w - b * d
+
+    def condition(x):
+        return alpha * (mu * w - (b + x) * (d - x)) * (d - 2.0 * x) - x * (d - x) * (e - 2.0 * x)
+
+    a3 = -2.0 * (alpha + 1.0)
+    a2 = alpha * (d + 2.0 * e) + 2.0 * d + e
+    a1 = -alpha * (e * d + 2.0 * h) - d * e
+    lo = max(0.0, policy.r1 - b)
+    candidates = [(lo, 1.0)]
+    for x in _reference_polished_roots(a3, a2, a1, alpha * h * d, condition):
+        if lo < x < d:
+            candidates.append((x, (d - x) / w))
+    valued = [(x, (x * p) ** alpha * (mu - (b + x) * p)) for x, p in candidates]
+    best = max(u for _, u in valued)
+    if best <= 0.0:
+        return 0.0
+    return max(x for x, u in valued if u >= best - 1e-12 * best)
+
+
+def _reference_best_response(i, others_total, policy, config):
+    alpha, mu = config.alphas[i], config.mu
+    if policy.r1 < policy.r2:
+        return _reference_ramp_best_response(others_total, alpha, mu, policy)
+    star = alpha * (mu - others_total) / (alpha + 1.0) if others_total < mu else 0.0
+    return max(0.0, min(star, policy.r2 - others_total))
+
+
+def _reference_potential(profile, policy, config):
+    p = keep_probability(policy, profile.total)
+    prod = p ** max(config.alphas)
+    for r, a in zip(profile.rates, config.alphas):
+        prod *= r**a
+    return (config.mu - profile.total * p) * prod
+
+
+def _reference_run_dynamics(config, policy, init, mode, tol, max_iter):
+    rates = list(init.rates)
+    iterates = [RateProfile(tuple(rates))]
+    converged = False
+    for _ in range(max_iter):
+        prev = list(rates)
+        if mode is UpdateMode.ROUND_ROBIN:
+            for i in range(config.m):
+                others = sum(rates) - rates[i]
+                rates[i] = _reference_best_response(i, others, policy, config)
+        else:
+            total_prev = sum(prev)
+            rates = [
+                _reference_best_response(i, total_prev - prev[i], policy, config)
+                for i in range(config.m)
+            ]
+        iterates.append(RateProfile(tuple(rates)))
+        if max(abs(r - q) for r, q in zip(rates, prev)) < tol:
+            converged = True
+            break
+    return iterates, [_reference_potential(p, policy, config) for p in iterates], converged
+
+
+def test_best_response_matches_its_reference_bit_for_bit():
+    for mu, alpha, pol, others in _ramp_cases(10_000, 20261018):
+        cfg = GameConfig(mu, (alpha,))
+        got = best_response(0, others, pol, cfg)
+        assert got.hex() == _reference_best_response(0, others, pol, cfg).hex(), (
+            mu, alpha, pol, others,
+        )
+
+
+_alphas = st.floats(0.2, 3.0)
+
+
+@st.composite
+def _plays(draw):
+    """A game, a policy of any shape, a feasible cold start and an update mode."""
+    m = draw(st.integers(1, 8))
+    mu = draw(st.floats(1.0, 100.0))
+    alphas = (draw(_alphas),) * m if draw(st.booleans()) else tuple(draw(_alphas) for _ in range(m))
+    r1 = draw(st.floats(0.1, 1.5)) * mu
+    shape = draw(st.sampled_from(["ramp", "step", "none"]))
+    if shape == "ramp":
+        policy = LinearPolicy(r1, r1 + draw(st.floats(1e-3, 1.0)) * mu)
+    else:
+        policy = StepPolicy(r1) if shape == "step" else NoDrop()
+    init = RateProfile(tuple(draw(st.floats(0.0, 0.5)) * mu / m for _ in range(m)))  # total <= mu/2
+    mode = draw(st.sampled_from(list(UpdateMode)))
+    return GameConfig(mu, alphas), policy, init, mode, draw(st.sampled_from([1e-6, 1e-10]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plays())
+def test_run_dynamics_matches_its_reference_bit_for_bit(play):
+    config, policy, init, mode, tol = play
+    traj = run_dynamics(config, policy, init, mode=mode, tol=tol, max_iter=60)
+    iterates, potentials, converged = _reference_run_dynamics(config, policy, init, mode, tol, 60)
+    assert traj.converged == converged
+    assert [[r.hex() for r in p.rates] for p in traj.iterates] == [
+        [r.hex() for r in p.rates] for p in iterates
+    ]
+    assert [v.hex() for v in traj.potential_series] == [v.hex() for v in potentials]
+
+
 # ------------------------------------------------------------runtime  verification
 
 
@@ -442,6 +595,34 @@ def test_verify_tolerance_is_absolute_below_a_utility_of_one():
     near = RateProfile((0.2 + 2e-4, 0.2))  # gain is about 1.2e-8 here
     assert verify_equilibrium(near, NoDrop(), cfg)
     assert not verify_equilibrium(near, NoDrop(), cfg, tol=1e-9)
+
+
+def _exact_utility(rate, others, alpha, mu, policy):
+    """One user's utility on a ramp in rational arithmetic, for an integer ``alpha``."""
+    x, b = Fraction(rate), Fraction(others)
+    r1, r2 = Fraction(policy.r1), Fraction(policy.r2)
+    p = min(Fraction(1), max(Fraction(0), (r2 - b - x) / (r2 - r1)))
+    return (x * p) ** alpha * (Fraction(mu) - (b + x) * p)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_the_scan_reads_no_cancellation_noise_near_r2(alpha):
+    """With the others within 1e-4 r2 of r2 the keep probability at every
+    scanned rate is tiny.  The scan values it as ``(d - x) / w`` with
+    ``d = r2 - others``, so its best value is its own rate's exact utility
+    within 1e-14; forming ``r2 - (others + x)`` read up to ~3e-10 high."""
+    rng = np.random.default_rng(alpha)
+    for _ in range(100):
+        mu = rng.uniform(5.0, 50.0)
+        r2 = mu * rng.uniform(0.3, 1.5)
+        pol = LinearPolicy(r2 * rng.uniform(0.05, 0.95), r2)
+        others = r2 * (1.0 - rng.uniform(1e-7, 1e-4))
+        x, value = dynamics._grid_golden_max(
+            lambda x: dynamics._own_utility(x, others, float(alpha), mu, pol),
+            0.0, r2 - others, 10_001, 1e-10,
+        )
+        exact = _exact_utility(x, others, alpha, mu, pol)
+        assert abs(Fraction(value) - exact) <= Fraction(1e-14) * abs(exact), (mu, pol, others)
 
 
 # ------------------------------------------------------------------- the field

@@ -100,6 +100,34 @@ def test_profile_validation_and_helpers():
     assert p.rates == (1.0, 2.0, 3.0)  # original untouched
 
 
+def _reference_profile_rates(rates):
+    """The element-wise validator ``RateProfile`` used before its one-pass check."""
+    rates = tuple(float(r) for r in rates)
+    for r in rates:
+        if not math.isfinite(r) or r < 0:
+            raise ValueError(f"rates must be non-negative and finite, got {r}")
+    return rates
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, -math.inf, -5e-324, -1e-300, -0.0, 0.0, 5e-324, 1.7e308, 3, 0, True,
+     False, np.float32(0.1), np.float32(math.nan), np.int64(7), np.int64(-1), np.float64(-math.inf)],
+    ids=repr,
+)
+def test_profile_validation_matches_the_element_wise_reference(value):
+    rates = (1.0, value, 2.0)
+    try:
+        expected = _reference_profile_rates(rates)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            RateProfile(rates)
+        return
+    got = RateProfile(rates).rates
+    assert all(type(r) is float for r in got)
+    assert [r.hex() for r in got] == [r.hex() for r in expected]
+
+
 # ------------------------------------------------------------ keep probability
 
 
