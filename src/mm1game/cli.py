@@ -13,10 +13,12 @@ value of it (``_build``); anything the computation raises exits 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import re
+import shutil
 import sys
 from dataclasses import asdict
 from enum import Enum
@@ -312,18 +314,50 @@ def _fmt_rates(rates: tuple[float, ...]) -> str:
     return ";".join(format(r, ".12g") for r in rates)
 
 
+_SAMPLE = 256  # entries a numeric array is sampled at to see whether its values repeat
+
+
+def _each_numeric(values: np.ndarray, fmt: Callable[[float], str], missing: str) -> list[str]:
+    """Text of every entry of a 1-D int or float array: an int through
+    ``str``, a finite float through ``fmt``, a NaN or infinite one as
+    ``missing``."""
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    texts = list(map(fmt, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = missing
+    return texts
+
+
+def _numeric_texts(values: np.ndarray, fmt: Callable[[float], str], missing: str) -> list[str]:
+    """``_each_numeric``, formatting each distinct value once when values repeat.
+
+    A per-slot trace holds few distinct values.  The values are keyed by
+    their bits, so ``-0.0`` and ``0.0`` (or two NaN payloads) stay apart and
+    equal keys have equal text.  An array whose strided sample is mostly
+    distinct, such as a slot index, is formatted entry by entry.
+    """
+    if values.itemsize > 8:
+        return _each_numeric(values, fmt, missing)
+    keys = values.view(f"u{values.itemsize}")
+    sample = np.sort(keys[:: max(1, len(keys) // _SAMPLE)])
+    if 2 * (1 + np.count_nonzero(sample[1:] != sample[:-1])) > len(sample):
+        return _each_numeric(values, fmt, missing)
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = np.array(_each_numeric(distinct.view(values.dtype), fmt, missing), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _is_numeric_vector(value: Any) -> bool:
+    return isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "fiu"
+
+
 def _fmt_column(column: Any) -> list[str]:
-    """One column's cells: a float array in one ``%.12g`` pass with its
-    non-finite entries blanked, an int array through ``str``, anything else
-    cell by cell."""
+    """One column's cells: an int or float array through ``_numeric_texts``
+    (``%.12g``, non-finite entries blank), anything else cell by cell."""
+    if _is_numeric_vector(column):
+        return _numeric_texts(column, "%.12g".__mod__, "")
     if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            cells = list(map("%.12g".__mod__, column.tolist()))
-            for i in np.flatnonzero(~np.isfinite(column)).tolist():
-                cells[i] = ""
-            return cells
-        if column.dtype.kind in "iu":
-            return list(map(str, column.tolist()))
         column = column.tolist()
     return list(map(_fmt_value, column))
 
@@ -360,10 +394,20 @@ def _finite_or_null(value: Any) -> Any:
 
 
 def _dumps_finite(value: Any) -> str:
+    if _is_numeric_vector(value):  # the C encoder's text: float and int repr
+        return "[" + ", ".join(_numeric_texts(value, float.__repr__, "null")) + "]"
+    if isinstance(value, dict) and any(map(_is_numeric_vector, value.values())):
+        return _dumps_members(value)
     try:  # no indent: an indent makes json fall back from its C encoder
         return json.dumps(value, allow_nan=False)
     except ValueError:  # a non-finite float somewhere; only then walk the value
         return json.dumps(_finite_or_null(value), allow_nan=False)
+
+
+def _dumps_members(mapping: dict[str, Any]) -> str:
+    """A mapping with string keys, each value encoded on its own."""
+    members = (f"{json.dumps(key)}: {_dumps_finite(value)}" for key, value in mapping.items())
+    return "{" + ", ".join(members) + "}"
 
 
 def write_json(path: str, payload: dict[str, Any]) -> None:
@@ -372,11 +416,10 @@ def write_json(path: str, payload: dict[str, Any]) -> None:
 
     The keys of ``payload`` are strings.  Each top-level value is encoded on
     its own, so a non-finite summary field re-walks only the value holding
-    it, never a per-slot trace beside it.
+    it, never a per-slot trace beside it.  A 1-D int or float array, alone or
+    as a member of a dict with string keys, is written as the list it holds.
     """
-    body = {"schema_version": SCHEMA_VERSION, **payload}
-    members = (f"{json.dumps(key)}: {_dumps_finite(value)}" for key, value in body.items())
-    text = "{" + ", ".join(members) + "}"
+    text = _dumps_members({"schema_version": SCHEMA_VERSION, **payload})
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text + "\n")
 
@@ -564,9 +607,9 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
                 "command": "simulate",
                 "users": users,
                 "slots": {
-                    "total_arrivals": report.slot_arrivals.tolist(),
-                    "estimated_rate": report.estimated_rates.tolist(),
-                    "drop_prob": report.drop_probs.tolist(),
+                    "total_arrivals": report.slot_arrivals,
+                    "estimated_rate": report.estimated_rates,
+                    "drop_prob": report.drop_probs,
                 },
                 "warmup_slots": report.warmup_slots,
             },
@@ -606,15 +649,24 @@ _COMMANDS = {
 
 def _build_parser(invoked: str | None) -> argparse.ArgumentParser:
     """One subcommand per command.  Only the invoked one parses arguments, so
-    it alone gets ``--config`` and a flag for every key it reads."""
+    it alone gets ``--config`` and a flag for every key it reads.
+
+    The terminal is measured once per call, as each ``HelpFormatter`` would
+    measure it (argparse makes one per ``add_argument``), so help text
+    follows ``COLUMNS`` as with the stock formatter.
+    """
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(
         prog="mm1game",
         description="Selfish rate control over a shared queue: closed forms, "
         "policy design, dynamics, and simulation.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, sections) in _COMMANDS.items():
-        p = sub.add_parser(command, allow_abbrev=False)  # `--window` is not `--windows`
+        # allow_abbrev off: `--window` is not `--windows`
+        p = sub.add_parser(command, allow_abbrev=False, formatter_class=formatter)
         if command != invoked:
             continue
         p.add_argument("--config", help="YAML configuration file")

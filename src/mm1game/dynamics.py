@@ -238,8 +238,8 @@ def best_response(
     the two ramp rates at which a lone user's accepted rate is ``star``.
     Returns 0 when no rate earns positive utility.
     """
-    if others_total < 0:
-        raise ValueError("others_total must be non-negative")
+    if not others_total >= 0:  # NaN fails this too
+        raise ValueError(f"others_total must be non-negative, got {others_total!r}")
     alpha = config.alphas[i]
     mu = config.mu
     if policy.r1 < policy.r2:

@@ -1,5 +1,6 @@
 """CLI: config loading, overrides, output schema, exit codes."""
 
+import argparse
 import copy
 import csv
 import json
@@ -576,6 +577,27 @@ def test_each_command_parser_builds_with_its_flags(command):
     parsed = vars(_build_parser(command).parse_args([command]))
     assert parsed["command"] == command
     assert {"config", "out", "format", "game.mu"} <= set(parsed)
+
+
+def _stock_help(argv):
+    """The help ``main([*argv, "--help"])`` prints, rendered by argparse's own
+    ``HelpFormatter``, which measures the terminal each time it is made."""
+    parser = _build_parser(argv[0] if argv else None)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for p in (parser, *sub.choices.values()):
+        p.formatter_class = argparse.HelpFormatter
+    return (sub.choices[argv[0]] if argv else parser).format_help()
+
+
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+def test_help_matches_the_stock_formatter_at_every_width(monkeypatch, capsys, command):
+    argv = [] if command is None else [command]
+    for columns in (40, 80, 200):  # in one process: a width kept from an earlier call fails
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == _stock_help(argv), columns
 
 
 def test_the_top_level_help_lists_every_command(capsys):

@@ -92,6 +92,14 @@ def test_best_response_rejects_negative_others():
         best_response(0, -0.5, NoDrop(), CFG)
 
 
+@pytest.mark.parametrize(
+    "policy", [LinearPolicy(2.0, 5.0), StepPolicy(4.0), NoDrop()], ids=["ramp", "step", "none"]
+)
+def test_best_response_rejects_nan_others(policy):
+    with pytest.raises(ValueError, match="others_total must be non-negative, got nan"):
+        best_response(0, math.nan, policy, CFG)
+
+
 def test_best_response_beats_dense_scans():
     """200 random (policy, load) cases: nothing on a 10^4 grid does better."""
     rng = np.random.default_rng(123)

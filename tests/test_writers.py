@@ -39,18 +39,21 @@ def _reference_csv(records):
     return "\n".join(lines) + "\n"
 
 
-def _reference_json(payload):
-    def finite_or_null(value):
-        if isinstance(value, float):
-            return value if math.isfinite(value) else None
-        if isinstance(value, dict):
-            return {key: finite_or_null(item) for key, item in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [finite_or_null(item) for item in value]
-        return value
+def _finite_or_null(value):
+    if isinstance(value, np.ndarray):  # a trace array is written as the list it holds
+        value = value.tolist()
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
 
+
+def _reference_json(payload):
     body = {"schema_version": SCHEMA_VERSION, **payload}
-    return json.dumps(finite_or_null(body), indent=2, allow_nan=False) + "\n"
+    return json.dumps(_finite_or_null(body), indent=2, allow_nan=False) + "\n"
 
 
 _floats = st.floats() | st.sampled_from(_SPECIAL)
@@ -102,6 +105,43 @@ def test_write_csv_matches_the_record_writer(tmp_path_factory, columns):
         for cell, value in zip(row[1:], record.values()):
             if isinstance(value, str):
                 assert cell == value  # text reads back intact
+
+
+# Small pools, so that values repeat and each distinct one is formatted once.
+# NaNs of different payloads have distinct bits but one text; -0.0 and 0.0 do not.
+_NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
+_FLOAT_POOL = [*_SPECIAL, -math.nan, _NAN_PAYLOAD, 1.5, -2.25, 1e300]
+_INT_POOL = [0, 1, -1, 7, 10**12, 2**63 - 1, -(2**63)]
+
+
+@st.composite
+def _repeating_arrays(draw):
+    """A float64 or int64 array of up to 300 entries drawn from a few pool
+    values, sometimes as a strided (non-contiguous) view."""
+    pool, dtype = draw(st.sampled_from([(_FLOAT_POOL, np.float64), (_INT_POOL, np.int64)]))
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    n = draw(st.integers(1, 300))
+    array = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), dtype=dtype)
+    return np.repeat(array, 2)[::2] if draw(st.booleans()) else array
+
+
+@settings(max_examples=200, deadline=None)
+@given(_repeating_arrays(), _repeating_arrays())
+def test_writers_format_repeated_values_as_each_cell_alone(tmp_path_factory, first, second):
+    n = min(len(first), len(second))
+    first, second = first[:n], second[:n]
+    path = tmp_path_factory.getbasetemp() / "repeats.csv"
+    write_csv(str(path), {"first": first, "second": second})
+    records = [{"first": a, "second": b} for a, b in zip(first.tolist(), second.tolist())]
+    assert path.read_bytes().decode("utf-8") == _reference_csv(records)
+
+    path = tmp_path_factory.getbasetemp() / "repeats.json"
+    write_json(str(path), {"trace": first, "slots": {"a": first, "b": second}})
+    texts = [json.dumps(_finite_or_null(array.tolist())) for array in (first, second)]
+    expected = '{"schema_version": "%s", "trace": %s, "slots": {"a": %s, "b": %s}}\n' % (
+        SCHEMA_VERSION, texts[0], texts[0], texts[1],
+    )
+    assert path.read_text(encoding="utf-8") == expected
 
 
 _json_leaves = st.one_of(_floats, _ints, st.booleans(), st.none(), st.text())
