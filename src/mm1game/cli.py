@@ -18,7 +18,6 @@ import json
 import math
 import os
 import re
-import shutil
 import sys
 from dataclasses import asdict
 from enum import Enum
@@ -314,9 +313,6 @@ def _fmt_rates(rates: tuple[float, ...]) -> str:
     return ";".join(format(r, ".12g") for r in rates)
 
 
-_SAMPLE = 256  # entries a numeric array is sampled at to see whether its values repeat
-
-
 def _each_numeric(values: np.ndarray, fmt: Callable[[float], str], missing: str) -> list[str]:
     """Text of every entry of a 1-D int or float array: an int through
     ``str``, a finite float through ``fmt``, a NaN or infinite one as
@@ -330,20 +326,17 @@ def _each_numeric(values: np.ndarray, fmt: Callable[[float], str], missing: str)
 
 
 def _numeric_texts(values: np.ndarray, fmt: Callable[[float], str], missing: str) -> list[str]:
-    """``_each_numeric``, formatting each distinct value once when values repeat.
+    """``_each_numeric``, formatting each distinct value once.
 
     A per-slot trace holds few distinct values.  The values are keyed by
     their bits, so ``-0.0`` and ``0.0`` (or two NaN payloads) stay apart and
-    equal keys have equal text.  An array whose strided sample is mostly
-    distinct, such as a slot index, is formatted entry by entry.
+    equal keys have equal text.  A dtype wider than 8 bytes, such as
+    longdouble, is formatted entry by entry: its padding bits are no key, and
+    keying it on its values would merge ``-0.0`` with ``0.0``.
     """
     if values.itemsize > 8:
         return _each_numeric(values, fmt, missing)
-    keys = values.view(f"u{values.itemsize}")
-    sample = np.sort(keys[:: max(1, len(keys) // _SAMPLE)])
-    if 2 * (1 + np.count_nonzero(sample[1:] != sample[:-1])) > len(sample):
-        return _each_numeric(values, fmt, missing)
-    distinct, inverse = np.unique(keys, return_inverse=True)
+    distinct, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
     texts = np.array(_each_numeric(distinct.view(values.dtype), fmt, missing), dtype=object)
     return texts[inverse].tolist()
 
@@ -647,28 +640,21 @@ _COMMANDS = {
 }
 
 
-def _build_parser(invoked: str | None) -> argparse.ArgumentParser:
-    """One subcommand per command.  Only the invoked one parses arguments, so
-    it alone gets ``--config`` and a flag for every key it reads.
-
-    The terminal is measured once per call, as each ``HelpFormatter`` would
-    measure it (argparse makes one per ``add_argument``), so help text
-    follows ``COLUMNS`` as with the stock formatter.
-    """
-    width = shutil.get_terminal_size().columns - 2
-    formatter = functools.partial(argparse.HelpFormatter, width=width)
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command, each with ``--config`` and a flag for
+    every key it reads; built once per process.  The stock ``HelpFormatter``
+    measures the terminal each time it formats help, so help follows
+    ``COLUMNS`` at the call, not at the build."""
     parser = argparse.ArgumentParser(
         prog="mm1game",
         description="Selfish rate control over a shared queue: closed forms, "
         "policy design, dynamics, and simulation.",
-        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, sections) in _COMMANDS.items():
         # allow_abbrev off: `--window` is not `--windows`
-        p = sub.add_parser(command, allow_abbrev=False, formatter_class=formatter)
-        if command != invoked:
-            continue
+        p = sub.add_parser(command, allow_abbrev=False)
         p.add_argument("--config", help="YAML configuration file")
         names: set[str] = set()
         for option in _OPTIONS:
@@ -689,10 +675,7 @@ def _build_parser(invoked: str | None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    # argparse hands the arguments to the first command name among them
-    invoked = next((arg for arg in args if arg in _COMMANDS), None)
-    overrides = vars(_build_parser(invoked).parse_args(args))
+    overrides = vars(_build_parser().parse_args(argv))  # None: argparse reads sys.argv
     command = overrides.pop("command")
     try:
         cfg = load_config(overrides.pop("config"), command, overrides)
@@ -703,9 +686,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # before ValueError: io.UnsupportedOperation is both
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (OverloadError, OverflowError, ValueError) as exc:
+    except (MemoryError, OverloadError, OverflowError, ValueError) as exc:
         # domain guards deep in the numerics (infeasible designs and profiles,
-        # unstable queues, kinks, ...) and float powers past the largest double
+        # unstable queues, kinks, ...), float powers past the largest double
+        # and a horizon too large to allocate
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

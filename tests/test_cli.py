@@ -7,10 +7,13 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 import yaml
 
+import mm1game
 from mm1game.cli import (
     _COMMANDS,
     EXIT_CONFIG,
@@ -574,18 +577,16 @@ def test_the_flag_list_covers_every_flag(capsys):
 
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_each_command_parser_builds_with_its_flags(command):
-    parsed = vars(_build_parser(command).parse_args([command]))
+    parsed = vars(_build_parser().parse_args([command]))
     assert parsed["command"] == command
     assert {"config", "out", "format", "game.mu"} <= set(parsed)
 
 
 def _stock_help(argv):
-    """The help ``main([*argv, "--help"])`` prints, rendered by argparse's own
-    ``HelpFormatter``, which measures the terminal each time it is made."""
-    parser = _build_parser(argv[0] if argv else None)
+    """The help ``main([*argv, "--help"])`` prints, rendered by a freshly built
+    parser, whose ``HelpFormatter`` measures the terminal now."""
+    parser = _build_parser.__wrapped__()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for p in (parser, *sub.choices.values()):
-        p.formatter_class = argparse.HelpFormatter
     return (sub.choices[argv[0]] if argv else parser).format_help()
 
 
@@ -598,6 +599,25 @@ def test_help_matches_the_stock_formatter_at_every_width(monkeypatch, capsys, co
             main([*argv, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == _stock_help(argv), columns
+
+
+def test_the_cached_parser_carries_nothing_between_calls(tmp_path, monkeypatch):
+    assert _build_parser() is _build_parser()
+    argv = ["dynamics", "--mu", "6", "--alpha", "2", "--m", "2", "--out", "d.csv"]
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(mm1game.__file__)))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    subprocess.run([sys.executable, "-m", "mm1game.cli", *argv], cwd=fresh, env=env, check=True)
+
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--tol", "1e-3", "--out", "loose.csv"]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-2", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert main(argv) == EXIT_OK
+    assert (tmp_path / "d.csv").read_bytes() == (fresh / "d.csv").read_bytes()
+    assert (tmp_path / "loose.csv").read_bytes() != (fresh / "d.csv").read_bytes()
 
 
 def test_the_top_level_help_lists_every_command(capsys):
@@ -754,10 +774,16 @@ def test_invalid_yaml_and_an_unreadable_config_are_rejected(tmp_path, monkeypatc
         # the closed forms' powers overflow a double: ratio**m, and **(alpha + 1)
         ["analyze", "--mu", "6", "--alpha", "3", "--m", "200"],
         ["analyze", "--mu", "6", "--alpha", "400", "--m", "2"],
+        # a horizon of 10**15 slots: its per-slot arrays fail to allocate at once
+        ["simulate", "--mu", "20", "--alpha", "1", "--m", "2", "--rates", "0,0",
+         "--slots", "1000000000000000"],
+        ["sweep", "--mu", "500", "--alpha", "2", "--m", "3", "--desired-poas", "1.1",
+         "--replications", "1", "--slots", "1000000000000000"],
     ],
     ids=[
         "infeasible-design", "overload", "unstable-start",
         "analyze-many-users", "analyze-large-exponent",
+        "simulate-horizon-too-large", "sweep-horizon-too-large",
     ],
 )
 def test_a_numerical_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):

@@ -112,24 +112,39 @@ def test_write_csv_matches_the_record_writer(tmp_path_factory, columns):
 _NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
 _FLOAT_POOL = [*_SPECIAL, -math.nan, _NAN_PAYLOAD, 1.5, -2.25, 1e300]
 _INT_POOL = [0, 1, -1, 7, 10**12, 2**63 - 1, -(2**63)]
+_NAN32_PAYLOAD = float(np.array([0x7FC00001], dtype=np.uint32).view(np.float32)[0])
+_FLOAT32_POOL = [v for v in _FLOAT_POOL if v != 1e300] + [_NAN32_PAYLOAD]  # 1e300 overflows
 
 
 @st.composite
-def _repeating_arrays(draw):
-    """A float64 or int64 array of up to 300 entries drawn from a few pool
-    values, sometimes as a strided (non-contiguous) view."""
-    pool, dtype = draw(st.sampled_from([(_FLOAT_POOL, np.float64), (_INT_POOL, np.int64)]))
-    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
-    n = draw(st.integers(1, 300))
-    array = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), dtype=dtype)
+def _trace_arrays(draw):
+    """A float64, float32 or int64 array, sometimes as a strided
+    (non-contiguous) view.  It holds either up to 300 entries drawn from a
+    few pool values, or 257-600 mostly distinct ones, as a slot index (an
+    offset ``arange``) or a column of random floats holds."""
+    if draw(st.booleans()):
+        pool, dtype = draw(st.sampled_from(
+            [(_FLOAT_POOL, np.float64), (_FLOAT32_POOL, np.float32), (_INT_POOL, np.int64)]
+        ))
+        values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+        n = draw(st.integers(1, 300))
+        array = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), dtype)
+    else:
+        n = draw(st.integers(257, 600))
+        dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
+        if dtype is np.int64:
+            array = np.arange(n, dtype=dtype) + draw(st.integers(-(10**12), 10**12))
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            array = (rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)).astype(dtype)
     return np.repeat(array, 2)[::2] if draw(st.booleans()) else array
 
 
 @settings(max_examples=200, deadline=None)
-@given(_repeating_arrays(), _repeating_arrays())
+@given(_trace_arrays(), _trace_arrays())
 def test_writers_format_repeated_values_as_each_cell_alone(tmp_path_factory, first, second):
-    n = min(len(first), len(second))
-    first, second = first[:n], second[:n]
+    n = max(len(first), len(second))  # the shorter one repeats, so both keep their length
+    first, second = (a if len(a) == n else np.resize(a, n) for a in (first, second))
     path = tmp_path_factory.getbasetemp() / "repeats.csv"
     write_csv(str(path), {"first": first, "second": second})
     records = [{"first": a, "second": b} for a, b in zip(first.tolist(), second.tolist())]
