@@ -584,9 +584,12 @@ def test_each_command_parser_builds_with_its_flags(command):
 
 def _stock_help(argv):
     """The help ``main([*argv, "--help"])`` prints, rendered by a freshly built
-    parser, whose ``HelpFormatter`` measures the terminal now."""
+    parser with argparse's own ``HelpFormatter``, which measures the terminal
+    each time it is made."""
     parser = _build_parser.__wrapped__()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for p in (parser, *sub.choices.values()):
+        p.formatter_class = argparse.HelpFormatter
     return (sub.choices[argv[0]] if argv else parser).format_help()
 
 
