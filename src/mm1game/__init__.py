@@ -43,7 +43,6 @@ from .mechanism import (
 from .model import (
     SERVICE_RATE_LIMIT,
     DropPolicy,
-    EffectiveRates,
     GameConfig,
     LinearPolicy,
     NoDrop,
@@ -51,7 +50,6 @@ from .model import (
     StepPolicy,
     UnstableQueueError,
     UnsupportedGameError,
-    effective_rates,
     feasible,
     keep_probability,
     marginal_utility,

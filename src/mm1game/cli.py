@@ -389,39 +389,35 @@ def _finite_or_null(value: Any) -> Any:
 def _dumps_finite(value: Any) -> str:
     if _is_numeric_vector(value):  # the C encoder's text: float and int repr
         return "[" + ", ".join(_numeric_texts(value, float.__repr__, "null")) + "]"
-    if isinstance(value, dict) and any(map(_is_numeric_vector, value.values())):
-        return _dumps_members(value)
+    if isinstance(value, dict):  # string keys; each member encoded on its own
+        members = (f"{json.dumps(key)}: {_dumps_finite(item)}" for key, item in value.items())
+        return "{" + ", ".join(members) + "}"
     try:  # no indent: an indent makes json fall back from its C encoder
         return json.dumps(value, allow_nan=False)
     except ValueError:  # a non-finite float somewhere; only then walk the value
         return json.dumps(_finite_or_null(value), allow_nan=False)
 
 
-def _dumps_members(mapping: dict[str, Any]) -> str:
-    """A mapping with string keys, each value encoded on its own."""
-    members = (f"{json.dumps(key)}: {_dumps_finite(value)}" for key, value in mapping.items())
-    return "{" + ", ".join(members) + "}"
-
-
 def write_json(path: str, payload: dict[str, Any]) -> None:
     """Write strict JSON on one line: non-finite floats (an unbounded ratio,
     the log of a zero utility, a failed sweep cell) are written as null.
 
-    The keys of ``payload`` are strings.  Each top-level value is encoded on
-    its own, so a non-finite summary field re-walks only the value holding
-    it, never a per-slot trace beside it.  A 1-D int or float array, alone or
-    as a member of a dict with string keys, is written as the list it holds.
+    The keys of ``payload``, and of any dict among its values, are strings.
+    Every such dict is encoded member by member, so a non-finite summary
+    field re-walks only the member holding it, never a per-slot trace beside
+    it.  A 1-D int or float array is written as the list it holds.
     """
-    text = _dumps_members({"schema_version": SCHEMA_VERSION, **payload})
+    text = _dumps_finite({"schema_version": SCHEMA_VERSION, **payload})
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text + "\n")
 
 
-def _emit(cfg: dict[str, Any], name: str, records: list[dict[str, Any]]) -> None:
+def _emit(cfg: dict[str, Any], name: str, records: list[dict[str, Any]], **extra: Any) -> None:
+    """The records as CSV, or as JSON under ``name`` followed by ``extra``'s members."""
     if cfg["format"] == "csv":
         write_csv(cfg["out"], _columns(records))
     else:
-        write_json(cfg["out"], {"command": cfg["command"], name: records})
+        write_json(cfg["out"], {"command": cfg["command"], name: records, **extra})
 
 
 def _cmd_analyze(cfg: dict[str, Any]) -> int:
@@ -583,30 +579,15 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
         }
         for i in range(game.m)
     ]
+    slots = {
+        "total_arrivals": report.slot_arrivals,
+        "estimated_rate": report.estimated_rates,
+        "drop_prob": report.drop_probs,
+    }
+    _emit(cfg, "users", users, slots=slots, warmup_slots=report.warmup_slots)
     if cfg["format"] == "csv":
-        write_csv(cfg["out"], _columns(users))
         stem, ext = os.path.splitext(cfg["out"])
-        slots = {
-            "slot": np.arange(report.slots),
-            "total_arrivals": report.slot_arrivals,
-            "estimated_rate": report.estimated_rates,
-            "drop_prob": report.drop_probs,
-        }
-        write_csv(f"{stem}.slots{ext}", slots)
-    else:
-        write_json(
-            cfg["out"],
-            {
-                "command": "simulate",
-                "users": users,
-                "slots": {
-                    "total_arrivals": report.slot_arrivals,
-                    "estimated_rate": report.estimated_rates,
-                    "drop_prob": report.drop_probs,
-                },
-                "warmup_slots": report.warmup_slots,
-            },
-        )
+        write_csv(f"{stem}.slots{ext}", {"slot": np.arange(report.slots), **slots})
     return EXIT_OK
 
 

@@ -120,7 +120,11 @@ def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
         return [u - p / (3.0 * u) - shift]
     if p == 0.0:  # triple root
         return [-shift]
-    r = 2.0 * math.sqrt(-p / 3.0)
+    r = 2.0 * math.sqrt(-p / 3.0) if p < 0.0 else 0.0
+    if p * r == 0.0:  # underflow: solve again in a power-of-two unit near the roots' size
+        k = math.frexp(max(abs(b), abs(c) ** 0.5, abs(d) ** (1.0 / 3.0)))[1]
+        b, c, d = math.ldexp(b, -k), math.ldexp(c, -2 * k), math.ldexp(d, -3 * k)
+        return [math.ldexp(y, k) for y in _cubic_roots(1.0, b, c, d)]  # no underflow at size 1
     phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * r))))
     cos = math.cos
     return [

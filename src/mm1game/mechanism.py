@@ -158,12 +158,6 @@ def step_policy(config: GameConfig) -> StepPolicy:
     return StepPolicy(optimal_total_rate(config))
 
 
-def _symmetric_utility(config: GameConfig, effective_total: float) -> float:
-    """Per-user utility when ``effective_total`` survives, split evenly."""
-    x = effective_total / config.m
-    return x**config.alpha * (config.mu - effective_total)
-
-
 def poa_at_symmetric_rate(
     config: GameConfig, kind: WelfareKind, effective_total: float
 ) -> float:
@@ -172,7 +166,8 @@ def poa_at_symmetric_rate(
         raise ValueError(
             f"effective_total must lie in (0, mu={config.mu}), got {effective_total}"
         )
-    return _poa_ratio([_symmetric_utility(config, effective_total)] * config.m, config, kind)
+    x = effective_total / config.m
+    return _poa_ratio([x**config.alpha * (config.mu - effective_total)] * config.m, config, kind)
 
 
 def target_effective_rate(spec: DesignSpec) -> float:
@@ -185,7 +180,7 @@ def target_effective_rate(spec: DesignSpec) -> float:
     :class:`DesignInfeasibleError`.
 
     The predicate is a closure over the loop's invariants.  It mirrors
-    :func:`_symmetric_utility` and ``_poa_ratio`` operation for operation,
+    :func:`poa_at_symmetric_rate` and ``_poa_ratio`` operation for operation,
     so each probe has the bits :func:`poa_at_symmetric_rate` gives: the
     ratio is not monotone at the ulp scale, and other arithmetic could stop
     on a different float.  ``poa_at_symmetric_rate`` stays the oracle; it
@@ -258,6 +253,8 @@ def design_linear(spec: DesignSpec) -> PolicyDesign:
     # stationarity of one user at the even split of lam_raw, solved for the slope
     keep_gain = p * (alpha * mu - lam_e * (alpha * m + 1.0) / m)
     drop_cost = lam_raw * (alpha + 1.0) * (lam_opt - lam_e) / m
+    if drop_cost == 0.0:
+        raise DesignInfeasibleError(f"the slope underflows at alpha={alpha}, mu={mu}")
     slope = -keep_gain / drop_cost
     r2 = lam_raw - p / slope
     r1 = 1.0 / slope + r2

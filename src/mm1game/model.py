@@ -23,11 +23,9 @@ __all__ = [
     "StepPolicy",
     "LinearPolicy",
     "DropPolicy",
-    "EffectiveRates",
     "UnstableQueueError",
     "UnsupportedGameError",
     "keep_probability",
-    "effective_rates",
     "feasible",
     "utility",
     "potential",
@@ -225,23 +223,6 @@ def keep_probability(policy: DropPolicy, total_rate):
     if np.ndim(total_rate) == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class EffectiveRates:
-    """Post-drop per-user rates and their total."""
-
-    rates: tuple[float, ...]
-    total: float
-
-
-def effective_rates(profile: RateProfile, policy: DropPolicy) -> EffectiveRates:
-    """Thinned rates after the policy drops a ``1 - keep`` fraction of the total."""
-    p = keep_probability(policy, profile.total)
-    return EffectiveRates(
-        rates=tuple(r * p for r in profile.rates),
-        total=profile.total * p,
-    )
 
 
 def _keep_and_load(

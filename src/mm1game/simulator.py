@@ -233,10 +233,7 @@ def run(sim: SimConfig) -> SimReport:
     arrivals_total = ones_kept @ arrivals[warmup:]
     accepted_total = ones_kept @ accepted[warmup:]
 
-    if kept_slots > 0:
-        goodput = accepted_total / kept_slots
-    else:
-        goodput = np.zeros(m)
+    goodput = accepted_total / max(kept_slots, 1)
     mean_delay = np.where(accepted_total > 0, delay_weight / np.maximum(accepted_total, 1), 0.0)
     power = np.where(
         (goodput > 0) & (mean_delay > 0),

@@ -782,11 +782,13 @@ def test_invalid_yaml_and_an_unreadable_config_are_rejected(tmp_path, monkeypatc
          "--slots", "1000000000000000"],
         ["sweep", "--mu", "500", "--alpha", "2", "--m", "3", "--desired-poas", "1.1",
          "--replications", "1", "--slots", "1000000000000000"],
+        # the design's slope divides by a product that underflows to zero
+        ["design", "--mu", "60", "--alpha", "1e-300", "--epsilon", "2"],
     ],
     ids=[
         "infeasible-design", "overload", "unstable-start",
         "analyze-many-users", "analyze-large-exponent",
-        "simulate-horizon-too-large", "sweep-horizon-too-large",
+        "simulate-horizon-too-large", "sweep-horizon-too-large", "design-slope-underflow",
     ],
 )
 def test_a_numerical_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
@@ -794,6 +796,33 @@ def test_a_numerical_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch, c
     assert main([*argv, "--out", "x.csv"]) == EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("numerical failure: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--mu", "60", "--alpha", "1e-60", "--m", "2", "--epsilon", "0.05"],
+        ["dynamics", "--mu", "60", "--alpha", "1e-60", "--m", "2", "--policy", "designed",
+         "--epsilon", "0.05"],
+    ],
+    ids=["design", "dynamics"],
+)
+def test_a_design_with_rates_near_1e_70_succeeds(tmp_path, argv):
+    # the census and best-response cubics' discriminants underflow to zero here
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    _, rows = read_csv(out)
+    if argv[0] == "design":
+        assert rows[0]["check_unique"] == rows[0]["check_ne_matches"] == "true"
+
+
+def test_a_sweep_cell_records_an_underflowing_design(tmp_path):
+    out = tmp_path / "w.json"
+    argv = ["sweep", "--mu", "60", "--alpha", "1e-300", "--m", "1", "--desired-poas", "3",
+            "--replications", "1", "--slots", "100", "--format", "json", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    (cell,) = json.loads(out.read_text())["cells"]
+    assert cell["error"] == "the slope underflows at alpha=1e-300, mu=60.0"
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from mm1game import (
     DesignInfeasibleError,
@@ -437,3 +438,65 @@ def test_a_lone_user_below_the_ramp_is_a_census_member():
     assert census.flat == pytest.approx(optimal_total_rate(lone))
     assert not census.unique
     assert verify_equilibrium(RateProfile((census.flat,)), ramp, lone)
+
+
+# ------------------------------------------------------- tiny exponents
+# At alpha = 1e-60 the designed rates are near 1e-70, where the cubics'
+# discriminants underflow; from about alpha = 1e-158 so does the slope's
+# denominator in ``design_linear``.
+
+
+def test_designs_at_every_tiny_exponent_return_or_are_infeasible():
+    for k in range(1, 324, 2):
+        for m in (1, 2, 3, 8):
+            for epsilon in (0.05, 2.0):
+                spec = DesignSpec(GameConfig.uniform(60.0, 10.0**-k, m), epsilon)
+                try:
+                    designed_with_diagnostics(spec)
+                except DesignInfeasibleError:
+                    pass
+
+
+def test_an_underflowing_slope_names_alpha_and_mu():
+    spec = DesignSpec(GameConfig.uniform(60.0, 1e-300, 1), 2.0)
+    with pytest.raises(DesignInfeasibleError, match=r"alpha=1e-300, mu=60\.0"):
+        design_linear(spec)
+
+
+def _scaled_real_roots(poly: Polynomial, unit: float) -> list[float]:
+    """Real roots of ``poly`` from numpy's companion-matrix solve, with ``x``
+    measured in the power of two nearest ``unit`` so nothing underflows."""
+    k = math.frexp(unit)[1]
+    n = len(poly.coef) - 1
+    scaled = Polynomial([math.ldexp(float(c), (j - n) * k) for j, c in enumerate(poly.coef)])
+    real = [r.real for r in scaled.roots() if abs(r.imag) <= 1e-9 * abs(r)]
+    return sorted(math.ldexp(float(r), k) for r in real)
+
+
+def test_a_tiny_exponent_design_solves_its_cubics_like_a_scaled_reference():
+    mu, alpha, m = 60.0, 1e-60, 2
+    game = GameConfig.uniform(mu, alpha, m)
+    design = designed_with_diagnostics(DesignSpec(game, 0.05))
+    assert design.diagnostics.all_ok
+    policy = design.policy
+    r1, r2 = policy.r1, policy.r2
+    w = r2 - r1
+    x = Polynomial([0.0, 1.0])
+
+    # the census cubic times w^2, from its unexpanded factors
+    head = mu * w - x * (r2 - x)
+    census = m * alpha * (r2 - x) * head - x * ((r2 - x) * (r2 - 2.0 * x) + alpha * head)
+    want = [t for t in _scaled_real_roots(census, r2) if r1 < t < r2 and mu * w > t * (r2 - t)]
+    got = equilibrium_census(policy, game).roots
+    assert len(got) == len(want) == 1
+    assert got[0] == pytest.approx(want[0], rel=1e-9)
+    assert got[0] == pytest.approx(design.predicted_ne.total, rel=1e-9)
+
+    # one user's stationarity cubic against the other's designed rate
+    star = design.predicted_ne.rates[0]
+    b = (m - 1) * star
+    d = r2 - b
+    ramp = alpha * (mu * w - (b + x) * (d - x)) * (d - 2.0 * x) - x * (d - x) * (d - b - 2.0 * x)
+    (root,) = [r for r in _scaled_real_roots(ramp, r2) if max(0.0, r1 - b) < r < d]
+    assert best_response(0, b, policy, game) == pytest.approx(root, rel=1e-9)
+    assert root == pytest.approx(star, rel=1e-9)

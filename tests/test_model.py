@@ -22,13 +22,13 @@ from mm1game import (
     StepPolicy,
     UnstableQueueError,
     UnsupportedGameError,
-    effective_rates,
     feasible,
     keep_probability,
     marginal_utility,
     potential,
     utility,
 )
+from mm1game.model import _keep_and_load
 
 CFG = GameConfig.uniform(6.0, 2.0, 2)
 
@@ -239,9 +239,10 @@ def test_utility_and_potential_evaluate_the_keep_probability_once(monkeypatch):
 
 def test_effective_rates_thin_by_the_total():
     pol = LinearPolicy(4.0, 6.0)
-    eff = effective_rates(RateProfile((2.0, 3.0)), pol)  # total 5 -> keep 0.5
-    assert eff.rates == pytest.approx((1.0, 1.5))
-    assert eff.total == pytest.approx(2.5)
+    profile = RateProfile((2.0, 3.0))
+    keep, load = _keep_and_load(profile, pol, CFG)  # total 5 -> keep 0.5
+    assert tuple(r * keep for r in profile.rates) == pytest.approx((1.0, 1.5))
+    assert load == pytest.approx(2.5)
 
 
 def test_feasibility_is_on_the_surviving_load():

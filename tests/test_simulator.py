@@ -450,18 +450,20 @@ def test_blocked_event_queue_matches_the_per_slot_loop(
 
 def _report_from_analytic_profile(profile, policy, cfg):
     """Build a noiseless report whose measurements equal the steady-state values."""
-    from mm1game import SimReport, effective_rates, keep_probability
+    from mm1game import SimReport
+    from mm1game.model import _keep_and_load
 
-    eff = effective_rates(profile, policy)
-    delay = 1.0 / (cfg.mu - eff.total)
+    keep, load = _keep_and_load(profile, policy, cfg)
+    goodput = tuple(r * keep for r in profile.rates)
+    delay = 1.0 / (cfg.mu - load)
     power = tuple(
-        (g ** a) / delay for g, a in zip(eff.rates, cfg.alphas)
+        (g ** a) / delay for g, a in zip(goodput, cfg.alphas)
     )
     return SimReport(
         input_rates=profile.rates,
         arrivals=(0,) * cfg.m,
         accepted=(0,) * cfg.m,
-        goodput=eff.rates,
+        goodput=goodput,
         mean_delay=(delay,) * cfg.m,
         power=power,
         sum_welfare=sum(power),

@@ -201,6 +201,17 @@ def test_write_json_on_a_slot_trace_with_and_without_non_finite_values(tmp_path)
         )
 
 
+def test_write_json_encodes_every_dict_member_by_member(tmp_path):
+    payload = {
+        "summary": {"ratios": [1.5, math.nan, 2.0], "label": "a,b"},  # no array, a NaN in a list
+        "slots": {"arrivals": np.array([3, 0, 7]), "drop": np.array([0.0, math.inf, 0.25])},
+        "cells": [{"poa": math.inf, "error": "x"}, {"poa": 1.25, "error": None}],
+    }
+    write_json(str(tmp_path / "d.json"), payload)
+    expected = json.dumps(_finite_or_null({"schema_version": SCHEMA_VERSION, **payload}))
+    assert (tmp_path / "d.json").read_text(encoding="utf-8") == expected + "\n"
+
+
 def test_simulate_json_walks_only_the_summary_rows(tmp_path, monkeypatch):
     # a zero-rate user: log welfare -inf and ratio +inf in every summary row
     from mm1game import cli
