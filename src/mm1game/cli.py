@@ -670,7 +670,7 @@ def main(argv: list[str] | None = None) -> int:
     except (MemoryError, OverloadError, OverflowError, ValueError) as exc:
         # domain guards deep in the numerics (infeasible designs and profiles,
         # unstable queues, kinks, ...), float powers past the largest double
-        # and a horizon too large to allocate
+        # and an allocation that fails at once
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

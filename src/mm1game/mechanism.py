@@ -367,7 +367,8 @@ def validate_design(design: PolicyDesign, spec: DesignSpec) -> DesignDiagnostics
     play then starts from the census member nearest the prediction (from
     the prediction itself if the census is empty); at an equilibrium the
     first round changes nothing.  The realized equilibrium and its price of
-    anarchy are where that play ends.
+    anarchy are where that play ends; it matches the prediction when play
+    converged and each rate is within 1e-6 of its predicted rate, relative.
     """
     config = spec.config
     alpha = config.alpha
@@ -398,7 +399,7 @@ def validate_design(design: PolicyDesign, spec: DesignSpec) -> DesignDiagnostics
     )
     realized = trajectory.final_profile
     ne_ok = trajectory.converged and all(
-        abs(r - q) <= 1e-6 * config.mu
+        abs(r - q) <= 1e-6 * q
         for r, q in zip(realized.rates, design.predicted_ne.rates)
     )
     realized_poa = poa_of_equilibrium(realized, policy, config, spec.welfare_kind)

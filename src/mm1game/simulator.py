@@ -52,6 +52,10 @@ class OverloadError(RuntimeError):
 # and the estimate's prefix sum, and keeps every single Poisson draw under
 # numpy's limit of about 9.22e18.
 _MAX_PACKETS = 2**62
+# Most per-slot, per-user counts a run may hold: slots times users.  Each
+# int64 matrix of them (arrivals, accepted) then takes at most 32 GiB, so a
+# horizon beyond this is refused before numpy tries to allocate it.
+_MAX_COUNTS = 2**32
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,11 @@ class SimConfig:
             raise ValueError(
                 f"input_rates total {self.input_rates.total:.6g} per slot over {self.slots} "
                 "slots is more than 2**62 packets, too many to count in int64"
+            )
+        if self.slots * self.game.m > _MAX_COUNTS:
+            raise ValueError(
+                f"slots ({self.slots}) times users ({self.game.m}) is more than 2**32 "
+                "per-slot counts, too many to hold in memory"
             )
 
 

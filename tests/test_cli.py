@@ -777,24 +777,40 @@ def test_invalid_yaml_and_an_unreadable_config_are_rejected(tmp_path, monkeypatc
         # the closed forms' powers overflow a double: ratio**m, and **(alpha + 1)
         ["analyze", "--mu", "6", "--alpha", "3", "--m", "200"],
         ["analyze", "--mu", "6", "--alpha", "400", "--m", "2"],
-        # a horizon of 10**15 slots: its per-slot arrays fail to allocate at once
-        ["simulate", "--mu", "20", "--alpha", "1", "--m", "2", "--rates", "0,0",
-         "--slots", "1000000000000000"],
-        ["sweep", "--mu", "500", "--alpha", "2", "--m", "3", "--desired-poas", "1.1",
-         "--replications", "1", "--slots", "1000000000000000"],
         # the design's slope divides by a product that underflows to zero
         ["design", "--mu", "60", "--alpha", "1e-300", "--epsilon", "2"],
     ],
     ids=[
         "infeasible-design", "overload", "unstable-start",
-        "analyze-many-users", "analyze-large-exponent",
-        "simulate-horizon-too-large", "sweep-horizon-too-large", "design-slope-underflow",
+        "analyze-many-users", "analyze-large-exponent", "design-slope-underflow",
     ],
 )
 def test_a_numerical_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", "x.csv"]) == EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,where,users",
+    [
+        (["simulate", "--mu", "20", "--alpha", "1", "--m", "2", "--rates", "0,0"], "simulate", 2),
+        (["sweep", "--mu", "500", "--alpha", "2", "--m", "3", "--desired-poas", "1.1",
+          "--replications", "1"], "sweep", 3),
+    ],
+    ids=["simulate", "sweep"],
+)
+def test_a_horizon_too_large_is_a_config_error_naming_slots(
+    tmp_path, monkeypatch, capsys, argv, where, users
+):
+    # 10**15 slots: refused before numpy is asked for the per-slot arrays
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--slots", "1000000000000000", "--out", "x.csv"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: {where}: slots (1000000000000000) times users ({users}) "
+        "is more than 2**32 per-slot counts, too many to hold in memory\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 
@@ -918,6 +934,57 @@ def test_zero_sweep_replications_names_the_key(tmp_path, monkeypatch, capsys):
         "configuration error: sweep.replications: must be at least 1, got 0\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command,text,argv,message",
+    [
+        ("analyze", "game: {mu: fast, alpha: 2, m: 2}\n", [],
+         "game.mu: expected a number, got 'fast'"),
+        ("simulate", "simulate: {rates: [1, 1], slots: 2.5}\n",
+         ["--mu", "6", "--alpha", "2", "--m", "2"], "simulate.slots: expected an integer, got 2.5"),
+        ("sweep", "sweep: {desired_poas: []}\n", ["--mu", "600", "--alpha", "2", "--m", "2"],
+         "sweep.desired_poas: expected a non-empty list of numbers, got []"),
+        ("sweep", "sweep: {desired_poas: 1.2}\n", ["--mu", "600", "--alpha", "2", "--m", "2"],
+         "sweep.desired_poas: expected a non-empty list of numbers, got 1.2"),
+        ("analyze", "", [], "game.mu: required"),
+        ("analyze", "game: {mu: 6, alpha: [1, 2], m: 3}\n", [],
+         "game.m: disagrees with the length of game.alpha"),
+        ("dynamics", None, ["--mu", "6", "--alpha", "2", "--m", "2", "--policy", "linear",
+         "--r1", "4"], "policy.r1 and policy.r2: required for a linear policy"),
+        ("field", None, ["--mu", "6", "--alpha", "2", "--m", "2", "--points", "1"],
+         "field.points: must be at least 2, got 1"),
+    ],
+    ids=["not-a-number", "non-integer-slots", "empty-desired-poas", "scalar-desired-poas",
+         "empty-config-file", "m-disagrees-with-alpha-list", "linear-without-r2",
+         "one-field-point"],
+)
+def test_an_invalid_config_value_exits_2_with_its_message(
+    tmp_path, monkeypatch, capsys, command, text, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "cfg.yaml").write_text(text)
+        argv = ["--config", "cfg.yaml", *argv]
+    assert main([command, *argv, "--out", "x.csv"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ([] if text is None else ["cfg.yaml"])
+
+
+def test_a_step_threshold_sets_the_step_that_dynamics_plays_against(tmp_path):
+    out = tmp_path / "x.csv"
+    argv = ["dynamics", "--mu", "6", "--alpha", "2", "--m", "2", "--policy", "step",
+            "--threshold", "4.5", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    _, rows = read_csv(out)
+    game = mm1game.GameConfig.uniform(6.0, 2.0, 2)
+    start = mm1game.RateProfile((0.15, 0.15))
+    want = mm1game.run_dynamics(game, mm1game.StepPolicy(4.5), start, tol=1e-8)
+    assert [(row["rate_0"], row["rate_1"]) for row in rows] == [
+        tuple(format(r, ".12g") for r in profile.rates) for profile in want.iterates
+    ]
+    # the drop-free equilibrium total is 4.8, so the step at 4.5 binds
+    assert want.final_profile.total == pytest.approx(4.5, abs=1e-7)
 
 
 def test_a_config_file_that_is_not_utf8_cannot_be_read(tmp_path, monkeypatch, capsys):

@@ -500,3 +500,16 @@ def test_a_tiny_exponent_design_solves_its_cubics_like_a_scaled_reference():
     (root,) = [r for r in _scaled_real_roots(ramp, r2) if max(0.0, r1 - b) < r < d]
     assert best_response(0, b, policy, game) == pytest.approx(root, rel=1e-9)
     assert root == pytest.approx(star, rel=1e-9)
+
+
+def test_a_design_whose_play_drifts_at_alpha_1e_100_does_not_match_its_prediction():
+    # one round of play from the census root moves these rates near 3e-111
+    # by about 1e-5 relative, far below any absolute tolerance on rates
+    design = designed_with_diagnostics(DesignSpec(GameConfig.uniform(60.0, 1e-100, 2), 0.05))
+    diagnostics = design.diagnostics
+    gaps = [
+        abs(r - q) / q
+        for r, q in zip(diagnostics.realized_ne.rates, design.predicted_ne.rates)
+    ]
+    assert max(gaps) > 1e-6
+    assert not diagnostics.ne_matches_prediction

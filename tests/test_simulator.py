@@ -5,6 +5,8 @@ quantities (Poisson thinning, M/M/1 sojourn) with fixed seeds, so they are
 deterministic in practice.
 """
 
+import csv
+import json
 import math
 import re
 from collections import deque
@@ -36,6 +38,7 @@ from mm1game import (
     utility,
 )
 from mm1game import simulator
+from mm1game.cli import main
 from mm1game.simulator import _BLOCK_SLOTS, _event_queue_delays, _fifo_departures
 
 CFG = GameConfig.uniform(6.0, 2.0, 2)
@@ -76,6 +79,15 @@ def test_sim_config_bounds_the_packets_a_run_can_count():
         replace(at_bound, slots=3)
     with pytest.raises(ValueError, match=r"2\*\*62 packets"):
         SimConfig(game=CFG, policy=NoDrop(), input_rates=RateProfile((1e20, 1.0)), slots=1)
+
+
+def test_sim_config_bounds_the_counts_a_run_holds():
+    # each int64 (slots, users) matrix stays within 32 GiB; building a config allocates nothing
+    idle = SimConfig(game=CFG, policy=NoDrop(), input_rates=RateProfile((0.0, 0.0)), slots=2**31)
+    with pytest.raises(
+        ValueError, match=r"^slots \(2147483649\) times users \(2\) is more than 2\*\*32 "
+    ):
+        replace(idle, slots=2**31 + 1)
 
 
 def test_same_seed_same_report():
@@ -524,6 +536,27 @@ def test_simulated_equilibrium_poa_lands_near_the_design():
     )
     rep = run(sim)
     assert 1.0 <= rep.empirical_poa <= 1.3
+
+
+@pytest.mark.parametrize("mode", list(QueueMode), ids=lambda mode: mode.value)
+def test_mixed_exponents_have_no_empirical_poa_and_write_it_as_missing(tmp_path, mode):
+    sim = SimConfig(
+        game=GameConfig(20.0, (1.0, 2.0)),
+        policy=NoDrop(),
+        input_rates=RateProfile((3.0, 4.0)),
+        slots=500,
+        seed=3,
+        queue_mode=mode,
+    )
+    assert math.isnan(run(sim).empirical_poa)
+    argv = ["simulate", "--mu", "20", "--alpha", "1,2", "--rates", "3,4", "--slots", "500",
+            "--seed", "3", "--queue-mode", mode.value]
+    assert main([*argv, "--out", str(tmp_path / "sim.csv")]) == 0
+    with open(tmp_path / "sim.csv", encoding="utf-8", newline="") as fh:
+        assert [row["empirical_poa"] for row in csv.DictReader(fh)] == ["", ""]
+    assert main([*argv, "--format", "json", "--out", str(tmp_path / "sim.json")]) == 0
+    users = json.loads((tmp_path / "sim.json").read_text())["users"]
+    assert [user["empirical_poa"] for user in users] == [None, None]
 
 
 # ----------------------------------------------------------------------- sweep
