@@ -8,7 +8,7 @@ against.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -134,27 +134,36 @@ def poa_closed_form(m: int, alpha: float, kind: WelfareKind) -> float:
         ) from exc
 
 
-def _poa_ratio(utilities: Sequence[float], config: GameConfig, kind: WelfareKind) -> float:
-    """Ratio of the drop-free optimal welfare to the welfare of ``utilities``, one per user.
+def _poa_against(config: GameConfig, kind: WelfareKind) -> Callable[[Sequence[float]], float]:
+    """Drop-free optimal welfare over the welfare of per-user utilities, as a function of them.
 
-    For the log kind this is the product over users of optimal-to-given
-    utility ratios; a user at zero utility makes it +inf.  For the sum kind a
-    zero total makes it +inf.
+    The optimum is computed once, here, so it needs a shared exponent, and an
+    overflow raises before any utility is read.  For the log kind the ratio
+    is the product over users of optimal-to-given utility ratios; a user at
+    zero utility makes it +inf.  For the sum kind a zero total makes it +inf.
     """
     if kind is WelfareKind.SUM_LOG_UTILITY:
-        if any(u == 0.0 for u in utilities):
-            return math.inf
         lam = optimal_total_rate(config)
         per_user_opt = (lam / config.m) ** config.alpha * (config.mu - lam)
-        ratio = 1.0
-        for u in utilities:
-            ratio *= per_user_opt / u
+
+        def ratio(utilities: Sequence[float]) -> float:
+            if 0.0 in utilities:  # -0.0 too
+                return math.inf
+            value = 1.0
+            for u in utilities:
+                value *= per_user_opt / u
+            return value
+
         return ratio
-    total = sum(utilities)
-    if total == 0.0:
-        return math.inf
     _, opt_value = social_optimum_sum(config)
-    return opt_value / total
+
+    def ratio(utilities: Sequence[float]) -> float:
+        total = sum(utilities)
+        if total == 0.0:
+            return math.inf
+        return opt_value / total
+
+    return ratio
 
 
 def poa_of_equilibrium(
@@ -166,10 +175,12 @@ def poa_of_equilibrium(
     """Ratio of the drop-free optimum to the welfare of a given equilibrium.
 
     For the log kind this is the product over users of optimal-to-equilibrium
-    utility ratios; a user stuck at zero utility makes it +inf.
+    utility ratios; a user stuck at zero utility makes it +inf.  A game with
+    mixed exponents has no such optimum and raises
+    :class:`~mm1game.model.UnsupportedGameError`, whatever the utilities.
     """
-    utilities = [utility(i, ne_profile, policy, config) for i in range(config.m)]
-    return _poa_ratio(utilities, config, kind)
+    ratio = _poa_against(config, kind)
+    return ratio([utility(i, ne_profile, policy, config) for i in range(config.m)])
 
 
 @dataclass(frozen=True)

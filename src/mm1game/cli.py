@@ -313,32 +313,24 @@ def _fmt_rates(rates: tuple[float, ...]) -> str:
     return ";".join(format(r, ".12g") for r in rates)
 
 
-def _each_numeric(values: np.ndarray, fmt: Callable[[float], str], missing: str) -> list[str]:
-    """Text of every entry of a 1-D int or float array: an int through
-    ``str``, a finite float through ``fmt``, a NaN or infinite one as
-    ``missing``."""
-    if values.dtype.kind in "iu":
-        return list(map(str, values.tolist()))
-    texts = list(map(fmt, values.tolist()))
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        texts[i] = missing
-    return texts
-
-
 def _numeric_texts(values: np.ndarray, fmt: Callable[[float], str], missing: str) -> list[str]:
-    """``_each_numeric``, formatting each distinct value once.
+    """Text of every entry of a 1-D int or float array of at most 8 bytes
+    per entry: an int through ``str``, a finite float through ``fmt``, a NaN
+    or infinite one as ``missing``.
 
-    A per-slot trace holds few distinct values.  The values are keyed by
-    their bits, so ``-0.0`` and ``0.0`` (or two NaN payloads) stay apart and
-    equal keys have equal text.  A dtype wider than 8 bytes, such as
-    longdouble, is formatted entry by entry: its padding bits are no key, and
-    keying it on its values would merge ``-0.0`` with ``0.0``.
+    A per-slot trace holds few distinct values, so each is formatted once.
+    The values are keyed by their bits, so ``-0.0`` and ``0.0`` (or two NaN
+    payloads) stay apart and equal keys have equal text.
     """
-    if values.itemsize > 8:
-        return _each_numeric(values, fmt, missing)
     distinct, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-    texts = np.array(_each_numeric(distinct.view(values.dtype), fmt, missing), dtype=object)
-    return texts[inverse].tolist()
+    distinct = distinct.view(values.dtype)
+    if distinct.dtype.kind in "iu":
+        texts = list(map(str, distinct.tolist()))
+    else:
+        texts = list(map(fmt, distinct.tolist()))
+        for i in np.flatnonzero(~np.isfinite(distinct)).tolist():
+            texts[i] = missing
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _is_numeric_vector(value: Any) -> bool:
@@ -347,17 +339,16 @@ def _is_numeric_vector(value: Any) -> bool:
 
 def _fmt_column(column: Any) -> list[str]:
     """One column's cells: an int or float array through ``_numeric_texts``
-    (``%.12g``, non-finite entries blank), anything else cell by cell."""
+    (``%.12g``, non-finite entries blank), a list cell by cell."""
     if _is_numeric_vector(column):
         return _numeric_texts(column, "%.12g".__mod__, "")
-    if isinstance(column, np.ndarray):
-        column = column.tolist()
     return list(map(_fmt_value, column))
 
 
 def write_csv(path: str, columns: dict[str, Any]) -> None:
     """Write equal-length columns as CSV, one row per entry, after a
-    ``schema_version`` column.
+    ``schema_version`` column.  A column is a list or a 1-D int or float
+    array.
 
     A missing value (None, NaN or infinite) is an empty cell, and a text cell
     holding a comma, a quote or a line break is quoted.

@@ -10,14 +10,14 @@ total just under the optimum, trading an efficiency loss of at most
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .analysis import (
     WelfareKind,
-    _poa_ratio,
+    _poa_against,
     optimal_total_rate,
     poa_of_equilibrium,
-    social_optimum_sum,
 )
 from .dynamics import UpdateMode, _polished_cubic_roots, run_dynamics
 from .model import DropPolicy, GameConfig, LinearPolicy, RateProfile, StepPolicy
@@ -158,6 +158,13 @@ def step_policy(config: GameConfig) -> StepPolicy:
     return StepPolicy(optimal_total_rate(config))
 
 
+def _symmetric_poa(config: GameConfig, kind: WelfareKind) -> Callable[[float], float]:
+    """The price of anarchy of an even split, as a function of its effective total."""
+    ratio = _poa_against(config, kind)
+    alpha, m, mu = config.alpha, config.m, config.mu
+    return lambda t: ratio([(t / m) ** alpha * (mu - t)] * m)
+
+
 def poa_at_symmetric_rate(
     config: GameConfig, kind: WelfareKind, effective_total: float
 ) -> float:
@@ -166,8 +173,7 @@ def poa_at_symmetric_rate(
         raise ValueError(
             f"effective_total must lie in (0, mu={config.mu}), got {effective_total}"
         )
-    x = effective_total / config.m
-    return _poa_ratio([x**config.alpha * (config.mu - effective_total)] * config.m, config, kind)
+    return _symmetric_poa(config, kind)(effective_total)
 
 
 def target_effective_rate(spec: DesignSpec) -> float:
@@ -178,18 +184,9 @@ def target_effective_rate(spec: DesignSpec) -> float:
     exists.  For the plain-sum welfare with exponent above one the ratio
     cannot fall below ``m**(alpha-1)``, in which case tighter requests raise
     :class:`DesignInfeasibleError`.
-
-    The predicate is a closure over the loop's invariants.  It mirrors
-    :func:`poa_at_symmetric_rate` and ``_poa_ratio`` operation for operation,
-    so each probe has the bits :func:`poa_at_symmetric_rate` gives: the
-    ratio is not monotone at the ulp scale, and other arithmetic could stop
-    on a different float.  ``poa_at_symmetric_rate`` stays the oracle; it
-    tests the bracket's upper end, and the tests compare this solve with a
-    bisection over it.
     """
     config = spec.config
     kind = spec.welfare_kind
-    alpha, m, mu = config.alpha, config.m, config.mu
     lam_opt = optimal_total_rate(config)
     goal = 1.0 + (1.0 - _POA_MARGIN) * spec.epsilon
     lo = lam_opt * 1e-12
@@ -200,28 +197,7 @@ def target_effective_rate(spec: DesignSpec) -> float:
             f"no symmetric equilibrium reaches a price of anarchy of {1 + spec.epsilon}: "
             f"the achievable infimum for this welfare kind is about {floor}"
         )
-
-    if kind is WelfareKind.SUM_LOG_UTILITY:
-        per_user_opt = (lam_opt / m) ** alpha * (mu - lam_opt)
-
-        def poa(t: float) -> float:
-            u = (t / m) ** alpha * (mu - t)
-            if u == 0.0:
-                return math.inf
-            ratio = 1.0
-            for _ in range(m):
-                ratio *= per_user_opt / u
-            return ratio
-
-    else:
-        _, opt_value = social_optimum_sum(config)
-
-        def poa(t: float) -> float:
-            total = sum([(t / m) ** alpha * (mu - t)] * m)  # sum() rounds as _poa_ratio's
-            if total == 0.0:
-                return math.inf
-            return opt_value / total
-
+    poa = _symmetric_poa(config, kind)
     while lo < (mid := 0.5 * (lo + hi)) < hi:  # until lo and hi are adjacent floats
         if poa(mid) > goal:
             lo = mid

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import WelfareKind, _poa_ratio
+from .analysis import WelfareKind, _poa_against
 from .mechanism import DesignSpec, design_linear
 from .model import DropPolicy, GameConfig, RateProfile, keep_probability
 
@@ -252,7 +252,7 @@ def run(sim: SimConfig) -> SimReport:
     power_t = tuple(power.tolist())
     log_welfare = float(np.sum(np.log(power))) if np.all(power > 0) else -math.inf
     if sim.game.homogeneous:
-        poa = _poa_ratio(power_t, sim.game, WelfareKind.SUM_LOG_UTILITY)
+        poa = _poa_against(sim.game, WelfareKind.SUM_LOG_UTILITY)(power_t)
     else:
         poa = math.nan
     drop_probs = 1.0 - keep
@@ -280,9 +280,10 @@ def run(sim: SimConfig) -> SimReport:
 def empirical_poa(report: SimReport, config: GameConfig, kind: WelfareKind) -> float:
     """Measured price of anarchy: drop-free optimal welfare over measured welfare.
 
-    A user with zero measured power makes the log-kind ratio +inf.
+    A user with zero measured power makes the log-kind ratio +inf.  A game
+    with mixed exponents raises :class:`~mm1game.model.UnsupportedGameError`.
     """
-    return _poa_ratio(report.power, config, kind)
+    return _poa_against(config, kind)(report.power)
 
 
 @dataclass(frozen=True)

@@ -844,15 +844,21 @@ def test_a_sweep_cell_records_an_underflowing_design(tmp_path):
 @pytest.mark.parametrize(
     "argv,cause",
     [
-        (["--alpha", "3", "--m", "200"], "the price of anarchy overflows a float at m=200, alpha=3"),
-        (["--alpha", "400", "--m", "2"], "the social optimum overflows a float at mu=6, alpha=400"),
+        (["analyze", "--mu", "6", "--alpha", "3", "--m", "200"],
+         "the price of anarchy overflows a float at m=200, alpha=3"),
+        (["analyze", "--mu", "6", "--alpha", "400", "--m", "2"],
+         "the social optimum overflows a float at mu=6, alpha=400"),
+        (["design", "--welfare", "sum", "--alpha", "400", "--keep-prob", "0.999", "--mu", "1",
+          "--m", "2", "--epsilon", "0.5"],
+         "the social optimum overflows a float at mu=1, alpha=400"),
     ],
-    ids=["many-users", "large-exponent"],
+    ids=["many-users", "large-exponent", "design-large-exponent"],
 )
 def test_an_overflow_names_the_quantity_and_the_input(tmp_path, monkeypatch, capsys, argv, cause):
     monkeypatch.chdir(tmp_path)
-    assert main(["analyze", "--mu", "6", *argv, "--out", "x.csv"]) == EXIT_NUMERIC
+    assert main([*argv, "--out", "x.csv"]) == EXIT_NUMERIC
     assert capsys.readouterr().err == f"numerical failure: {cause}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from mm1game import (
     RateProfile,
     SimConfig,
     StepPolicy,
+    UnsupportedGameError,
     WelfareKind,
     design_linear,
     empirical_poa,
@@ -520,6 +521,19 @@ def test_empirical_poa_zero_power_is_infinite():
     )
     rep = replace(rep, power=(0.0, rep.power[1]))
     assert empirical_poa(rep, CFG, WelfareKind.SUM_LOG_UTILITY) == math.inf
+
+
+@pytest.mark.parametrize("kind", list(WelfareKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("rates", [(0.0, 1.0), (2.0, 1.0)], ids=["zero-utility", "positive"])
+def test_mixed_exponents_have_no_drop_free_optimum_whatever_the_utilities(kind, rates):
+    # the optimum is read before any utility, so a zero utility does not turn this into +inf
+    game = GameConfig(6.0, (1.0, 2.0))
+    profile = RateProfile(rates)
+    with pytest.raises(UnsupportedGameError):
+        poa_of_equilibrium(profile, NoDrop(), game, kind)
+    rep = _report_from_analytic_profile(profile, NoDrop(), game)
+    with pytest.raises(UnsupportedGameError):
+        empirical_poa(rep, game, kind)
 
 
 def test_simulated_equilibrium_poa_lands_near_the_design():
