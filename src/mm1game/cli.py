@@ -324,12 +324,9 @@ def _numeric_texts(values: np.ndarray, fmt: Callable[[float], str], missing: str
     """
     distinct, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
     distinct = distinct.view(values.dtype)
-    if distinct.dtype.kind in "iu":
-        texts = list(map(str, distinct.tolist()))
-    else:
-        texts = list(map(fmt, distinct.tolist()))
-        for i in np.flatnonzero(~np.isfinite(distinct)).tolist():
-            texts[i] = missing
+    texts = list(map(str if distinct.dtype.kind in "iu" else fmt, distinct.tolist()))
+    for i in np.flatnonzero(~np.isfinite(distinct)).tolist():
+        texts[i] = missing
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
@@ -411,8 +408,7 @@ def _emit(cfg: dict[str, Any], name: str, records: list[dict[str, Any]], **extra
         write_json(cfg["out"], {"command": cfg["command"], name: records, **extra})
 
 
-def _cmd_analyze(cfg: dict[str, Any]) -> int:
-    game = _game_config(cfg)
+def _cmd_analyze(cfg: dict[str, Any], game: GameConfig) -> int:
     ne = ne_closed_form(game)
     alpha = _fmt_value(game.alphas[0]) if game.homogeneous else _fmt_rates(game.alphas)
     records = []
@@ -441,8 +437,7 @@ def _cmd_analyze(cfg: dict[str, Any]) -> int:
     return EXIT_OK
 
 
-def _cmd_design(cfg: dict[str, Any]) -> int:
-    game = _game_config(cfg)
+def _cmd_design(cfg: dict[str, Any], game: GameConfig) -> int:
     spec = _design_spec(cfg, game)
     design = designed_with_diagnostics(spec)
     diag = design.diagnostics
@@ -486,13 +481,16 @@ def _rate_profile(rates: list[float], game: GameConfig, key: str) -> RateProfile
     return _build(key, RateProfile, tuple(rates))
 
 
-def _cmd_dynamics(cfg: dict[str, Any]) -> int:
-    game = _game_config(cfg)
+def _cmd_dynamics(cfg: dict[str, Any], game: GameConfig) -> int:
     policy, _ = _policy(cfg, game)
     rates = _get(cfg, "dynamics.init")
     init = _default_start(game) if rates is None else _rate_profile(rates, game, "dynamics.init")
     tol = _get(cfg, "dynamics.tol")
+    if not tol > 0:  # NaN fails this too
+        raise ConfigError(f"dynamics.tol: must be positive, got {tol!r}")
     max_iter = _get(cfg, "dynamics.max_iter")
+    if max_iter < 1:
+        raise ConfigError(f"dynamics.max_iter: must be at least 1, got {max_iter}")
     mode = _get(cfg, "dynamics.mode")
     trajectory = run_dynamics(game, policy, init, mode=mode, tol=tol, max_iter=max_iter)
     records = [
@@ -512,8 +510,7 @@ def _cmd_dynamics(cfg: dict[str, Any]) -> int:
     return EXIT_OK
 
 
-def _cmd_field(cfg: dict[str, Any]) -> int:
-    game = _game_config(cfg)
+def _cmd_field(cfg: dict[str, Any], game: GameConfig) -> int:
     if game.m != 2:
         raise ConfigError("field: requires a two-user game")
     policy, _ = _policy(cfg, game)
@@ -551,8 +548,7 @@ def _sim_config(cfg: dict[str, Any], game: GameConfig) -> SimConfig:
     return _build("simulate", SimConfig, game=game, policy=policy, input_rates=rates, **run_options)
 
 
-def _cmd_simulate(cfg: dict[str, Any]) -> int:
-    game = _game_config(cfg)
+def _cmd_simulate(cfg: dict[str, Any], game: GameConfig) -> int:
     sim = _sim_config(cfg, game)
     report = run_simulation(sim)
     users = [
@@ -582,8 +578,7 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(cfg: dict[str, Any]) -> int:
-    game = _game_config(cfg)
+def _cmd_sweep(cfg: dict[str, Any], game: GameConfig) -> int:
     desired = _get(cfg, "sweep.desired_poas")
     mus = _get(cfg, "sweep.mus") or [game.mu]
     windows = [_as_int(w, "sweep.windows") for w in _get(cfg, "sweep.windows")]
@@ -651,7 +646,7 @@ def main(argv: list[str] | None = None) -> int:
     command = overrides.pop("command")
     try:
         cfg = load_config(overrides.pop("config"), command, overrides)
-        return _COMMANDS[command][0](cfg)
+        return _COMMANDS[command][0](cfg, _game_config(cfg))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

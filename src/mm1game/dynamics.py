@@ -266,8 +266,13 @@ def run_dynamics(
     updates all of them against the previous round.  Non-convergence within
     ``max_iter`` rounds is reported in the trajectory, not raised.  Steeply
     sloped policies contract slowly (per-round factors above 0.99 occur), so
-    the default budget is generous.
+    the default budget is generous.  ``max_iter`` must be at least 1 and
+    ``tol`` positive; ``tol=inf`` stops after one round.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol > 0:  # NaN fails this too
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if not feasible(init, policy, config):
         raise UnstableQueueError("initial profile is not feasible")
     users = range(config.m)
@@ -277,13 +282,10 @@ def run_dynamics(
     converged = False
     for _ in range(max_iter):
         prev = rates
-        if round_robin:
-            new = list(prev)
-            for i in users:
-                new[i] = best_response(i, sum(new) - new[i], policy, config)
-        else:
-            total_prev = sum(prev)
-            new = [best_response(i, total_prev - prev[i], policy, config) for i in users]
+        new = list(prev)
+        seen = new if round_robin else prev
+        for i in users:
+            new[i] = best_response(i, sum(seen) - seen[i], policy, config)
         rates = tuple(new)
         history.append(rates)
         if max(map(abs, map(sub, rates, prev))) < tol:

@@ -351,12 +351,8 @@ def validate_design(design: PolicyDesign, spec: DesignSpec) -> DesignDiagnostics
     policy = design.policy
     lam_opt = optimal_total_rate(config)
 
-    if policy.r1 > lam_opt:
-        bound = 1.0 / ((alpha + 1.0) * (policy.r1 - lam_opt))
-        slope_ok = abs(policy.slope) > bound
-    else:
-        bound = math.inf
-        slope_ok = False
+    bound = 1.0 / ((alpha + 1.0) * (policy.r1 - lam_opt)) if policy.r1 > lam_opt else math.inf
+    slope_ok = abs(policy.slope) > bound
     r1_ok = policy.r1 < config.mu
 
     census = equilibrium_census(policy, config)

@@ -51,6 +51,13 @@ class UnsupportedGameError(ValueError):
     """Operation is only defined when all users share one throughput exponent."""
 
 
+def _check_integer(name: str, value: object) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a Python or numpy
+    integer; a bool, or a float such as 2.0, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Service rate and per-user throughput exponents.
@@ -84,9 +91,10 @@ class GameConfig:
     @classmethod
     def uniform(cls, mu: float, alpha: float, m: int) -> "GameConfig":
         """Game with ``m`` identical users of exponent ``alpha``."""
+        _check_integer("m", m)
         if m < 1:
             raise ValueError(f"m must be at least 1, got {m}")
-        return cls(mu, (float(alpha),) * int(m))
+        return cls(mu, (float(alpha),) * m)
 
     @property
     def m(self) -> int:

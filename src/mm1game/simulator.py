@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import WelfareKind, _poa_against
 from .mechanism import DesignSpec, design_linear
-from .model import DropPolicy, GameConfig, RateProfile, keep_probability
+from .model import DropPolicy, GameConfig, RateProfile, _check_integer, keep_probability
 
 __all__ = [
     "QueueMode",
@@ -60,7 +60,11 @@ _MAX_COUNTS = 2**32
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run: game, policy, offered rates (packets per slot)."""
+    """One simulation run: game, policy, offered rates (packets per slot).
+
+    ``slots``, ``window``, ``seed`` and ``queue_cap`` are Python or numpy
+    integers, and ``seed`` is non-negative.
+    """
 
     game: GameConfig
     policy: DropPolicy
@@ -77,6 +81,10 @@ class SimConfig:
                 f"input_rates has {len(self.input_rates.rates)} users, "
                 f"the game has {self.game.m}"
             )
+        for name in ("slots", "window", "seed", "queue_cap"):
+            _check_integer(name, getattr(self, name))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.window < 1:
             raise ValueError(f"window must be at least 1, got {self.window}")
         if self.slots < self.window:
@@ -363,6 +371,6 @@ def sweep(
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
     return [
-        _run_cell(base, q, mu, int(w), replications, welfare_kind, keep_prob)
+        _run_cell(base, q, mu, w, replications, welfare_kind, keep_prob)
         for q, mu, w in product(desired_poas, mus, windows)
     ]

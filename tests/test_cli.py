@@ -960,10 +960,24 @@ def test_zero_sweep_replications_names_the_key(tmp_path, monkeypatch, capsys):
          "--r1", "4"], "policy.r1 and policy.r2: required for a linear policy"),
         ("field", None, ["--mu", "6", "--alpha", "2", "--m", "2", "--points", "1"],
          "field.points: must be at least 2, got 1"),
+        ("simulate", None, ["--mu", "20", "--alpha", "1", "--m", "2", "--rates", "5,5",
+         "--slots", "100", "--seed", "-1"], "simulate: seed must be non-negative, got -1"),
+        ("sweep", None, ["--mu", "600", "--alpha", "2", "--m", "2", "--desired-poas", "1.2",
+         "--replications", "1", "--slots", "100", "--seed", "-1"],
+         "sweep: seed must be non-negative, got -1"),
+        ("dynamics", None, ["--mu", "6", "--alpha", "2", "--m", "2", "--max-iter", "-5"],
+         "dynamics.max_iter: must be at least 1, got -5"),
+        ("dynamics", None, ["--mu", "6", "--alpha", "2", "--m", "2", "--max-iter", "0"],
+         "dynamics.max_iter: must be at least 1, got 0"),
+        ("dynamics", None, ["--mu", "6", "--alpha", "2", "--m", "2", "--tol", "-1"],
+         "dynamics.tol: must be positive, got -1.0"),
+        ("dynamics", None, ["--mu", "6", "--alpha", "2", "--m", "2", "--tol", "nan"],
+         "dynamics.tol: must be positive, got nan"),
     ],
     ids=["not-a-number", "non-integer-slots", "empty-desired-poas", "scalar-desired-poas",
          "empty-config-file", "m-disagrees-with-alpha-list", "linear-without-r2",
-         "one-field-point"],
+         "one-field-point", "simulate-negative-seed", "sweep-negative-seed",
+         "negative-max-iter", "zero-max-iter", "negative-tol", "nan-tol"],
 )
 def test_an_invalid_config_value_exits_2_with_its_message(
     tmp_path, monkeypatch, capsys, command, text, argv, message

@@ -395,6 +395,27 @@ def test_dynamics_reports_non_convergence_instead_of_raising():
     assert len(traj.iterates) == 4
 
 
+@pytest.mark.parametrize(
+    "limits,message",
+    [
+        ({"max_iter": -5}, "max_iter must be at least 1, got -5"),
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+        ({"tol": -1.0}, "tol must be positive, got -1.0"),
+        ({"tol": 0.0}, "tol must be positive, got 0.0"),
+        ({"tol": math.nan}, "tol must be positive, got nan"),
+    ],
+    ids=["negative-max-iter", "zero-max-iter", "negative-tol", "zero-tol", "nan-tol"],
+)
+def test_dynamics_rejects_a_round_limit_below_one_and_a_tol_that_is_not_positive(
+    limits, message
+):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_dynamics(CFG, NoDrop(), RateProfile((0.1, 0.1)), **limits)
+    # an infinite tolerance is a limit too: any first round meets it
+    traj = run_dynamics(CFG, NoDrop(), RateProfile((0.1, 0.1)), tol=math.inf)
+    assert traj.converged and len(traj.iterates) == 2
+
+
 def test_dynamics_rejects_unstable_start():
     with pytest.raises(UnstableQueueError):
         run_dynamics(CFG, NoDrop(), RateProfile((3.5, 3.5)))

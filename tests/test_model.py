@@ -42,6 +42,13 @@ def test_uniform_config():
     assert CFG.homogeneous
 
 
+@pytest.mark.parametrize("m", [2.5, 6.0, np.float64(2.0), True])
+def test_uniform_refuses_an_m_that_is_not_an_integer(m):
+    with pytest.raises(ValueError, match=r"^m must be an integer, got "):
+        GameConfig.uniform(6.0, 2.0, m)
+    assert GameConfig.uniform(6.0, 2.0, np.int64(3)).m == 3
+
+
 def test_heterogeneous_alpha_guard():
     cfg = GameConfig(6.0, (1.0, 2.0))
     assert not cfg.homogeneous

@@ -64,6 +64,27 @@ def test_sim_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("slots", 200.0, "slots must be an integer, got 200.0"),
+        ("window", 2.5, "window must be an integer, got 2.5"),
+        ("window", 2.0, "window must be an integer, got 2.0"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", np.float64(3.0), f"seed must be an integer, got {np.float64(3.0)!r}"),
+        ("queue_cap", 10.5, "queue_cap must be an integer, got 10.5"),
+        ("seed", -1, "seed must be non-negative, got -1"),
+    ],
+    ids=["float-slots", "fractional-window", "float-window", "fractional-seed",
+         "numpy-float-seed", "fractional-queue-cap", "negative-seed"],
+)
+def test_sim_config_refuses_run_options_that_are_not_counts(option, value, message):
+    sim = SimConfig(game=CFG, policy=NoDrop(), input_rates=RateProfile((1.0, 1.0)), slots=200)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(sim, **{option: value})
+    assert getattr(replace(sim, **{option: np.int64(3)}), option) == 3  # a numpy integer passes
+
+
 def test_sim_config_bounds_the_packets_a_run_can_count():
     # int64 sums over 2**62 expected packets cannot wrap, and no draw meets numpy's limit
     at_bound = SimConfig(
@@ -613,6 +634,17 @@ def test_sweep_records_per_cell_errors():
     assert len(cells) == 1
     assert cells[0].error is not None
     assert math.isnan(cells[0].mean_poa)
+
+
+def test_sweep_records_a_fractional_window_as_the_cells_error():
+    base = SimConfig(
+        game=GameConfig.uniform(500.0, 2.0, 2), policy=NoDrop(),
+        input_rates=RateProfile((0.0, 0.0)), slots=200, queue_mode=QueueMode.ANALYTIC_DELAY,
+    )
+    (cell,) = sweep(base, [1.2], [500.0], [2.7], 1)
+    assert cell.window == 2.7
+    assert cell.error == "window must be an integer, got 2.7"
+    assert math.isnan(cell.mean_poa)
 
 
 def test_sweep_is_deterministic():
