@@ -136,6 +136,8 @@ def _build(where: str, make: Callable[..., _T], *args: Any, **kwargs: Any) -> _T
 
 def _as_float(value: Any, field: str) -> float:
     try:
+        if isinstance(value, bool):  # YAML's true and false, which float() reads as 1 and 0
+            raise ValueError
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{field}: expected a number, got {value!r}") from None
@@ -143,7 +145,7 @@ def _as_float(value: Any, field: str) -> float:
 
 def _as_int(value: Any, field: str) -> int:
     try:
-        if isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError
         return int(value)
     except (TypeError, ValueError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from operator import sub
 
 import numpy as np
@@ -15,6 +16,7 @@ from .model import (
     RateProfile,
     UnstableQueueError,
     _potentials,
+    _unchecked_profile,
     feasible,
     keep_probability,
     utility,
@@ -42,15 +44,31 @@ class UpdateMode(Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded best-response path: one profile per full update round."""
+    """Recorded best-response path: one profile per full update round.
+
+    It carries the policy and the game it was played on; both take part in
+    ``==``.  ``potential_series`` holds :func:`~mm1game.model.potential` at
+    each iterate, computed on first read; at an iterate that overloads the
+    queue, where the potential is undefined, it holds a value that is not
+    positive.  Reading it raises ``OverflowError`` where a potential
+    overflows a double, though play itself succeeded.
+    """
 
     iterates: tuple[RateProfile, ...]
-    potential_series: tuple[float, ...]
     converged: bool
+    policy: DropPolicy
+    config: GameConfig
 
     @property
     def final_profile(self) -> RateProfile:
         return self.iterates[-1]
+
+    @cached_property
+    def potential_series(self) -> tuple[float, ...]:
+        rows = [profile.rates for profile in self.iterates]
+        totals = [sum(rates) for rates in rows]
+        keeps = [keep_probability(self.policy, t) for t in totals]
+        return tuple(_potentials(rows, totals, keeps, self.config))
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -142,6 +160,8 @@ def _polished_cubic_roots(
     ``condition(x, params)`` evaluates the same cubic from unexpanded
     factors, which stays accurate near a root where the expanded sum
     cancels; a step is kept only while it shrinks ``|condition|``.
+    :func:`_ramp_best_response` carries a copy of this polish on its own
+    condition; change the two together.
     """
     a3, b2 = 3.0 * a, 2.0 * b
     roots = []
@@ -160,21 +180,20 @@ def _polished_cubic_roots(
     return roots
 
 
-def _ramp_condition(x: float, params: tuple) -> float:
-    """``w^2 x p q`` times ``d/dx log u``, i.e. ``alpha q (p + s x) - x p (p + s T)``."""
-    alpha, muw, b, d, e = params
-    return alpha * (muw - (b + x) * (d - x)) * (d - 2.0 * x) - x * (d - x) * (e - 2.0 * x)
-
-
-def _ramp_best_response(b: float, alpha: float, mu: float, policy: DropPolicy) -> float:
-    """Closed-form argmax of the one-user utility on a ramp of positive width.
+def _ramp_best_response(b: float, alpha: float, mu: float, r1: float, r2: float) -> float:
+    """Closed-form argmax of the one-user utility on a ramp ``r1 < r2``.
 
     See :func:`best_response`.  Rates are measured against ``d = r2 - b``, the
     room left before everything is dropped, so the keep probability on the
     ramp is ``(d - x) / w`` with ``w = r2 - r1``: no total near ``r2`` is
     formed and subtracted again, which keeps tiny keep probabilities exact.
+
+    The Newton polish of :func:`_polished_cubic_roots` is copied here,
+    operation for operation, because play calls this once per user update;
+    change the two together.  It runs on the unexpanded condition ``g``,
+    which is ``w^2 x p q`` times ``d/dx log u``, i.e.
+    ``alpha q (p + s x) - x p (p + s T)``.
     """
-    r1, r2 = policy.r1, policy.r2
     d = r2 - b
     if d <= 0.0:
         return 0.0  # everything the user could send is dropped
@@ -187,15 +206,22 @@ def _ramp_best_response(b: float, alpha: float, mu: float, policy: DropPolicy) -
         lo = 0.0
     xs = [lo]
     us = [lo**alpha * (mu - (b + lo))]  # the ramp start keeps everything
-    roots = _polished_cubic_roots(
-        -2.0 * (alpha + 1.0),
-        alpha * (d + 2.0 * e) + 2.0 * d + e,
-        -alpha * (e * d + 2.0 * h) - d * e,
-        alpha * h * d,
-        _ramp_condition,
-        (alpha, muw, b, d, e),
-    )
-    for x in roots:
+    c3 = -2.0 * (alpha + 1.0)
+    c2 = alpha * (d + 2.0 * e) + 2.0 * d + e
+    c1 = -alpha * (e * d + 2.0 * h) - d * e
+    c0 = alpha * h * d
+    roots = _cubic_roots(c3, c2, c1, c0)
+    a3, b2 = 3.0 * c3, 2.0 * c2
+    for y in roots:
+        for k in range(3):  # the root, then two Newton steps, each kept only while it shrinks |g|
+            g_y = alpha * (muw - (b + y) * (d - y)) * (d - 2.0 * y) - y * (d - y) * (e - 2.0 * y)
+            if k and not abs(g_y) < abs(g):
+                break
+            x, g = y, g_y
+            slope = (a3 * x + b2) * x + c1
+            if slope == 0.0:
+                break
+            y = x - g / slope
         if lo < x < d:
             p = (d - x) / w
             xs.append(x)
@@ -244,12 +270,13 @@ def best_response(
     """
     if not others_total >= 0:  # NaN fails this too
         raise ValueError(f"others_total must be non-negative, got {others_total!r}")
+    r1, r2 = policy.r1, policy.r2
+    if r1 < r2:  # the ramp first: it is play's hot path
+        return _ramp_best_response(others_total, config.alphas[i], config.mu, r1, r2)
     alpha = config.alphas[i]
     mu = config.mu
-    if policy.r1 < policy.r2:
-        return _ramp_best_response(others_total, alpha, mu, policy)
     star = alpha * (mu - others_total) / (alpha + 1.0) if others_total < mu else 0.0
-    return max(0.0, min(star, policy.r2 - others_total))  # no cap when r2 is infinite
+    return max(0.0, min(star, r2 - others_total))  # no cap when r2 is infinite
 
 
 def run_dynamics(
@@ -291,10 +318,7 @@ def run_dynamics(
         if max(map(abs, map(sub, rates, prev))) < tol:
             converged = True
             break
-    totals = [sum(r) for r in history]
-    keeps = [keep_probability(policy, t) for t in totals]
-    potentials = _potentials(history, totals, keeps, config)
-    return Trajectory(tuple(map(RateProfile, history)), tuple(potentials), converged)
+    return Trajectory(tuple(map(_unchecked_profile, history)), converged, policy, config)
 
 
 def _scan_cutoff(policy: DropPolicy, mu: float) -> float:

@@ -139,6 +139,17 @@ class RateProfile:
         return RateProfile(tuple(rates))
 
 
+def _unchecked_profile(rates: tuple[float, ...]) -> RateProfile:
+    """A profile of ``rates`` without the constructor's checks.
+
+    Only for a tuple of floats already known to be non-negative and finite,
+    such as the best responses of play.
+    """
+    profile = object.__new__(RateProfile)
+    object.__setattr__(profile, "rates", rates)
+    return profile
+
+
 @dataclass(frozen=True)
 class DropPolicy:
     """Keep everything up to ``r1``, drop everything from ``r2`` on, fall linearly between.

@@ -232,6 +232,18 @@ def test_field_contains_a_fixed_point_row(tmp_path):
     assert min(residuals) < 1e-6  # the appended equilibrium row
 
 
+def test_field_writes_where_the_potential_overflows(tmp_path):
+    # the potential at the default start, about (2.5e18) ** 20, overflows a double;
+    # the field marks the equilibrium from play's rates and never reads it
+    out = tmp_path / "f.csv"
+    code = main(["field", "--mu", "1e20", "--alpha", "20", "--m", "2", "--points", "4",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    _, rows = read_csv(out)
+    columns = ("rate_0", "rate_1", "step_0", "step_1")
+    assert rows and all(math.isfinite(float(r[c])) for r in rows for c in columns)
+
+
 def test_field_requires_two_users(tmp_path):
     code = main(
         ["field", "--mu", "10", "--alpha", "2", "--m", "3", "--out", str(tmp_path / "f.csv")]
@@ -973,11 +985,22 @@ def test_zero_sweep_replications_names_the_key(tmp_path, monkeypatch, capsys):
          "dynamics.tol: must be positive, got -1.0"),
         ("dynamics", None, ["--mu", "6", "--alpha", "2", "--m", "2", "--tol", "nan"],
          "dynamics.tol: must be positive, got nan"),
+        # YAML booleans are not the integers or numbers 1 and 0
+        ("simulate", "simulate: {slots: true}\n",
+         ["--mu", "20", "--alpha", "1", "--m", "2", "--rates", "5,5"],
+         "simulate.slots: expected an integer, got True"),
+        ("analyze", "game: {mu: 6, alpha: 2, m: true}\n", [],
+         "game.m: expected an integer, got True"),
+        ("analyze", "game: {mu: false, alpha: 2, m: 2}\n", [],
+         "game.mu: expected a number, got False"),
+        ("simulate", "simulate: {rates: [true, 1]}\n", ["--mu", "20", "--alpha", "1", "--m", "2"],
+         "simulate.rates: expected a number, got True"),
     ],
     ids=["not-a-number", "non-integer-slots", "empty-desired-poas", "scalar-desired-poas",
          "empty-config-file", "m-disagrees-with-alpha-list", "linear-without-r2",
          "one-field-point", "simulate-negative-seed", "sweep-negative-seed",
-         "negative-max-iter", "zero-max-iter", "negative-tol", "nan-tol"],
+         "negative-max-iter", "zero-max-iter", "negative-tol", "nan-tol",
+         "bool-slots", "bool-m", "bool-mu", "bool-rate"],
 )
 def test_an_invalid_config_value_exits_2_with_its_message(
     tmp_path, monkeypatch, capsys, command, text, argv, message

@@ -428,6 +428,14 @@ def test_trajectory_records_every_round():
     assert traj.final_profile is traj.iterates[-1]
 
 
+def test_play_succeeds_where_only_its_potential_series_overflows():
+    config = GameConfig.uniform(1e20, 20.0, 2)
+    traj = run_dynamics(config, NoDrop(), RateProfile((2.5e18, 2.5e18)), tol=math.inf)
+    assert len(traj.iterates) == 2  # (2.5e18) ** 20 overflows a double
+    with pytest.raises(OverflowError):
+        traj.potential_series
+
+
 # ------------------------------------------------- the lean paths against references
 # The closure-based ramp best response and the per-round loop of profiles that
 # ``best_response`` and ``run_dynamics`` were before their call overhead was
