@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Any, Callable, NamedTuple, TypeVar
 
 import numpy as np
-import yaml
 
 from .analysis import WelfareKind, ne_closed_form, no_drop_report, welfare
 from .dynamics import UpdateMode, response_field, run_dynamics, triangular_grid
@@ -216,6 +215,7 @@ def load_config(path: str | None, command: str, overrides: dict[str, Any]) -> di
     """
     raw: dict[str, Any] = {}
     if path is not None:
+        import yaml  # only a config file needs it; it slows every import of the CLI
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 loaded = yaml.safe_load(fh)
@@ -223,11 +223,9 @@ def load_config(path: str | None, command: str, overrides: dict[str, Any]) -> di
             raise ConfigError(f"config: cannot read {path}: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"config: {path} is not valid YAML: {exc}") from exc
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
+        raw = {} if loaded is None else loaded
+        if not isinstance(raw, dict):
             raise ConfigError(f"config: {path} must hold a mapping at the top level")
-        raw = loaded
     sections = _keys_by_section()
     top_level = sections.pop("")
     _check_keys(raw, {"command", *top_level, *sections}, "config")
@@ -324,9 +322,14 @@ def _numeric_texts(values: np.ndarray, fmt: Callable[[float], str], missing: str
     The values are keyed by their bits, so ``-0.0`` and ``0.0`` (or two NaN
     payloads) stay apart and equal keys have equal text.
     """
+    ints = values.dtype.kind in "iu"
+    if ints and values.min(initial=0) >= 0 and values.max(initial=0) <= len(values):
+        # counts and slot indices: every text up to the largest, picked by value
+        table = np.array(list(map(str, range(int(values.max(initial=0)) + 1))), dtype=object)
+        return table[values].tolist()
     distinct, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
     distinct = distinct.view(values.dtype)
-    texts = list(map(str if distinct.dtype.kind in "iu" else fmt, distinct.tolist()))
+    texts = list(map(str if ints else fmt, distinct.tolist()))
     for i in np.flatnonzero(~np.isfinite(distinct)).tolist():
         texts[i] = missing
     return np.array(texts, dtype=object)[inverse].tolist()

@@ -2,9 +2,13 @@
 
 Time advances in unit slots.  Each slot the server estimates the offered
 total from a sliding window of past arrival counts, applies the drop policy
-to that estimate, and thins every user's arrivals independently.  Delay is
-either read off the steady-state formula slot by slot (fast, good for
-sweeps) or measured per packet from an explicit FCFS event queue.
+to that estimate, and thins every user's arrivals independently.  Each
+accepted packet is charged its slot's delay: the steady-state formula at the
+slot's load (fast, good for sweeps), or the mean sojourn measured over the
+slot's packets in an explicit FCFS event queue.  Arrival instants within a
+slot do not depend on the user, so that mean is the exact conditional
+expectation of a packet's sojourn given the slot's counts; a model where a
+user's arrival pattern within a slot differs would need per-packet labels.
 
 Arrivals never depend on the drop decision, so the whole horizon is drawn
 and thinned as array operations; the event queue runs in fixed-size blocks
@@ -156,42 +160,36 @@ def _fifo_departures(
     return cum + np.maximum.accumulate(np.maximum(started_before, server_free))
 
 
-def _event_queue_delays(
-    sim: SimConfig, accepted: np.ndarray, rng: np.random.Generator
+def _event_queue_sojourns(
+    sim: SimConfig, acc_sum: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Summed per-user sojourn of the counted packets through a FCFS queue.
+    """Mean FCFS sojourn of each slot's accepted packets (0.0 if none).
 
+    Arrival instants within a slot are iid uniform whatever the user, so this
+    mean is the exact conditional expectation of each packet's sojourn given
+    the slot's counts, and no packet carries a user label; a model where a
+    user's arrival pattern within a slot differs would need the labels back.
     Slots go through the queue in blocks of ``_BLOCK_SLOTS``, so the
     per-packet arrays stay small whatever the horizon.  The instant the
     server frees up and the departures still pending carry across blocks.
     """
-    slots, m = accepted.shape
-    delay_weight = np.zeros(m)
+    sojourn = np.zeros(len(acc_sum))
     server_free = 0.0
     pending = np.empty(0)  # departure instants after the previous block's end
-    for start in range(0, slots, _BLOCK_SLOTS):
-        block = accepted[start : start + _BLOCK_SLOTS]
-        per_slot = block.sum(axis=1)
-        slot_ids = np.arange(start, start + len(block))
+    for start in range(0, len(acc_sum), _BLOCK_SLOTS):
+        per_slot = acc_sum[start : start + _BLOCK_SLOTS]
+        slot_ids = np.arange(start, start + len(per_slot))
         n = int(per_slot.sum())
         queue = pending
         if n:
-            users = np.repeat(np.tile(np.arange(m), len(block)), block.ravel())
             slot_of = np.repeat(slot_ids, per_slot)
-            times = slot_of + rng.random(n)
-            # slot t's arrivals lie in [t, t + 1], and the stable sort keeps
-            # ties in slot order, so it permutes only within slots and
-            # slot_of needs no reordering
-            order = np.argsort(times, kind="stable")
-            times = times[order]
-            users = users[order]
+            # slot t's arrivals lie in [t, t + 1], so sorting by value
+            # permutes only within slots and slot_of needs no reordering
+            times = np.sort(slot_of + rng.random(n))
             services = rng.exponential(1.0 / sim.game.mu, n)
             departures = _fifo_departures(times, services, server_free)
             server_free = float(departures[-1])
-            counted = slot_of >= sim.window
-            delay_weight += np.bincount(
-                users[counted], weights=(departures - times)[counted], minlength=m
-            )
+            sojourn[slot_ids] = np.bincount(slot_of - start, departures - times, len(slot_ids))
             queue = np.concatenate((pending, departures))
         # FIFO departures are sorted, so the packets gone by a slot's end are
         # a prefix of those that arrived by then
@@ -206,7 +204,7 @@ def _event_queue_delays(
                 f"at slot {start + t}"
             )
         pending = queue[gone[-1] :]
-    return delay_weight
+    return sojourn / np.maximum(acc_sum, 1)
 
 
 def run(sim: SimConfig) -> SimReport:
@@ -234,10 +232,10 @@ def run(sim: SimConfig) -> SimReport:
     keep = keep_probability(sim.policy, est)
     accepted = rng.binomial(arrivals, keep[:, None])
 
+    acc_sum = accepted @ ones_m
     if sim.queue_mode is QueueMode.EVENT_QUEUE:
-        delay_weight = _event_queue_delays(sim, accepted, rng)
+        slot_delay = _event_queue_sojourns(sim, acc_sum, rng)
     else:
-        acc_sum = accepted @ ones_m
         over = np.flatnonzero(acc_sum >= mu)
         if over.size:
             first = int(over[0])
@@ -245,18 +243,16 @@ def run(sim: SimConfig) -> SimReport:
                 f"accepted load {int(acc_sum[first])} reached the per-slot service rate "
                 f"{mu} at slot {first}; the steady-state delay is undefined"
             )
-        delay_weight = (1.0 / (mu - acc_sum[warmup:])) @ accepted[warmup:]
+        slot_delay = 1.0 / (mu - acc_sum)
+    delay_weight = slot_delay[warmup:] @ accepted[warmup:]
 
     arrivals_total = ones_kept @ arrivals[warmup:]
     accepted_total = ones_kept @ accepted[warmup:]
 
     goodput = accepted_total / max(kept_slots, 1)
     mean_delay = np.where(accepted_total > 0, delay_weight / np.maximum(accepted_total, 1), 0.0)
-    power = np.where(
-        (goodput > 0) & (mean_delay > 0),
-        goodput ** np.asarray(sim.game.alphas) / np.where(mean_delay > 0, mean_delay, 1.0),
-        0.0,
-    )
+    # zero power where no packet was accepted, so no delay was measured
+    power = goodput ** np.asarray(sim.game.alphas) / np.where(mean_delay > 0, mean_delay, np.inf)
     power_t = tuple(power.tolist())
     log_welfare = float(np.sum(np.log(power))) if np.all(power > 0) else -math.inf
     if sim.game.homogeneous:

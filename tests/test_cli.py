@@ -635,6 +635,17 @@ def test_the_cached_parser_carries_nothing_between_calls(tmp_path, monkeypatch):
     assert (tmp_path / "loose.csv").read_bytes() != (fresh / "d.csv").read_bytes()
 
 
+def test_importing_the_cli_leaves_yaml_unloaded():
+    # only a config file needs the YAML parser, so a run without one skips its import
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(mm1game.__file__)))
+    code = "import sys, mm1game.cli; print('yaml' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": package_root}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    assert done.stdout == "False\n"
+
+
 def test_the_top_level_help_lists_every_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

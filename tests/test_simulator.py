@@ -40,7 +40,7 @@ from mm1game import (
 )
 from mm1game import simulator
 from mm1game.cli import main
-from mm1game.simulator import _BLOCK_SLOTS, _event_queue_delays, _fifo_departures
+from mm1game.simulator import _BLOCK_SLOTS, _event_queue_sojourns, _fifo_departures
 
 CFG = GameConfig.uniform(6.0, 2.0, 2)
 
@@ -422,16 +422,40 @@ class _PooledRng:
         return out
 
 
-def _per_slot_event_queue(sim, accepted, rng):
+def _per_slot_event_queue(sim, acc_sum, rng):
     """The event queue one slot at a time: the reference for the blocked one.
 
-    Returns the per-user delay sums and the first slot whose backlog
+    Returns the per-slot mean sojourns and the first slot whose backlog
     exceeds the cap (None if none does).
+    """
+    sojourn = np.zeros(len(acc_sum))
+    server_free = 0.0
+    pending = deque()
+    for t, n in enumerate(acc_sum.tolist()):
+        if n:
+            times = np.sort(t + rng.random(n))
+            services = rng.exponential(1.0 / sim.game.mu, n)
+            departures = _fifo_departures(times, services, server_free)
+            server_free = float(departures[-1])
+            sojourn[t] = np.mean(departures - times)
+            pending.extend(departures[departures > t + 1.0])
+        while pending and pending[0] <= t + 1.0:
+            pending.popleft()
+        if len(pending) > sim.queue_cap:
+            return sojourn, t
+    return sojourn, None
+
+
+def _labelled_event_queue(sim, accepted, rng):
+    """The event queue with every packet labelled by its user, one slot at a
+    time: summed per-user sojourn of the packets past warm-up.
+
+    An independent oracle for charging each packet its slot's mean sojourn,
+    which is this sum's conditional expectation given the slots' counts.
     """
     m = accepted.shape[1]
     delay_weight = np.zeros(m)
     server_free = 0.0
-    pending = deque()
     for t, acc in enumerate(accepted):
         acc_sum = int(acc.sum())
         if acc_sum:
@@ -445,12 +469,7 @@ def _per_slot_event_queue(sim, accepted, rng):
             server_free = float(departures[-1])
             if t >= sim.window:
                 np.add.at(delay_weight, users, departures - times)
-            pending.extend(departures[departures > t + 1.0])
-        while pending and pending[0] <= t + 1.0:
-            pending.popleft()
-        if len(pending) > sim.queue_cap:
-            return delay_weight, t
-    return delay_weight, None
+    return delay_weight
 
 
 @pytest.mark.parametrize("block", [1, 7, _BLOCK_SLOTS, 5000])
@@ -467,16 +486,82 @@ def test_blocked_event_queue_matches_the_per_slot_loop(
         queue_cap=cap,
     )
     accepted = np.random.default_rng(8).poisson((1.2, 1.5), size=(sim.slots, 2))
-    n = int(accepted.sum())
-    want, overload_slot = _per_slot_event_queue(sim, accepted, _PooledRng(3, n))
+    acc_sum = accepted.sum(axis=1)
+    n = int(acc_sum.sum())
+    want, overload_slot = _per_slot_event_queue(sim, acc_sum, _PooledRng(3, n))
     assert (overload_slot is not None) == overloads
     monkeypatch.setattr(simulator, "_BLOCK_SLOTS", block)
     if overloads:
         with pytest.raises(OverloadError, match=f"at slot {overload_slot}$"):
-            _event_queue_delays(sim, accepted, _PooledRng(3, n))
-    else:
-        got = _event_queue_delays(sim, accepted, _PooledRng(3, n))
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+            _event_queue_sojourns(sim, acc_sum, _PooledRng(3, n))
+        return
+    got = _event_queue_sojourns(sim, acc_sum, _PooledRng(3, n))
+    # a sojourn is a difference of instants up to the horizon, where both
+    # queues round at ulp(1000) ~ 1.1e-13 along their own paths
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert acc_sum @ got == pytest.approx(acc_sum @ want, rel=1e-12)
+    assert np.all(got[acc_sum == 0] == 0.0)
+    # the labelled queue sees the same packets: its pooled total is exactly
+    # the slots' means times their counts, split among users by their counts
+    labelled = _labelled_event_queue(sim, accepted, _PooledRng(3, n))
+    charged = got[sim.window :] @ accepted[sim.window :]
+    assert labelled.sum() == pytest.approx(acc_sum[sim.window :] @ got[sim.window :], rel=1e-12)
+    assert charged.sum() == pytest.approx(labelled.sum(), rel=1e-12)
+    assert not np.allclose(charged, labelled, rtol=1e-6)  # equal only in expectation
+
+
+def test_run_charges_each_user_its_slots_mean_sojourn(monkeypatch):
+    sim = SimConfig(
+        game=GameConfig.uniform(6.0, 2.0, 3),
+        policy=NoDrop(),
+        input_rates=RateProfile((0.5, 1.5, 2.5)),
+        slots=700,
+        window=4,
+        seed=5,
+    )
+    seen = []
+
+    def recorded(sim, acc_sum, rng):
+        seen.append(_event_queue_sojourns(sim, acc_sum, rng))
+        return seen[-1]
+
+    monkeypatch.setattr(simulator, "_event_queue_sojourns", recorded)
+    rep = run(sim)
+    # NoDrop keeps every arrival, and arrivals are the run's first draw
+    gen = np.random.Generator(np.random.PCG64(sim.seed))
+    accepted = gen.poisson(sim.input_rates.rates, size=(sim.slots, sim.game.m))
+    np.testing.assert_array_equal(accepted.sum(axis=1), rep.slot_arrivals)
+    (sojourn,) = seen
+    for i in range(sim.game.m):
+        want = sum(int(c) * s for c, s in zip(accepted[sim.window :, i], sojourn[sim.window :]))
+        assert rep.accepted[i] == accepted[sim.window :, i].sum()
+        assert rep.mean_delay[i] * rep.accepted[i] == pytest.approx(want, rel=1e-12)
+
+
+def test_per_user_event_delays_match_the_labelled_queue_in_mean():
+    # users of very different rates through a loaded queue, 40 seeds: on the
+    # same packets the charged and the labelled per-user mean delays differ
+    # by noise of mean zero
+    sim = SimConfig(
+        game=GameConfig.uniform(6.0, 2.0, 3),
+        policy=NoDrop(),
+        input_rates=RateProfile((0.5, 1.5, 3.0)),
+        slots=150,
+        window=1,
+    )
+    charged, labelled = [], []
+    for seed in range(40):
+        accepted = np.random.default_rng(seed).poisson(sim.input_rates.rates, (sim.slots, 3))
+        acc_sum = accepted.sum(axis=1)
+        n = int(acc_sum.sum())
+        counted = accepted[sim.window :].sum(axis=0)
+        sojourn = _event_queue_sojourns(sim, acc_sum, _PooledRng(100 + seed, n))
+        charged.append(sojourn[sim.window :] @ accepted[sim.window :] / counted)
+        labelled.append(_labelled_event_queue(sim, accepted, _PooledRng(100 + seed, n)) / counted)
+    charged, labelled = np.array(charged), np.array(labelled)
+    diff = charged - labelled
+    stderr = diff.std(axis=0, ddof=1) / math.sqrt(len(diff))
+    assert np.all(np.abs(diff.mean(axis=0)) <= 4.0 * stderr)
 
 
 # --------------------------------------------------------------- empirical PoA

@@ -11,6 +11,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,7 +122,7 @@ def _trace_arrays(draw):
     """A float64, float32 or int64 array, sometimes as a strided
     (non-contiguous) view.  It holds either up to 300 entries drawn from a
     few pool values, or 257-600 mostly distinct ones, as a slot index (an
-    offset ``arange``) or a column of random floats holds."""
+    ``arange``, from 0 or offset) or a column of random floats holds."""
     if draw(st.booleans()):
         pool, dtype = draw(st.sampled_from(
             [(_FLOAT_POOL, np.float64), (_FLOAT32_POOL, np.float32), (_INT_POOL, np.int64)]
@@ -133,7 +134,7 @@ def _trace_arrays(draw):
         n = draw(st.integers(257, 600))
         dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
         if dtype is np.int64:
-            array = np.arange(n, dtype=dtype) + draw(st.integers(-(10**12), 10**12))
+            array = np.arange(n, dtype=dtype) + draw(st.just(0) | st.integers(-(10**12), 10**12))
         else:
             rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
             array = (rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)).astype(dtype)
@@ -157,6 +158,22 @@ def test_writers_format_repeated_values_as_each_cell_alone(tmp_path_factory, fir
         SCHEMA_VERSION, texts[0], texts[0], texts[1],
     )
     assert path.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[3, 0, 3], [4, 0, 3], [0, -1, 2], [], [2**63 - 1, 0]],
+    ids=["largest-is-the-length", "largest-past-the-length", "negative", "empty", "wide"],
+)
+def test_an_int_column_is_written_as_str_of_each_entry(tmp_path, values):
+    column = np.array(values, dtype=np.int64)
+    write_csv(str(tmp_path / "ints.csv"), {"v": column})
+    lines = (tmp_path / "ints.csv").read_text(encoding="utf-8").splitlines()
+    assert lines == ["schema_version,v", *(f"{SCHEMA_VERSION},{v}" for v in values)]
+    write_json(str(tmp_path / "ints.json"), {"v": column})
+    assert (tmp_path / "ints.json").read_text(encoding="utf-8") == (
+        f'{{"schema_version": "{SCHEMA_VERSION}", "v": {json.dumps(values)}}}\n'
+    )
 
 
 _json_leaves = st.one_of(_floats, _ints, st.booleans(), st.none(), st.text())
