@@ -18,6 +18,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from dataclasses import asdict
 from enum import Enum
@@ -347,6 +348,32 @@ def _fmt_column(column: Any) -> list[str]:
     return list(map(_fmt_value, column))
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, over an existing file in place.
+
+    ``open(path, "w")`` truncates an existing file to zero bytes.  On ext4
+    that sets off ``auto_da_alloc``, a durability flush: on close the kernel
+    starts writing the new blocks out, so a crash soon after a rewrite does
+    not leave a zero-length file.  Rewriting a file whose last write is still
+    unflushed then takes ~0.1 ms, five times as long as in place.  The speed
+    here comes from skipping that flush, so a crash soon after a rewrite may
+    leave old bytes inside the new length.  The file is opened without
+    ``O_TRUNC``, cut to the new length and then written from its start, so a
+    write that stops partway leaves no old bytes past the new end.  It keeps
+    its inode and mode, and a symlink stays a symlink.  Only a regular file
+    is cut: a pipe, a terminal or ``/dev/null`` cannot be, and has no old
+    bytes to cut.
+    """
+    data = text.encode("utf-8")
+    # os.open with "wb"'s flags less O_TRUNC; given as the opener, the
+    # descriptor is open's to close, even when open itself fails
+    untruncated = lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)
+    with open(path, "wb", opener=untruncated) as fh:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(data))
+        fh.write(data)
+
+
 def write_csv(path: str, columns: dict[str, Any]) -> None:
     """Write equal-length columns as CSV, one row per entry, after a
     ``schema_version`` column.  A column is a list or a 1-D int or float
@@ -359,8 +386,7 @@ def write_csv(path: str, columns: dict[str, Any]) -> None:
     schema = [SCHEMA_VERSION] * len(cells[0])
     lines = [",".join(["schema_version", *columns])]
     lines += map(",".join, zip(schema, *cells, strict=True))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _columns(records: list[dict[str, Any]]) -> dict[str, list[Any]]:
@@ -401,8 +427,7 @@ def write_json(path: str, payload: dict[str, Any]) -> None:
     it.  A 1-D int or float array is written as the list it holds.
     """
     text = _dumps_finite({"schema_version": SCHEMA_VERSION, **payload})
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text + "\n")
+    _write_text(path, text + "\n")
 
 
 def _emit(cfg: dict[str, Any], name: str, records: list[dict[str, Any]], **extra: Any) -> None:

@@ -1,14 +1,19 @@
 """CLI: config loading, overrides, output schema, exit codes."""
 
 import argparse
+import builtins
 import copy
 import csv
+import errno
+import hashlib
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 import yaml
@@ -427,11 +432,128 @@ def test_default_output_uses_env_dir(tmp_path, monkeypatch):
     assert (tmp_path / "analyze.csv").exists()
 
 
+_ANALYZE = ["analyze", "--mu", "6", "--alpha", "2", "--m", "2"]
+
+
+def _analyze_output(tmp_path):
+    """The bytes ``analyze`` writes to a new file."""
+    want = tmp_path / "want.csv"
+    assert main([*_ANALYZE, "--out", str(want)]) == EXIT_OK
+    return want.read_bytes()
+
+
 def test_unwritable_output_is_an_io_error(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     code = main(["analyze", "--mu", "6", "--alpha", "2", "--m", "2", "--out", str(missing)])
     assert code == EXIT_IO
     assert "i/o error" in capsys.readouterr().err
+    # an existing directory cannot be opened for writing either
+    assert main([*_ANALYZE, "--out", str(tmp_path)]) == EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_shorter_run_over_a_longer_output_leaves_only_its_own_bytes(tmp_path, fmt):
+    def simulate(slots, out):
+        argv = ["simulate", "--mu", "20", "--alpha", "2", "--m", "2", "--rates", "5,5",
+                "--seed", "3", "--slots", str(slots), "--format", fmt, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        names = [out.name, f"{out.stem}.slots.csv"] if fmt == "csv" else [out.name]
+        return {name: hashlib.sha256((out.parent / name).read_bytes()).digest() for name in names}
+
+    rewritten, fresh = tmp_path / "rewritten", tmp_path / "fresh"
+    rewritten.mkdir()
+    fresh.mkdir()
+    long = simulate(2000, rewritten / f"s.{fmt}")
+    short = simulate(300, rewritten / f"s.{fmt}")
+    assert short == simulate(300, fresh / f"s.{fmt}")
+    assert all(short[name] != long[name] for name in short)
+
+
+def test_dev_null_takes_the_output():
+    assert main([*_ANALYZE, "--out", os.devnull]) == EXIT_OK
+
+
+def test_a_fifo_takes_the_output(tmp_path):
+    want = _analyze_output(tmp_path)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main([*_ANALYZE, "--out", str(fifo)]) == EXIT_OK
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [want]
+
+
+def test_a_pipe_takes_the_output_through_dev_stdout(tmp_path):
+    want = _analyze_output(tmp_path)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(mm1game.__file__)))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    done = subprocess.run(
+        [sys.executable, "-m", "mm1game.cli", *_ANALYZE, "--out", "/dev/stdout"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60,
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (EXIT_OK, b"", want)
+
+
+def test_a_rewrite_keeps_the_outputs_mode_and_its_symlink(tmp_path):
+    want = _analyze_output(tmp_path)
+    stale = b"stale bytes, longer than the output\n" * 100
+
+    private = tmp_path / "private.csv"
+    private.write_bytes(stale)
+    private.chmod(0o640)
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(stale)
+    link.symlink_to(target)
+    inode = target.stat().st_ino
+
+    for out in (private, link):
+        assert main([*_ANALYZE, "--out", str(out)]) == EXIT_OK
+    assert stat.S_IMODE(private.stat().st_mode) == 0o640
+    assert private.read_bytes() == want
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == want
+    assert target.stat().st_ino == inode
+
+
+class _FullDiskHalfway:
+    """An output file whose write stores half its bytes and then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_rewrite_that_fails_partway_leaves_no_old_bytes_past_the_new_end(
+    tmp_path, monkeypatch, capsys
+):
+    want = _analyze_output(tmp_path)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"stale bytes, longer than the output\n" * 100)
+    monkeypatch.setattr(
+        mm1game.cli, "open", lambda *a, **k: _FullDiskHalfway(builtins.open(*a, **k)),
+        raising=False,
+    )
+    assert main([*_ANALYZE, "--out", str(out)]) == EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+    assert out.read_bytes()[: len(want) // 2] == want[: len(want) // 2]
+    assert out.stat().st_size == len(want)
 
 
 def test_outputs_are_deterministic(tmp_path):

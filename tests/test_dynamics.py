@@ -595,6 +595,11 @@ def test_verify_rejects_a_perturbed_profile():
     assert not verify_equilibrium(RateProfile((2.7, 2.4)), NoDrop(), CFG)
 
 
+def test_verify_refuses_an_infeasible_profile():
+    with pytest.raises(UnstableQueueError, match="^profile is not feasible$"):
+        verify_equilibrium(RateProfile((3.0, 3.0)), NoDrop(), CFG)
+
+
 def test_verify_step_profiles():
     pol = StepPolicy(4.0)
     assert verify_equilibrium(RateProfile((1.0, 3.0)), pol, CFG)
@@ -698,3 +703,8 @@ def test_triangular_grid_covers_the_feasible_wedge():
     assert len(grid) == expected
     with pytest.raises(ValueError):
         triangular_grid(FIG7_CFG, FIG7_POLICY, 1)
+
+
+def test_triangular_grid_refuses_a_game_that_is_not_two_user():
+    with pytest.raises(ValueError, match="^triangular_grid is defined for two-user games$"):
+        triangular_grid(GameConfig.uniform(6.0, 2.0, 3), NoDrop(), 5)

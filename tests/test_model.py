@@ -150,6 +150,12 @@ def test_step_keeps_up_to_threshold_inclusive():
     assert keep_probability(pol, 4.0 + 1e-12) == 0.0
 
 
+@pytest.mark.parametrize("threshold", [math.inf, 0.0])
+def test_a_step_threshold_that_is_not_finite_and_positive_is_refused(threshold):
+    with pytest.raises(ValueError, match="^threshold must be positive"):
+        StepPolicy(threshold)
+
+
 def test_linear_ramp_endpoints_and_midpoint():
     pol = LinearPolicy(4.0, 6.0)
     assert keep_probability(pol, 4.0) == 1.0

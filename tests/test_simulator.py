@@ -767,5 +767,7 @@ def test_sweep_validates_replications():
     base = SimConfig(
         game=CFG, policy=NoDrop(), input_rates=RateProfile((0.0, 0.0)), slots=100
     )
-    with pytest.raises(ValueError):
+    # an empty replication list also fails later, in statistics.fmean, so the
+    # message tells the sweep's own check from that
+    with pytest.raises(ValueError, match="^replications must be at least 1, got 0$"):
         sweep(base, [1.1], [600.0], [1], replications=0)
