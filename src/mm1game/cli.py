@@ -6,8 +6,9 @@ names.  Every command is deterministic given its effective configuration
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (non-convergence, infeasible design, overload), 4 output I/O error.  Exit 2
-comes only from reading the config or from a library constructor rejecting a
-value of it (``_build``); anything the computation raises exits 3.
+comes only from reading the config (each key's type, choices and lower bound
+are in the option table, ``_OPTIONS``) or from a library constructor rejecting
+a value of it (``_build``); anything the computation raises exits 3.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ class _Option(NamedTuple):
     ``type`` is float, int, list (a list of floats, or a comma-separated
     string), an Enum or a tuple of choices, or None for a value the command
     reads as written.  The flag is ``--<name-with-dashes>`` unless given.
+    A number below ``low``, or NaN, is refused when it is read.
     """
 
     key: str
@@ -77,6 +79,7 @@ class _Option(NamedTuple):
     default: Any
     help: str
     flag: str | None = None
+    low: float | None = None
 
 
 _OPTIONS = (
@@ -99,10 +102,13 @@ _OPTIONS = (
         "accepted total at the equilibrium (default: solved from epsilon)",
     ),
     _Option("dynamics.init", list, None, "comma-separated starting rates (default: mu/20m)"),
-    _Option("dynamics.tol", float, 1e-8, "stop when a round moves no rate by more than this"),
-    _Option("dynamics.max_iter", int, 5000, "round limit"),
+    _Option(
+        "dynamics.tol", float, 1e-8, "stop when a round moves no rate by more than this",
+        low=math.ulp(0.0),
+    ),
+    _Option("dynamics.max_iter", int, 5000, "round limit", low=1),
     _Option("dynamics.mode", UpdateMode, "round_robin", "update order"),
-    _Option("field.points", int, 20, "grid points per axis"),
+    _Option("field.points", int, 20, "grid points per axis", low=2),
     _Option("simulate.rates", None, _REQUIRED, "comma-separated offered rates, or 'designed'"),
     _Option("simulate.slots", int, 100_000, "horizon in slots"),
     _Option("simulate.window", int, 1, "rate-estimation window in slots"),
@@ -112,7 +118,7 @@ _OPTIONS = (
     _Option("sweep.desired_poas", list, _REQUIRED, "comma-separated efficiency-ratio targets"),
     _Option("sweep.mus", list, None, "comma-separated service rates (default: game.mu)"),
     _Option("sweep.windows", list, (1,), "comma-separated rate-estimation windows"),
-    _Option("sweep.replications", int, 10, "seeds per cell"),
+    _Option("sweep.replications", int, 10, "seeds per cell", low=1),
     _Option("sweep.slots", int, 10_000, "horizon in slots"),
     _Option("sweep.seed", int, 0, "seed of each cell's first replication"),
     _Option("sweep.queue_mode", QueueMode, "analytic", "queue model"),
@@ -173,7 +179,7 @@ def _choices(kind: Any) -> dict[str, Any] | None:
 
 
 def _get(cfg: dict[str, Any], key: str) -> Any:
-    """One option of the merged config: defaulted, then typed or choice-checked."""
+    """One option of the merged config: defaulted, then typed and bounded, or choice-checked."""
     option = _OPTION_BY_KEY[key]
     value = cfg.get(key)
     if value is None:
@@ -184,7 +190,10 @@ def _get(cfg: dict[str, Any], key: str) -> Any:
         return value
     choices = _choices(option.type)
     if choices is None:
-        return _READERS[option.type](value, key)
+        value = _READERS[option.type](value, key)
+        if option.low is not None and not value >= option.low:  # NaN fails this too
+            raise ConfigError(f"{key}: must be at least {option.low}, got {value!r}")
+        return value
     if not isinstance(value, str) or value not in choices:
         raise ConfigError(f"{key}: must be one of {sorted(choices)}, got {value!r}")
     return choices[value]
@@ -516,11 +525,7 @@ def _cmd_dynamics(cfg: dict[str, Any], game: GameConfig) -> int:
     rates = _get(cfg, "dynamics.init")
     init = _default_start(game) if rates is None else _rate_profile(rates, game, "dynamics.init")
     tol = _get(cfg, "dynamics.tol")
-    if not tol > 0:  # NaN fails this too
-        raise ConfigError(f"dynamics.tol: must be positive, got {tol!r}")
     max_iter = _get(cfg, "dynamics.max_iter")
-    if max_iter < 1:
-        raise ConfigError(f"dynamics.max_iter: must be at least 1, got {max_iter}")
     mode = _get(cfg, "dynamics.mode")
     trajectory = run_dynamics(game, policy, init, mode=mode, tol=tol, max_iter=max_iter)
     records = [
@@ -544,10 +549,7 @@ def _cmd_field(cfg: dict[str, Any], game: GameConfig) -> int:
     if game.m != 2:
         raise ConfigError("field: requires a two-user game")
     policy, _ = _policy(cfg, game)
-    points = _get(cfg, "field.points")
-    if points < 2:
-        raise ConfigError(f"field.points: must be at least 2, got {points}")
-    grid = triangular_grid(game, policy, points)
+    grid = triangular_grid(game, policy, _get(cfg, "field.points"))
     # mark the equilibrium: follow the dynamics and add its endpoint to the grid
     trajectory = run_dynamics(game, policy, _default_start(game), tol=1e-10, max_iter=5000)
     if trajectory.converged:
@@ -579,6 +581,13 @@ def _sim_config(cfg: dict[str, Any], game: GameConfig) -> SimConfig:
 
 
 def _cmd_simulate(cfg: dict[str, Any], game: GameConfig) -> int:
+    out = cfg["out"]
+    if cfg["format"] == "csv" and os.path.exists(out) and not os.path.isfile(out):
+        # the trace would go to <stem>.slots<ext>: /dev/stdout.slots for /dev/stdout
+        raise ConfigError(
+            f"out: {out} is not a regular file, and CSV writes the per-slot trace to a "
+            "second file beside it; use --format json"
+        )
     sim = _sim_config(cfg, game)
     report = run_simulation(sim)
     users = [
@@ -603,7 +612,7 @@ def _cmd_simulate(cfg: dict[str, Any], game: GameConfig) -> int:
     }
     _emit(cfg, "users", users, slots=slots, warmup_slots=report.warmup_slots)
     if cfg["format"] == "csv":
-        stem, ext = os.path.splitext(cfg["out"])
+        stem, ext = os.path.splitext(out)
         write_csv(f"{stem}.slots{ext}", {"slot": np.arange(report.slots), **slots})
     return EXIT_OK
 
@@ -613,8 +622,6 @@ def _cmd_sweep(cfg: dict[str, Any], game: GameConfig) -> int:
     mus = _get(cfg, "sweep.mus") or [game.mu]
     windows = [_as_int(w, "sweep.windows") for w in _get(cfg, "sweep.windows")]
     replications = _get(cfg, "sweep.replications")
-    if replications < 1:
-        raise ConfigError(f"sweep.replications: must be at least 1, got {replications}")
     base_keys = ("queue_mode", "slots", "seed")
     base_options = {key: _get(cfg, f"sweep.{key}") for key in base_keys}
     welfare_kind = _get(cfg, "sweep.welfare")

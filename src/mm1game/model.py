@@ -92,8 +92,6 @@ class GameConfig:
     def uniform(cls, mu: float, alpha: float, m: int) -> "GameConfig":
         """Game with ``m`` identical users of exponent ``alpha``."""
         _check_integer("m", m)
-        if m < 1:
-            raise ValueError(f"m must be at least 1, got {m}")
         return cls(mu, (float(alpha),) * m)
 
     @property

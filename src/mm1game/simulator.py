@@ -344,7 +344,10 @@ def _run_cell(
     except OverloadError as exc:
         return failed(exc)
     mean = statistics.fmean(poas)
-    std = statistics.stdev(poas) if len(poas) > 1 else 0.0
+    if not all(map(math.isfinite, poas)):  # an unbounded ratio has no spread; stdev raises
+        std = math.nan
+    else:
+        std = statistics.stdev(poas) if len(poas) > 1 else 0.0
     return SweepCell(desired_poa, mu, window, replications, mean, std)
 
 

@@ -2,10 +2,12 @@
 
 import argparse
 import builtins
+import contextlib
 import copy
 import csv
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,20 +15,27 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
+from datetime import timedelta
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mm1game
 from mm1game.cli import (
     _COMMANDS,
+    _OPTIONS,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
     SCHEMA_VERSION,
+    _REQUIRED,
     _build_parser,
+    _choices,
     main,
 )
 
@@ -496,6 +505,35 @@ def test_a_pipe_takes_the_output_through_dev_stdout(tmp_path):
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60,
     )
     assert (done.returncode, done.stderr, done.stdout) == (EXIT_OK, b"", want)
+
+
+def test_a_csv_simulate_refuses_an_out_that_is_not_a_regular_file(tmp_path, capsys):
+    # the per-slot trace goes to <stem>.slots<ext>, which a stream has no room for
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    argv = ["simulate", "--mu", "20", "--alpha", "1", "--m", "2", "--rates", "5,5",
+            "--slots", "100", "--format", "csv", "--out", str(fifo)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: out: {fifo} is not a regular file, and CSV writes the "
+        "per-slot trace to a second file beside it; use --format json\n"
+    )
+    with open(fifo, "wb"):  # the reader's only writer: it reads end of file
+        pass
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [b""]
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+    # one JSON file holds the trace too, so it may go to the stream
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main([*argv, "--format", "json"]) == EXIT_OK
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert len(json.loads(got[1])["slots"]["drop_prob"]) == 100
 
 
 def test_a_rewrite_keeps_the_outputs_mode_and_its_symlink(tmp_path):
@@ -1088,6 +1126,26 @@ def test_zero_sweep_replications_names_the_key(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["dynamics", "--mu", "6", "--alpha", "2", "--m", "2", "--max-iter", "3",
+         "--tol", "5e-324"],
+        ["dynamics", "--mu", "6", "--alpha", "2", "--m", "2", "--max-iter", "1"],
+        ["field", "--mu", "6", "--alpha", "2", "--m", "2", "--points", "2"],
+        ["sweep", "--mu", "600", "--alpha", "2", "--m", "2", "--desired-poas", "1.2",
+         "--slots", "100", "--replications", "1"],
+    ],
+    ids=["tol", "max-iter", "points", "replications"],
+)
+def test_a_bounded_key_reads_its_lower_bound(tmp_path, argv):
+    # the value just below each bound exits 2: see the zero-tol, zero-max-iter and
+    # one-field-point cases below and test_zero_sweep_replications_names_the_key
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) in (EXIT_OK, EXIT_NUMERIC)
+    assert out.exists()
+
+
+@pytest.mark.parametrize(
     "command,text,argv,message",
     [
         ("analyze", "game: {mu: fast, alpha: 2, m: 2}\n", [],
@@ -1115,9 +1173,16 @@ def test_zero_sweep_replications_names_the_key(tmp_path, monkeypatch, capsys):
         ("dynamics", None, ["--mu", "6", "--alpha", "2", "--m", "2", "--max-iter", "0"],
          "dynamics.max_iter: must be at least 1, got 0"),
         ("dynamics", None, ["--mu", "6", "--alpha", "2", "--m", "2", "--tol", "-1"],
-         "dynamics.tol: must be positive, got -1.0"),
+         "dynamics.tol: must be at least 5e-324, got -1.0"),
+        ("dynamics", None, ["--mu", "6", "--alpha", "2", "--m", "2", "--tol", "0"],
+         "dynamics.tol: must be at least 5e-324, got 0.0"),
         ("dynamics", None, ["--mu", "6", "--alpha", "2", "--m", "2", "--tol", "nan"],
-         "dynamics.tol: must be positive, got nan"),
+         "dynamics.tol: must be at least 5e-324, got nan"),
+        # a list of rates holds one rate per user
+        ("dynamics", None, ["--mu", "6", "--alpha", "2", "--m", "2", "--init", "0.1,0.1,0.1"],
+         "dynamics.init: expected 2 rates, got 3"),
+        ("simulate", None, ["--mu", "20", "--alpha", "1", "--m", "2", "--rates", "5"],
+         "simulate.rates: expected 2 rates, got 1"),
         # YAML booleans are not the integers or numbers 1 and 0
         ("simulate", "simulate: {slots: true}\n",
          ["--mu", "20", "--alpha", "1", "--m", "2", "--rates", "5,5"],
@@ -1132,7 +1197,8 @@ def test_zero_sweep_replications_names_the_key(tmp_path, monkeypatch, capsys):
     ids=["not-a-number", "non-integer-slots", "empty-desired-poas", "scalar-desired-poas",
          "empty-config-file", "m-disagrees-with-alpha-list", "linear-without-r2",
          "one-field-point", "simulate-negative-seed", "sweep-negative-seed",
-         "negative-max-iter", "zero-max-iter", "negative-tol", "nan-tol",
+         "negative-max-iter", "zero-max-iter", "negative-tol", "zero-tol", "nan-tol",
+         "three-init-rates-for-two-users", "one-rate-for-two-users",
          "bool-slots", "bool-m", "bool-mu", "bool-rate"],
 )
 def test_an_invalid_config_value_exits_2_with_its_message(
@@ -1172,3 +1238,98 @@ def test_a_config_file_that_is_not_utf8_cannot_be_read(tmp_path, monkeypatch, ca
         "byte 0xff in position 0: invalid start byte\n"
     )
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
+
+# ------------------------------------------------- argv drawn from the option table
+
+# Every drawn size is small: rates and service rates stay below 100, so a run
+# draws at most a few hundred thousand packets, and no value asks for memory.
+_JUNK = st.sampled_from(["nan", "inf", "1e300", "-1", "0", "", ",", "3", "2.5", "x"])
+
+
+def _or_junk(texts, junk=_JUNK):
+    """A drawn text, or one time in ten a junk one."""
+    return st.sampled_from(range(10)).flatmap(lambda n: junk if n == 0 else texts)
+
+
+def _number(low, high):
+    return st.floats(low, high).map(repr)
+
+
+def _numbers(low, high, most):
+    return st.lists(_number(low, high), min_size=1, max_size=most).map(",".join)
+
+
+def _count(low, high):
+    return st.integers(low, high).map(str)
+
+
+_DRAWN = {
+    "game.mu": _number(0.5, 100.0),
+    "game.alpha": _number(0.05, 5.0) | _numbers(0.05, 5.0, 3),
+    "game.m": _count(1, 4),
+    "policy.r1": _number(0.0, 100.0),
+    "policy.r2": _number(0.0, 100.0),
+    "policy.threshold": _number(0.0, 100.0),
+    "design.epsilon": _number(0.01, 2.0),
+    "design.keep_prob": _number(0.5, 1.0),
+    "design.target_effective_total": _number(0.0, 100.0),
+    "dynamics.init": _numbers(0.0, 10.0, 4),
+    "simulate.rates": _numbers(0.0, 30.0, 4) | st.just("designed"),
+    "simulate.slots": _count(1, 2000) | st.just("1000000000000000"),
+    "simulate.window": _count(1, 50),
+    "simulate.seed": _count(0, 5),
+    "simulate.queue_cap": _count(1, 100_000),
+    "sweep.desired_poas": _numbers(0.9, 2.0, 2),
+    "sweep.mus": _numbers(0.5, 100.0, 2),
+    "sweep.windows": st.lists(_count(1, 50), min_size=1, max_size=2).map(",".join),
+    "sweep.slots": _count(1, 2000) | st.just("1000000000000000"),
+    "sweep.seed": _count(0, 5),
+    "sweep.keep_prob": _number(0.5, 1.0),
+}
+
+
+def _drawn(option):
+    """Texts for one option's flag: in range, at and around its bound, and junk."""
+    choices = _choices(option.type)
+    if choices is not None:
+        return st.sampled_from(range(10)).flatmap(
+            lambda n: st.just("other") if n == 0 else st.sampled_from(list(choices))
+        )
+    if option.low is None:
+        return _or_junk(_DRAWN[option.key])
+    if option.type is int:  # at most low + 1: points, max_iter and replications stay small
+        near = [str(option.low + step) for step in (-1, 0, 1)]
+    else:
+        near = [repr(v) for v in (0.0, option.low, math.nextafter(option.low, 1.0), 1e-8)]
+    return _or_junk(st.sampled_from(near), st.sampled_from(["nan", "-1", "", "x"]))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    sections = _COMMANDS[command][1]
+    argv = [command]
+    for option in _OPTIONS:
+        section, _, name = option.key.rpartition(".")
+        if option.key == "out" or (section and section not in sections):
+            continue
+        # a required key is given 19 times in 20, any other one time in two
+        if draw(st.sampled_from(range(20))) < (1 if option.default is _REQUIRED else 10):
+            continue
+        flag = option.flag or "--" + name.replace("_", "-")
+        argv.append(f"{flag}={draw(_drawn(option))}")
+    return argv
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=2))
+@given(argv=_argv())
+def test_any_argv_from_the_option_table_exits_0_2_or_3(argv):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main([*argv, f"--out={os.path.join(tmp, 'out')}"])
+        except SystemExit as exc:  # argparse refuses a value its type cannot read
+            code = exc.code
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+        if code == EXIT_CONFIG:
+            assert os.listdir(tmp) == []

@@ -49,6 +49,12 @@ def test_uniform_refuses_an_m_that_is_not_an_integer(m):
     assert GameConfig.uniform(6.0, 2.0, np.int64(3)).m == 3
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_uniform_with_no_users_is_refused_by_the_constructor(m):
+    with pytest.raises(ValueError, match="^alphas must contain at least one user$"):
+        GameConfig.uniform(6.0, 2.0, m)
+
+
 def test_heterogeneous_alpha_guard():
     cfg = GameConfig(6.0, (1.0, 2.0))
     assert not cfg.homogeneous

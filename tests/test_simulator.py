@@ -771,3 +771,20 @@ def test_sweep_validates_replications():
     # message tells the sweep's own check from that
     with pytest.raises(ValueError, match="^replications must be at least 1, got 0$"):
         sweep(base, [1.1], [600.0], [1], replications=0)
+
+
+def test_a_sweep_cell_of_unbounded_ratios_has_no_spread():
+    # at mu=3, alpha=1/16 the designed rates are ~6e-6 a slot, so no packet
+    # arrives in 100 slots and every replication's ratio is infinite;
+    # statistics.stdev raises AttributeError on such a list
+    base = SimConfig(
+        game=GameConfig.uniform(3.0, 0.0625, 2),
+        policy=NoDrop(),
+        input_rates=RateProfile((0.0, 0.0)),
+        slots=100,
+        queue_mode=QueueMode.ANALYTIC_DELAY,
+    )
+    (cell,) = sweep(base, [3.0], [3.0], [1], replications=2)
+    assert cell.error is None
+    assert cell.mean_poa == math.inf
+    assert math.isnan(cell.std_poa)
