@@ -144,7 +144,13 @@ def _poa_against(config: GameConfig, kind: WelfareKind) -> Callable[[Sequence[fl
     """
     if kind is WelfareKind.SUM_LOG_UTILITY:
         lam = optimal_total_rate(config)
-        per_user_opt = (lam / config.m) ** config.alpha * (config.mu - lam)
+        try:
+            per_user_opt = (lam / config.m) ** config.alpha * (config.mu - lam)
+        except OverflowError as exc:
+            raise OverflowError(
+                f"the social optimum overflows a float at mu={config.mu:g}, "
+                f"alpha={config.alpha:g}"
+            ) from exc
 
         def ratio(utilities: Sequence[float]) -> float:
             if 0.0 in utilities:  # -0.0 too

@@ -152,34 +152,6 @@ def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
     ]
 
 
-def _polished_cubic_roots(
-    a: float, b: float, c: float, d: float, condition, params: tuple
-) -> list[float]:
-    """Real roots of ``a x^3 + b x^2 + c x + d``, each polished by Newton steps.
-
-    ``condition(x, params)`` evaluates the same cubic from unexpanded
-    factors, which stays accurate near a root where the expanded sum
-    cancels; a step is kept only while it shrinks ``|condition|``.
-    :func:`_ramp_best_response` carries a copy of this polish on its own
-    condition; change the two together.
-    """
-    a3, b2 = 3.0 * a, 2.0 * b
-    roots = []
-    for x in _cubic_roots(a, b, c, d):
-        g = condition(x, params)
-        for _ in range(2):
-            slope = (a3 * x + b2) * x + c
-            if slope == 0.0:
-                break
-            step = x - g / slope
-            g_step = condition(step, params)
-            if not abs(g_step) < abs(g):
-                break
-            x, g = step, g_step
-        roots.append(x)
-    return roots
-
-
 def _ramp_best_response(b: float, alpha: float, mu: float, r1: float, r2: float) -> float:
     """Closed-form argmax of the one-user utility on a ramp ``r1 < r2``.
 
@@ -188,11 +160,11 @@ def _ramp_best_response(b: float, alpha: float, mu: float, r1: float, r2: float)
     ramp is ``(d - x) / w`` with ``w = r2 - r1``: no total near ``r2`` is
     formed and subtracted again, which keeps tiny keep probabilities exact.
 
-    The Newton polish of :func:`_polished_cubic_roots` is copied here,
-    operation for operation, because play calls this once per user update;
-    change the two together.  It runs on the unexpanded condition ``g``,
-    which is ``w^2 x p q`` times ``d/dx log u``, i.e.
-    ``alpha q (p + s x) - x p (p + s T)``.
+    Each root of the cubic gets at most two Newton steps on the unexpanded
+    condition ``g``, which is ``w^2 x p q`` times ``d/dx log u``, i.e.
+    ``alpha q (p + s x) - x p (p + s T)``; a step is kept only while it
+    shrinks ``|g|``.  :func:`_census_totals` writes out the same polish on
+    the census cubic; change the two together.
     """
     d = r2 - b
     if d <= 0.0:
@@ -235,6 +207,41 @@ def _ramp_best_response(b: float, alpha: float, mu: float, r1: float, r2: float)
         if u >= floor and x > answer:
             answer = x
     return answer
+
+
+def _census_totals(alpha: float, m: int, mu: float, r1: float, r2: float) -> list[float]:
+    """Interior equilibrium totals of a shared-exponent ramp game, unsorted.
+
+    See :func:`~mm1game.mechanism.equilibrium_census` for the cubic, used
+    times ``w^2``.  Each root gets the Newton polish of
+    :func:`_ramp_best_response`, written out on this cubic's unexpanded
+    condition; change the two together.  A root counts when
+    ``r1 < T < r2`` and ``q > 0``.
+    """
+    w = r2 - r1
+    ma = m * alpha
+    muw = mu * w
+    c3 = -(ma + 2.0 + alpha)
+    c2 = (2.0 * ma + 3.0 + alpha) * r2
+    c1 = -ma * (r2 * r2 + muw) - r2 * r2 - alpha * mu * w  # alpha * muw rounds differently
+    c0 = ma * r2 * mu * w  # so does ma * r2 * muw
+    a3, b2 = 3.0 * c3, 2.0 * c2
+    totals = []
+    for y in _cubic_roots(c3, c2, c1, c0):
+        for k in range(3):  # the root, then two Newton steps, each kept only while it shrinks |g|
+            room = r2 - y  # w p
+            head = muw - y * room  # w q
+            g_y = ma * room * head - y * (room * (r2 - 2.0 * y) + alpha * head)
+            if k and not abs(g_y) < abs(g):
+                break
+            t, g = y, g_y
+            slope = (a3 * t + b2) * t + c1
+            if slope == 0.0:
+                break
+            y = t - g / slope
+        if r1 < t < r2 and muw > t * (r2 - t):  # q > 0
+            totals.append(t)
+    return totals
 
 
 def best_response(

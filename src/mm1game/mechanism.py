@@ -19,7 +19,7 @@ from .analysis import (
     optimal_total_rate,
     poa_of_equilibrium,
 )
-from .dynamics import UpdateMode, _polished_cubic_roots, run_dynamics
+from .dynamics import UpdateMode, _census_totals, run_dynamics
 from .model import DropPolicy, GameConfig, LinearPolicy, RateProfile, StepPolicy
 
 __all__ = [
@@ -231,6 +231,11 @@ def design_linear(spec: DesignSpec) -> PolicyDesign:
     drop_cost = lam_raw * (alpha + 1.0) * (lam_opt - lam_e) / m
     if drop_cost == 0.0:
         raise DesignInfeasibleError(f"the slope underflows at alpha={alpha}, mu={mu}")
+    if not keep_gain > 0.0:  # positive below the optimum, but it rounds to 0 within an ulp of it
+        raise DesignInfeasibleError(
+            f"the target effective total {lam_e} is too close to the welfare-optimal "
+            f"total {lam_opt} to solve for a slope"
+        )
     slope = -keep_gain / drop_cost
     r2 = lam_raw - p / slope
     r1 = 1.0 / slope + r2
@@ -259,14 +264,6 @@ def design_linear(spec: DesignSpec) -> PolicyDesign:
     )
 
 
-def _census_condition(t: float, params: tuple) -> float:
-    """``w^2 (m alpha p q - T D(T))``, the census cubic from unexpanded factors."""
-    ma, r2, muw, alpha = params
-    room = r2 - t  # w p
-    head = muw - t * room  # w q
-    return ma * room * head - t * (room * (r2 - 2.0 * t) + alpha * head)
-
-
 def equilibrium_census(policy: DropPolicy, config: GameConfig) -> EquilibriumCensus:
     """Every candidate equilibrium of a shared-exponent game on a ramp, without iteration.
 
@@ -281,8 +278,9 @@ def equilibrium_census(policy: DropPolicy, config: GameConfig) -> EquilibriumCen
     ``-(m alpha + 2 + alpha) s^2``, ``-(2 m alpha + 3 + alpha) s c``,
     ``m alpha (s mu - c^2) - c^2 + alpha s mu`` and ``m alpha c mu``.  They
     are used times ``w^2 = 1 / s^2`` with ``w = r2 - r1``, which keeps them
-    the size of the breakpoints on a steep ramp, and each root is polished
-    by Newton steps on the unexpanded condition.  A root counts when
+    the size of the breakpoints on a steep ramp;
+    :func:`~mm1game.dynamics._census_totals` polishes each root by Newton
+    steps on the unexpanded condition.  A root counts when
     ``r1 < T < r2`` and ``q > 0``; at a root ``T D = m alpha p q``, so
     ``D > 0`` follows, and ``x(T)`` is a positive rate into a stable queue.
 
@@ -308,18 +306,9 @@ def equilibrium_census(policy: DropPolicy, config: GameConfig) -> EquilibriumCen
     r1, r2 = policy.r1, policy.r2
     if not r1 < r2:
         raise ValueError(f"the census needs a ramp with r1 < r2, got r1={r1}, r2={r2}")
+    roots = _census_totals(alpha, m, mu, r1, r2)
+
     w = r2 - r1
-    ma = m * alpha
-
-    a3 = -(ma + 2.0 + alpha)
-    a2 = (2.0 * ma + 3.0 + alpha) * r2
-    a1 = -ma * (r2 * r2 + mu * w) - r2 * r2 - alpha * mu * w
-    roots = []
-    params = (ma, r2, mu * w, alpha)
-    for t in _polished_cubic_roots(a3, a2, a1, ma * r2 * mu * w, _census_condition, params):
-        if r1 < t < r2 and mu * w > t * (r2 - t):  # q > 0
-            roots.append(t)
-
     kink = None
     if r1 < mu:
         hi = alpha * (mu - r1)

@@ -334,7 +334,7 @@ def _run_cell(
             input_rates=design.predicted_ne,
             window=window,
         )
-    except ValueError as exc:  # includes DesignInfeasibleError
+    except (ValueError, OverflowError) as exc:  # includes DesignInfeasibleError
         return failed(exc)
     try:
         poas = [
@@ -364,8 +364,8 @@ def sweep(
 
     Every cell designs a linear policy for its target, offers the predicted
     equilibrium rates open-loop, and replicates the run with seeds
-    ``base.seed + k``.  A cell whose design is infeasible or whose run
-    overloads records its error instead of aborting the sweep.
+    ``base.seed + k``.  A cell whose design is infeasible or overflows, or
+    whose run overloads, records its error instead of aborting the sweep.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")

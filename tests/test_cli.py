@@ -962,10 +962,14 @@ def test_invalid_yaml_and_an_unreadable_config_are_rejected(tmp_path, monkeypatc
         ["analyze", "--mu", "6", "--alpha", "400", "--m", "2"],
         # the design's slope divides by a product that underflows to zero
         ["design", "--mu", "60", "--alpha", "1e-300", "--epsilon", "2"],
+        # one ulp under the optimum total the slope's numerator rounds to zero
+        ["design", "--mu", "10", "--alpha", "2", "--m", "1", "--epsilon", "0.05",
+         "--target-effective-total", "6.666666666666666"],
     ],
     ids=[
         "infeasible-design", "overload", "unstable-start",
         "analyze-many-users", "analyze-large-exponent", "design-slope-underflow",
+        "design-target-an-ulp-below-the-optimum",
     ],
 )
 def test_a_numerical_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
@@ -1022,6 +1026,18 @@ def test_a_sweep_cell_records_an_underflowing_design(tmp_path):
     assert main(argv) == EXIT_OK
     (cell,) = json.loads(out.read_text())["cells"]
     assert cell["error"] == "the slope underflows at alpha=1e-300, mu=60.0"
+
+
+def test_a_sweep_cell_records_an_overflowing_design_and_the_next_cell_still_runs(tmp_path):
+    out = tmp_path / "w.json"
+    argv = ["sweep", "--mu", "6", "--alpha", "20", "--m", "2", "--mus", "1e4,1e20",
+            "--keep-prob", "0.999", "--desired-poas", "3", "--replications", "1",
+            "--slots", "100", "--format", "json", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    ran, overflowed = json.loads(out.read_text())["cells"]
+    assert ran["mu"] == 1e4 and ran["error"] is None and math.isfinite(ran["mean_poa"])
+    assert overflowed["mu"] == 1e20 and overflowed["mean_poa"] is None
+    assert overflowed["error"] == "the social optimum overflows a float at mu=1e+20, alpha=20"
 
 
 @pytest.mark.parametrize(
@@ -1322,14 +1338,34 @@ def _argv(draw):
     return argv
 
 
+def _assert_parses_strictly(path, fmt):
+    """A JSON file with no bare NaN or Infinity, or a strict CSV table of equal-width rows."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        if fmt == "json":
+            json.load(fh, parse_constant=_reject_constant)
+            return
+        table = list(csv.reader(fh, strict=True))
+    assert table and all(len(row) == len(table[0]) for row in table), path
+
+
 @settings(max_examples=200, deadline=timedelta(seconds=2))
 @given(argv=_argv())
 def test_any_argv_from_the_option_table_exits_0_2_or_3(argv):
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         try:
             code = main([*argv, f"--out={os.path.join(tmp, 'out')}"])
         except SystemExit as exc:  # argparse refuses a value its type cannot read
             code = exc.code
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
-        if code == EXIT_CONFIG:
-            assert os.listdir(tmp) == []
+        written = sorted(os.listdir(tmp))
+        fmt = next((a.partition("=")[2] for a in argv if a.startswith("--format=")), "csv")
+        if code == EXIT_OK:
+            assert written, argv
+            for name in written:
+                _assert_parses_strictly(os.path.join(tmp, name), fmt)
+        elif code == EXIT_NUMERIC and "did not converge" in err.getvalue():
+            assert argv[0] == "dynamics" and written == ["out"]  # the trajectory so far
+            _assert_parses_strictly(os.path.join(tmp, "out"), fmt)
+        else:
+            assert written == []

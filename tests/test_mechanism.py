@@ -37,6 +37,7 @@ from mm1game import (
     validate_design,
     verify_equilibrium,
 )
+from mm1game.dynamics import _cubic_roots
 from mm1game.mechanism import _POA_MARGIN
 
 CFG = GameConfig.uniform(6.0, 2.0, 2)
@@ -261,6 +262,20 @@ def test_design_rejects_poa_above_budget():
         design_linear(DesignSpec(CFG, epsilon=0.01, target_effective_total=2.0))
 
 
+def test_a_target_an_ulp_below_the_optimum_names_both_totals():
+    # with one user the slope's numerator rounds to zero one ulp under the optimum
+    game = GameConfig.uniform(10.0, 2.0, 1)
+    lam_opt = optimal_total_rate(game)
+    target = math.nextafter(lam_opt, 0.0)
+    spec = DesignSpec(game, epsilon=0.05, target_effective_total=target)
+    with pytest.raises(DesignInfeasibleError) as info:
+        design_linear(spec)
+    assert str(info.value) == (
+        f"the target effective total {target} is too close to the welfare-optimal "
+        f"total {lam_opt} to solve for a slope"
+    )
+
+
 # ------------------------------------------------------------------ validation
 
 
@@ -438,6 +453,78 @@ def test_a_lone_user_below_the_ramp_is_a_census_member():
     assert census.flat == pytest.approx(optimal_total_rate(lone))
     assert not census.unique
     assert verify_equilibrium(RateProfile((census.flat,)), ramp, lone)
+
+
+def _reference_census(policy, config):
+    """The census as it read with a generic root polish taking the condition
+    as a closure.  The written-out polish keeps every float operation and
+    its order, so it must reproduce this bit for bit."""
+    alpha, m, mu = config.alpha, config.m, config.mu
+    r1, r2 = policy.r1, policy.r2
+    w = r2 - r1
+    ma = m * alpha
+
+    def condition(t):
+        room = r2 - t
+        head = mu * w - t * room
+        return ma * room * head - t * (room * (r2 - 2.0 * t) + alpha * head)
+
+    a = -(ma + 2.0 + alpha)
+    b = (2.0 * ma + 3.0 + alpha) * r2
+    c = -ma * (r2 * r2 + mu * w) - r2 * r2 - alpha * mu * w
+    roots = []
+    for x in _cubic_roots(a, b, c, ma * r2 * mu * w):
+        g = condition(x)
+        for _ in range(2):
+            slope = (3.0 * a * x + 2.0 * b) * x + c
+            if slope == 0.0:
+                break
+            step = x - g / slope
+            g_step = condition(step)
+            if not abs(g_step) < abs(g):
+                break
+            x, g = step, g_step
+        if r1 < x < r2 and mu * w > x * (r2 - x):
+            roots.append(x)
+    kink = None
+    if r1 < mu:
+        hi = alpha * (mu - r1)
+        gain = r2 - 2.0 * r1 + alpha * (mu - r1)
+        if gain > 0.0:
+            lo = alpha * w * (mu - r1) / gain
+            if m * lo <= r1 <= m * hi:
+                kink = (lo, hi)
+    star = optimal_total_rate(config)
+    return sorted(roots), kink, star if m == 1 and star < r1 else None
+
+
+def _census_hex(roots, kink, flat):
+    return (
+        [t.hex() for t in roots],
+        None if kink is None else [x.hex() for x in kink],
+        None if flat is None else flat.hex(),
+    )
+
+
+def test_census_matches_its_reference_bit_for_bit():
+    n = 10_000
+    rng = np.random.default_rng(20261019)
+    mu = 10.0 ** rng.uniform(-5.0, 20.0, n)
+    alpha = 10.0 ** rng.uniform(-2.0, 1.0, n)
+    m = rng.integers(1, 13, n)
+    r1 = mu * 10.0 ** rng.uniform(-2.0, 0.5, n)
+    r2 = r1 + r1 * 10.0 ** rng.uniform(-9.0, 1.0, n)
+    seen = {"roots": 0, "kink": 0, "flat": 0}
+    for k in range(n):
+        policy = LinearPolicy(float(r1[k]), float(r2[k]))
+        game = GameConfig.uniform(float(mu[k]), float(alpha[k]), int(m[k]))
+        got = equilibrium_census(policy, game)
+        want = _reference_census(policy, game)
+        assert _census_hex(got.roots, got.kink, got.flat) == _census_hex(*want), (policy, game)
+        seen["roots"] += bool(got.roots)
+        seen["kink"] += got.kink is not None
+        seen["flat"] += got.flat is not None
+    assert min(seen.values()) >= 100, seen
 
 
 # ------------------------------------------------------- tiny exponents
