@@ -10,7 +10,6 @@ total just under the optimum, trading an efficiency loss of at most
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .analysis import (
@@ -158,13 +157,6 @@ def step_policy(config: GameConfig) -> StepPolicy:
     return StepPolicy(optimal_total_rate(config))
 
 
-def _symmetric_poa(config: GameConfig, kind: WelfareKind) -> Callable[[float], float]:
-    """The price of anarchy of an even split, as a function of its effective total."""
-    ratio = _poa_against(config, kind)
-    alpha, m, mu = config.alpha, config.m, config.mu
-    return lambda t: ratio([(t / m) ** alpha * (mu - t)] * m)
-
-
 def poa_at_symmetric_rate(
     config: GameConfig, kind: WelfareKind, effective_total: float
 ) -> float:
@@ -173,37 +165,59 @@ def poa_at_symmetric_rate(
         raise ValueError(
             f"effective_total must lie in (0, mu={config.mu}), got {effective_total}"
         )
-    return _symmetric_poa(config, kind)(effective_total)
+    ratio = _poa_against(config, kind)  # names an overflowing optimum before the power can
+    per_user = (effective_total / config.m) ** config.alpha * (config.mu - effective_total)
+    return ratio([per_user] * config.m)
 
 
 def target_effective_rate(spec: DesignSpec) -> float:
     """Effective equilibrium total whose symmetric price of anarchy meets the spec.
 
-    Solved by bisection; the symmetric ratio decreases strictly as the target
-    approaches the welfare-optimal total, so the solution is unique when it
-    exists.  For the plain-sum welfare with exponent above one the ratio
-    cannot fall below ``m**(alpha-1)``, in which case tighter requests raise
-    :class:`DesignInfeasibleError`.
+    Write the target as ``t = s * lam_opt`` with ``lam_opt`` the
+    welfare-optimal total.  An even split of ``t`` then earns
+    ``g(s) = s**alpha * (alpha + 1 - alpha * s)`` times an even split of
+    ``lam_opt``, whatever ``mu`` is.  The symmetric price of anarchy is
+    ``g(s)**-m`` for the log kind and ``R0 / g(s)`` for the plain sum, where
+    ``R0 = m**(alpha-1)`` above exponent one (the optimum gives all traffic
+    to one user) and 1 otherwise.  The ratio meets ``goal = 1 + (1 -
+    margin) * epsilon`` when ``g(s) >= K``, with ``K = goal**(-1/m)`` or
+    ``K = R0 / goal``.  ``g`` rises from 0 to 1 on ``(0, 1)``, so a target
+    exists exactly when ``K < 1``; for the plain sum that is ``R0 < goal``,
+    and otherwise :class:`DesignInfeasibleError` is raised.
+
+    The root is solved in ``u = log(s)``, on
+    ``F(u) = alpha u + log1p(-alpha expm1(u)) - log(K)``, by Newton steps
+    from ``s = 1e-12``.  ``F`` is increasing and concave, so each tangent
+    meets zero at or below the root and the iterates climb to it without
+    passing it.  The loop stops at the first step that does not raise ``u``:
+    once rounding hides the rest of the climb, nothing below the root is left
+    to take.  ``s`` is clamped to ``[1e-12, 1 - 1e-12]``.
     """
-    config = spec.config
-    kind = spec.welfare_kind
-    lam_opt = optimal_total_rate(config)
-    goal = 1.0 + (1.0 - _POA_MARGIN) * spec.epsilon
-    lo = lam_opt * 1e-12
-    hi = lam_opt * (1.0 - 1e-12)
-    floor = poa_at_symmetric_rate(config, kind, hi)
-    if floor > goal:
-        raise DesignInfeasibleError(
-            f"no symmetric equilibrium reaches a price of anarchy of {1 + spec.epsilon}: "
-            f"the achievable infimum for this welfare kind is about {floor}"
-        )
-    poa = _symmetric_poa(config, kind)
-    while lo < (mid := 0.5 * (lo + hi)) < hi:  # until lo and hi are adjacent floats
-        if poa(mid) > goal:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    alpha, m = spec.config.alpha, spec.config.m
+    log_goal = math.log1p((1.0 - _POA_MARGIN) * spec.epsilon)
+    if spec.welfare_kind is WelfareKind.SUM_LOG_UTILITY:
+        log_k = -log_goal / m
+    else:
+        log_k = max(alpha - 1.0, 0.0) * math.log(m) - log_goal  # log(R0) - log(goal)
+        if log_k >= 0.0:
+            try:
+                infimum = repr(m ** (alpha - 1.0))
+            except OverflowError:  # the test above compared logarithms, which fit
+                infimum = f"{m}**{alpha - 1.0!r}, beyond the float range"
+            raise DesignInfeasibleError(
+                f"no symmetric equilibrium reaches a price of anarchy of {1 + spec.epsilon}: "
+                f"the achievable infimum for this welfare kind is m**(alpha-1) = {infimum}"
+            )
+    u, nxt = -math.inf, math.log(1e-12)
+    while nxt > u:
+        u = nxt
+        e = math.expm1(u)
+        f = alpha * u + math.log1p(-alpha * e) - log_k
+        # minus f / F'(u), with F'(u) = -alpha (alpha + 1) e / (1 - alpha e): the form
+        # alpha - alpha s / (1 - alpha e) cancels to noise as s nears 1.  The clamp
+        # u <= -1e-12 keeps s at or below 1 - 1e-12, to the bit.
+        nxt = min(-1e-12, u + f * (1.0 - alpha * e) / (alpha * (alpha + 1.0) * e))
+    return optimal_total_rate(spec.config) * math.exp(u)
 
 
 def design_linear(spec: DesignSpec) -> PolicyDesign:

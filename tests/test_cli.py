@@ -149,17 +149,21 @@ def test_a_service_rate_above_the_bound_is_a_config_error(tmp_path, capsys, argv
 
 def test_design_json_payload(tmp_path):
     out = tmp_path / "d.json"
-    code = main(
-        [
-            "design", "--mu", "6", "--alpha", "2", "--m", "2", "--epsilon", "0.1",
-            "--format", "json", "--out", str(out),
-        ]
-    )
-    assert code == EXIT_OK
-    payload = json.loads(out.read_text())
-    assert payload["schema_version"] == SCHEMA_VERSION
-    (row,) = payload["design"]
-    assert row["predicted_poa"] <= 1.1
+    # below about 6e-24 the target's root lies above the solver's clamp at 1 - 1e-12 of the
+    # welfare-optimal total, 4
+    for epsilon in ("0.1", "1e-30", "1e-300"):
+        code = main(
+            [
+                "design", "--mu", "6", "--alpha", "2", "--m", "2", "--epsilon", epsilon,
+                "--format", "json", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["schema_version"] == SCHEMA_VERSION
+        (row,) = payload["design"]
+        assert row["predicted_poa"] <= 1.0 + float(epsilon)
+        assert row["target_effective_total"] <= 4.0 * (1.0 - 1e-12)
 
 
 def test_yaml_config_with_flag_override(tmp_path):
@@ -965,11 +969,17 @@ def test_invalid_yaml_and_an_unreadable_config_are_rejected(tmp_path, monkeypatc
         # one ulp under the optimum total the slope's numerator rounds to zero
         ["design", "--mu", "10", "--alpha", "2", "--m", "1", "--epsilon", "0.05",
          "--target-effective-total", "6.666666666666666"],
+        # the plain sum's infimum m**(alpha-1) is 2**399, and 12**9999 past the float range
+        ["design", "--welfare", "sum", "--alpha", "400", "--keep-prob", "0.999", "--mu", "1",
+         "--m", "2", "--epsilon", "0.5"],
+        ["design", "--welfare", "sum", "--alpha", "1e4", "--keep-prob", "0.99999", "--mu", "6",
+         "--m", "12", "--epsilon", "0.5"],
     ],
     ids=[
         "infeasible-design", "overload", "unstable-start",
         "analyze-many-users", "analyze-large-exponent", "design-slope-underflow",
-        "design-target-an-ulp-below-the-optimum",
+        "design-target-an-ulp-below-the-optimum", "design-large-exponent",
+        "design-infimum-past-the-float-range",
     ],
 )
 def test_a_numerical_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
@@ -1047,11 +1057,8 @@ def test_a_sweep_cell_records_an_overflowing_design_and_the_next_cell_still_runs
          "the price of anarchy overflows a float at m=200, alpha=3"),
         (["analyze", "--mu", "6", "--alpha", "400", "--m", "2"],
          "the social optimum overflows a float at mu=6, alpha=400"),
-        (["design", "--welfare", "sum", "--alpha", "400", "--keep-prob", "0.999", "--mu", "1",
-          "--m", "2", "--epsilon", "0.5"],
-         "the social optimum overflows a float at mu=1, alpha=400"),
     ],
-    ids=["many-users", "large-exponent", "design-large-exponent"],
+    ids=["many-users", "large-exponent"],
 )
 def test_an_overflow_names_the_quantity_and_the_input(tmp_path, monkeypatch, capsys, argv, cause):
     monkeypatch.chdir(tmp_path)

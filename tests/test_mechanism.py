@@ -7,6 +7,7 @@ differences, grid scans, best-response runs).
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -132,21 +133,41 @@ def test_sum_welfare_with_high_exponent_has_a_floor():
     assert ok.predicted_poa <= 2.5
 
 
-def _target_by_200_rounds(spec):
-    """The bisection as it was: a fixed 200 rounds, most of them no-ops."""
-    lam_opt = optimal_total_rate(spec.config)
-    goal = 1.0 + (1.0 - _POA_MARGIN) * spec.epsilon
-    lo = lam_opt * 1e-12
-    hi = lam_opt * (1.0 - 1e-12)
-    if poa_at_symmetric_rate(spec.config, spec.welfare_kind, hi) > goal:
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if poa_at_symmetric_rate(spec.config, spec.welfare_kind, mid) > goal:
-            lo = mid
+def _decimal_target(spec):
+    """The target solved in 60-digit decimal from the spec's exact inputs, or None if infeasible.
+
+    Beside it comes the root's condition number: one ulp of ``log(K)`` moves
+    ``log(s)`` by ``|log(K)| / F'`` ulps of ``s`` (``F'`` is the slope of
+    ``log(g)`` in ``log(s)``), so a solver that rounds ``log(K)`` to a double
+    cannot come closer than that, however exact its iteration.
+    """
+    cfg = spec.config
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, m = Decimal(cfg.alpha), cfg.m
+        goal = 1 + (1 - Decimal(_POA_MARGIN)) * Decimal(spec.epsilon)
+        if spec.welfare_kind is WelfareKind.SUM_LOG_UTILITY:
+            k = goal ** (Decimal(-1) / m)
         else:
-            hi = mid
-    return hi
+            r0 = Decimal(m) ** (a - 1) if a > 1 else Decimal(1)
+            if r0 >= goal:
+                return None
+            k = r0 / goal
+        # an even split of s times the optimal total earns g(s) = s**a (a + 1 - a s) times
+        # the optimum's, and g rises from 0 to 1 on (0, 1): bisect, then polish by Newton
+        lo, hi = Decimal(0), Decimal(1)
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mid**a * (a + 1 - a * mid) < k else (lo, mid)
+        s = (lo + hi) / 2
+        for _ in range(4):
+            s -= (s**a * (a + 1 - a * s) - k) / (a * (a + 1) * s ** (a - 1) * (1 - s))
+        assert Decimal("1e-12") < s < 1 - Decimal("1e-12")  # inside the solver's clamps
+        slope = a * (a + 1) * (1 - s) / (1 + a * (1 - s))
+        return Decimal(cfg.mu) * a / (a + 1) * s, max(1, abs(k.ln()) / slope)
+
+
+_LOG_UNIFORM_EPSILON = st.floats(math.log(1e-4), math.log(3.0)).map(math.exp)
 
 
 @settings(max_examples=300, deadline=None)
@@ -155,7 +176,7 @@ def _target_by_200_rounds(spec):
     alpha=st.floats(0.2, 3.0),
     mu=st.floats(0.1, 1e5),
     kind=st.sampled_from(list(WelfareKind)),
-    epsilon=st.floats(1e-4, 3.0),
+    epsilon=_LOG_UNIFORM_EPSILON,
 )
 # the ends of the user range, in both welfare kinds
 @example(m=1, alpha=2.0, mu=6.0, kind=WelfareKind.SUM_LOG_UTILITY, epsilon=0.05)
@@ -164,28 +185,67 @@ def _target_by_200_rounds(spec):
 @example(m=12, alpha=0.7, mu=50.0, kind=WelfareKind.SUM_UTILITY, epsilon=0.01)
 # the plain sum with exponent above one, asked for less than its m**(alpha-1) floor
 @example(m=3, alpha=2.0, mu=6.0, kind=WelfareKind.SUM_UTILITY, epsilon=0.5)
-def test_target_rate_stops_where_the_fixed_round_bisection_ends(m, alpha, mu, kind, epsilon):
+def test_target_rate_matches_a_60_digit_decimal_root(m, alpha, mu, kind, epsilon):
     spec = DesignSpec(GameConfig.uniform(mu, alpha, m), epsilon=epsilon, welfare_kind=kind)
-    want = _target_by_200_rounds(spec)
-    if want is None:
+    solved = _decimal_target(spec)
+    if solved is None:
         with pytest.raises(DesignInfeasibleError):
             target_effective_rate(spec)
     else:
-        assert target_effective_rate(spec) == want  # bit for bit
+        want, condition = solved
+        error = abs(Decimal(target_effective_rate(spec)) - want)
+        assert error <= 8 * condition * Decimal(math.ulp(float(want)))
 
 
-def test_an_infeasible_target_reports_the_ratio_at_the_bracket_end():
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    alpha=st.floats(0.2, 3.0),
+    mu=st.floats(0.1, 1e5),
+    kind=st.sampled_from(list(WelfareKind)),
+    epsilon=_LOG_UNIFORM_EPSILON,
+    k=st.integers(-30, 30),
+)
+@example(m=2, alpha=2.0, mu=6.0, kind=WelfareKind.SUM_LOG_UTILITY, epsilon=0.05, k=3)
+def test_scaling_mu_by_a_power_of_two_scales_the_design_bit_for_bit(
+    m, alpha, mu, kind, epsilon, k
+):
+    # the price of anarchy does not depend on the unit of rate, nor should its rounding
+    def solve(rate):
+        spec = DesignSpec(GameConfig.uniform(rate, alpha, m), epsilon=epsilon, welfare_kind=kind)
+        values = []
+        try:
+            values.append(target_effective_rate(spec))
+            design = design_linear(spec)
+            values += [design.policy.r1, design.policy.r2]
+        except DesignInfeasibleError:
+            pass
+        return values
+
+    assert solve(math.ldexp(mu, k)) == [math.ldexp(v, k) for v in solve(mu)]
+
+
+@pytest.mark.parametrize(
+    "mu,alpha,m,keep_prob,infimum",
+    [
+        (6.0, 2.0, 3, 0.9, "3.0"),
+        (1.0, 400.0, 2, 0.999, "1.2911249390434543e+120"),
+        (6.0, 1e4, 12, 0.99999, "12**9999.0, beyond the float range"),
+    ],
+    ids=["m3-alpha2", "alpha400", "past-the-float-range"],
+)
+def test_an_infeasible_target_names_the_exact_infimum(mu, alpha, m, keep_prob, infimum):
     spec = DesignSpec(
-        GameConfig.uniform(6.0, 2.0, 3), epsilon=0.5, welfare_kind=WelfareKind.SUM_UTILITY
+        GameConfig.uniform(mu, alpha, m),
+        epsilon=0.5,
+        keep_prob=keep_prob,
+        welfare_kind=WelfareKind.SUM_UTILITY,
     )
-    hi = optimal_total_rate(spec.config) * (1.0 - 1e-12)
-    floor = poa_at_symmetric_rate(spec.config, spec.welfare_kind, hi)
-    assert floor == pytest.approx(3.0)  # m**(alpha-1)
     with pytest.raises(DesignInfeasibleError) as info:
         target_effective_rate(spec)
     assert str(info.value) == (
         "no symmetric equilibrium reaches a price of anarchy of 1.5: "
-        f"the achievable infimum for this welfare kind is about {floor}"
+        f"the achievable infimum for this welfare kind is m**(alpha-1) = {infimum}"
     )
 
 
