@@ -2,13 +2,19 @@
 
 Time advances in unit slots.  Each slot the server estimates the offered
 total from a sliding window of past arrival counts, applies the drop policy
-to that estimate, and thins every user's arrivals independently.  Each
-accepted packet is charged its slot's delay: the steady-state formula at the
-slot's load (fast, good for sweeps), or the mean sojourn measured over the
-slot's packets in an explicit FCFS event queue.  Arrival instants within a
-slot do not depend on the user, so that mean is the exact conditional
-expectation of a packet's sojourn given the slot's counts; a model where a
-user's arrival pattern within a slot differs would need per-packet labels.
+to that estimate, and thins the slot's arrivals.  Each accepted packet is
+charged its slot's delay: the steady-state formula at the slot's load (fast,
+good for sweeps), or the mean sojourn measured over the slot's packets in an
+explicit FCFS event queue.
+
+Users cannot be told apart inside a slot: every packet is user i's with
+probability lambda_i / Lambda, whatever its slot and whether it is kept.  So
+the run draws only per-slot totals, and splits the packets past warm-up
+among the users once, by two multinomials (one for the accepted packets, one
+for the dropped).  The counts keep their exact joint distribution, and every
+user with an accepted packet is charged the pooled mean delay, which is the
+conditional expectation of its own mean delay given those counts; a model
+where users differ within a slot would need per-packet labels.
 
 Arrivals never depend on the drop decision, so the whole horizon is drawn
 and thinned as array operations; the event queue runs in fixed-size blocks
@@ -56,9 +62,11 @@ class OverloadError(RuntimeError):
 # and the estimate's prefix sum, and keeps every single Poisson draw under
 # numpy's limit of about 9.22e18.
 _MAX_PACKETS = 2**62
-# Most per-slot, per-user counts a run may hold: slots times users.  Each
-# int64 matrix of them (arrivals, accepted) then takes at most 32 GiB, so a
-# horizon beyond this is refused before numpy tries to allocate it.
+# Most slots times users a run may cover.  No per-user, per-slot array is
+# built, but the bound is kept as the documented limit on a horizon: each
+# per-slot trace then holds at most 2**32 / users values (32 GiB of int64 or
+# float64 for one user), and a longer horizon is refused before numpy tries
+# to allocate it.
 _MAX_COUNTS = 2**32
 
 
@@ -116,9 +124,13 @@ _TRACES = ("estimated_rates", "drop_probs", "slot_arrivals")
 class SimReport:
     """Aggregates past warm-up, plus a per-slot trace of the dropping loop.
 
-    The per-user summaries are tuples.  The per-slot traces are read-only
-    numpy arrays, so two reports compare equal when their traces hold the
-    same values and their other fields are equal; a report is not hashable.
+    The per-user summaries are tuples.  ``mean_delay`` is the pooled mean
+    delay of all accepted packets for every user that had one (0.0 for a
+    user that had none): the users are indistinguishable within a slot, so
+    this is each user's expected mean delay given the run's counts.  The
+    per-slot traces are read-only numpy arrays, so two reports compare
+    equal when their traces hold the same values and their other fields are
+    equal; a report is not hashable.
     """
 
     input_rates: tuple[float, ...]
@@ -210,18 +222,13 @@ def _event_queue_sojourns(
 def run(sim: SimConfig) -> SimReport:
     """Simulate and aggregate.  Deterministic for a given config and seed."""
     rng = np.random.Generator(np.random.PCG64(sim.seed))
-    m = sim.game.m
     mu = sim.game.mu
     rates = np.asarray(sim.input_rates.rates, dtype=float)
+    offered = sim.input_rates.total
     warmup = sim.window
     kept_slots = sim.slots - warmup
-    # integer totals as products with ones: exact in int64, and much cheaper
-    # than a sum along the short axis
-    ones_m = np.ones(m, dtype=np.int64)
-    ones_kept = np.ones(kept_slots, dtype=np.int64)
 
-    arrivals = rng.poisson(rates, size=(sim.slots, m))
-    slot_totals = arrivals @ ones_m
+    slot_totals = rng.poisson(offered, sim.slots)
     # the estimate at slot t is the mean of the last min(t, window) totals,
     # 0.0 at slot 0; prefix[k] sums the totals of slots 0..k
     prefix = np.cumsum(slot_totals)
@@ -230,9 +237,8 @@ def run(sim: SimConfig) -> SimReport:
     est[1 : ramp_up + 1] = prefix[:ramp_up] / np.arange(1, ramp_up + 1)
     est[ramp_up + 1 :] = (prefix[warmup:-1] - prefix[: -warmup - 1]) / warmup
     keep = keep_probability(sim.policy, est)
-    accepted = rng.binomial(arrivals, keep[:, None])
+    acc_sum = rng.binomial(slot_totals, keep)
 
-    acc_sum = accepted @ ones_m
     if sim.queue_mode is QueueMode.EVENT_QUEUE:
         slot_delay = _event_queue_sojourns(sim, acc_sum, rng)
     else:
@@ -244,13 +250,19 @@ def run(sim: SimConfig) -> SimReport:
                 f"{mu} at slot {first}; the steady-state delay is undefined"
             )
         slot_delay = 1.0 / (mu - acc_sum)
-    delay_weight = slot_delay[warmup:] @ accepted[warmup:]
+    counted = acc_sum[warmup:]
+    n_accepted = int(counted.sum())
+    pooled_delay = float(slot_delay[warmup:] @ counted) / max(n_accepted, 1)
 
-    arrivals_total = ones_kept @ arrivals[warmup:]
-    accepted_total = ones_kept @ accepted[warmup:]
+    # every packet is user i's with probability rates[i] / offered, apart
+    # from its slot and its fate, so one split of each pool is exact
+    shares = rates / offered if offered > 0 else rates
+    accepted_total = rng.multinomial(n_accepted, shares)
+    n_dropped = int(slot_totals[warmup:].sum()) - n_accepted
+    arrivals_total = accepted_total + rng.multinomial(n_dropped, shares)
 
     goodput = accepted_total / max(kept_slots, 1)
-    mean_delay = np.where(accepted_total > 0, delay_weight / np.maximum(accepted_total, 1), 0.0)
+    mean_delay = np.where(accepted_total > 0, pooled_delay, 0.0)
     # zero power where no packet was accepted, so no delay was measured
     power = goodput ** np.asarray(sim.game.alphas) / np.where(mean_delay > 0, mean_delay, np.inf)
     power_t = tuple(power.tolist())

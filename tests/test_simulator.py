@@ -290,27 +290,29 @@ def test_analytic_delay_matches_a_plain_python_per_slot_sum(
         queue_mode=QueueMode.ANALYTIC_DELAY,
     )
     rep = run(sim)
-    # the generator calls run makes, in its order: the arrivals, then the thinning
+    # the generator calls run makes, in its order: the slot totals, their
+    # thinning, then one split of the accepted and one of the dropped packets
     gen = np.random.Generator(np.random.PCG64(seed))
-    arrivals = gen.poisson(np.asarray(rates), size=(sim.slots, m))
-    totals = [sum(row) for row in arrivals.tolist()]
+    offered = sum(rates)
+    totals = gen.poisson(offered, sim.slots).tolist()
     est = [sum(totals[t - min(t, window) : t]) / min(t, window) if t else 0.0
            for t in range(sim.slots)]
-    accepted = gen.binomial(arrivals, keep_probability(policy, np.asarray(est))[:, None]).tolist()
+    accepted = gen.binomial(totals, keep_probability(policy, np.asarray(est))).tolist()
+    shares = [r / offered if offered else 0.0 for r in rates]
+    n_accepted = sum(accepted[window:])
+    counted = gen.multinomial(n_accepted, shares).tolist()
+    dropped = gen.multinomial(sum(totals[window:]) - n_accepted, shares).tolist()
 
-    weight, counted = [0.0] * m, [0] * m
-    for row in accepted[window:]:
-        load = sum(row)
-        for i, a in enumerate(row):
-            weight[i] += a / (mu - load)
-            counted[i] += a
+    weight = sum(a / (mu - a) for a in accepted[window:])
+    pooled = weight / n_accepted if n_accepted else 0.0
     kept = sim.slots - window
     power = []
     for i in range(m):
-        delay = weight[i] / counted[i] if counted[i] else 0.0
+        delay = pooled if counted[i] else 0.0
         goodput = counted[i] / kept if kept else 0.0
         power.append(goodput**alpha / delay if goodput > 0 and delay > 0 else 0.0)
         assert rep.accepted[i] == counted[i]
+        assert rep.arrivals[i] == counted[i] + dropped[i]
         assert rep.mean_delay[i] == pytest.approx(delay, rel=1e-12, abs=0.0)
         assert rep.power[i] == pytest.approx(power[i], rel=1e-12, abs=0.0)
     # the log kind's optimum splits alpha mu / (alpha + 1) evenly
@@ -510,32 +512,35 @@ def test_blocked_event_queue_matches_the_per_slot_loop(
     assert not np.allclose(charged, labelled, rtol=1e-6)  # equal only in expectation
 
 
-def test_run_charges_each_user_its_slots_mean_sojourn(monkeypatch):
+def test_run_charges_every_user_the_pooled_mean_sojourn():
     sim = SimConfig(
-        game=GameConfig.uniform(6.0, 2.0, 3),
-        policy=NoDrop(),
-        input_rates=RateProfile((0.5, 1.5, 2.5)),
+        game=GameConfig.uniform(6.0, 2.0, 4),
+        policy=LinearPolicy(2.0, 8.0),
+        input_rates=RateProfile((0.0, 0.5, 1.5, 2.5)),
         slots=700,
         window=4,
         seed=5,
     )
-    seen = []
-
-    def recorded(sim, acc_sum, rng):
-        seen.append(_event_queue_sojourns(sim, acc_sum, rng))
-        return seen[-1]
-
-    monkeypatch.setattr(simulator, "_event_queue_sojourns", recorded)
     rep = run(sim)
-    # NoDrop keeps every arrival, and arrivals are the run's first draw
+    # replay run's draws in order: slot totals, their thinning, the queue,
+    # then the split of the accepted and of the dropped packets among users
     gen = np.random.Generator(np.random.PCG64(sim.seed))
-    accepted = gen.poisson(sim.input_rates.rates, size=(sim.slots, sim.game.m))
-    np.testing.assert_array_equal(accepted.sum(axis=1), rep.slot_arrivals)
-    (sojourn,) = seen
-    for i in range(sim.game.m):
-        want = sum(int(c) * s for c, s in zip(accepted[sim.window :, i], sojourn[sim.window :]))
-        assert rep.accepted[i] == accepted[sim.window :, i].sum()
-        assert rep.mean_delay[i] * rep.accepted[i] == pytest.approx(want, rel=1e-12)
+    totals = gen.poisson(sim.input_rates.total, sim.slots)
+    np.testing.assert_array_equal(totals, rep.slot_arrivals)
+    acc_sum = gen.binomial(totals, keep_probability(sim.policy, rep.estimated_rates))
+    sojourn = _event_queue_sojourns(sim, acc_sum, gen)
+    shares = np.asarray(sim.input_rates.rates) / sim.input_rates.total
+    counted = acc_sum[sim.window :]
+    n_accepted = int(counted.sum())
+    accepted = gen.multinomial(n_accepted, shares)
+    dropped = gen.multinomial(int(totals[sim.window :].sum()) - n_accepted, shares)
+    assert rep.accepted == tuple(accepted.tolist())
+    assert rep.arrivals == tuple((accepted + dropped).tolist())
+    pooled = sum(int(c) * s for c, s in zip(counted, sojourn[sim.window :])) / n_accepted
+    assert rep.accepted[0] == 0 and rep.mean_delay[0] == 0.0  # a silent user measures no delay
+    for i in range(1, sim.game.m):
+        assert rep.accepted[i] > 0
+        assert rep.mean_delay[i] == pytest.approx(pooled, rel=1e-12)
 
 
 def test_per_user_event_delays_match_the_labelled_queue_in_mean():
@@ -562,6 +567,127 @@ def test_per_user_event_delays_match_the_labelled_queue_in_mean():
     diff = charged - labelled
     stderr = diff.std(axis=0, ddof=1) / math.sqrt(len(diff))
     assert np.all(np.abs(diff.mean(axis=0)) <= 4.0 * stderr)
+
+
+def _per_cell_reference(sim):
+    """The sampler that drew a Poisson and a binomial for every (slot, user)
+    cell and charged each user its own slots' delays: the reference for
+    splitting the users once per run.  Per-user arrivals, accepted packets
+    and mean delay past warm-up."""
+    rng = np.random.default_rng(sim.seed)
+    w = sim.window
+    arrivals = rng.poisson(sim.input_rates.rates, size=(sim.slots, sim.game.m))
+    prefix = np.concatenate(([0], np.cumsum(arrivals.sum(axis=1))))
+    t = np.arange(sim.slots)
+    n = np.minimum(t, w)
+    est = (prefix[t] - prefix[t - n]) / np.maximum(n, 1)
+    accepted = rng.binomial(arrivals, keep_probability(sim.policy, est)[:, None])
+    acc_sum = accepted.sum(axis=1)
+    if sim.queue_mode is QueueMode.EVENT_QUEUE:
+        delay = _event_queue_sojourns(sim, acc_sum, rng)
+    else:
+        delay = 1.0 / (sim.game.mu - acc_sum)
+    counted = accepted[w:].sum(axis=0)
+    mean_delay = np.where(counted > 0, delay[w:] @ accepted[w:] / np.maximum(counted, 1), 0.0)
+    return arrivals[w:].sum(axis=0), counted, mean_delay
+
+
+def _assert_same_moments(got, want, variance):
+    """Columns agree in mean, and in variance if asked, within 4 sigma of
+    the difference as estimated from the samples themselves."""
+    n = len(got)
+    mean_se = np.sqrt((got.var(axis=0, ddof=1) + want.var(axis=0, ddof=1)) / n)
+    assert np.all(np.abs(got.mean(axis=0) - want.mean(axis=0)) <= 4.0 * mean_se)
+    if variance:
+        def var_se2(x):  # squared standard error of the sample variance
+            dev = x - x.mean(axis=0)
+            return ((dev**4).mean(axis=0) - dev.var(axis=0) ** 2) / n
+
+        var_se = np.sqrt(var_se2(got) + var_se2(want))
+        assert np.all(np.abs(got.var(axis=0, ddof=1) - want.var(axis=0, ddof=1)) <= 4.0 * var_se)
+
+
+@pytest.mark.parametrize("mode", list(QueueMode), ids=lambda mode: mode.value)
+def test_splitting_the_users_once_matches_per_cell_sampling(mode):
+    # a shedding ramp and users of unequal rates; the pooled delay keeps each
+    # user's mean delay in mean, while the counts keep their whole law
+    sim = SimConfig(
+        game=GameConfig.uniform(30.0, 2.0, 3),
+        policy=LinearPolicy(4.0, 12.0),
+        input_rates=RateProfile((0.5, 2.0, 4.5)),
+        slots=150,
+        window=3,
+        queue_mode=mode,
+    )
+    split, cells = [], []
+    for seed in range(200):
+        rep = run(replace(sim, seed=seed))
+        split.append((rep.arrivals, rep.accepted, rep.mean_delay))
+        cells.append(_per_cell_reference(replace(sim, seed=10_000 + seed)))
+    split, cells = np.array(split, dtype=float), np.array(cells, dtype=float)
+    for k in (0, 1):  # arrivals, accepted
+        _assert_same_moments(split[:, k], cells[:, k], variance=True)
+    _assert_same_moments(split[:, 2], cells[:, 2], variance=False)  # mean delay
+
+
+# ------------------------------------------------- accepted fraction, exactly
+
+
+def _accepted_fraction_oracle(policy, offered, window, kept_slots):
+    """The exact expected accepted fraction past warm-up, and a bound on the
+    standard deviation of a run's fraction.
+
+    There the estimate is N / window with N ~ Poisson(window * offered),
+    independent of the slot's own arrivals, so the expected fraction is
+    kappa = E[keep(N / window)], a finite Poisson sum.  A run's fraction
+    minus kappa is, to first order, a sum of three parts over the offered
+    packets: the keep series' mean deviation (keeps more than window - 1
+    slots apart are independent, so its variance is at most 2 window - 1
+    times a single keep's), that deviation times each slot's arrival noise
+    (a martingale), and the thinning.  Their standard deviations add.
+    """
+    lam = window * offered
+    n = np.arange(int(lam + 12.0 * math.sqrt(lam) + 30.0))
+    pmf = np.exp(n * math.log(lam) - lam - np.array([math.lgamma(k + 1.0) for k in n]))
+    keep = keep_probability(policy, n / window)
+    kappa = float(pmf @ keep)
+    var_keep = float(pmf @ keep**2) - kappa**2
+    packets = offered * kept_slots
+    sd = (
+        math.sqrt((2 * window - 1) * var_keep / kept_slots)
+        + math.sqrt(var_keep / packets)
+        + math.sqrt(float(pmf @ (keep * (1.0 - keep))) / packets)
+    )
+    return kappa, sd
+
+
+# the ramp clips the likely estimates around the offered total of 13 at both
+# ends, so the expected keep is not the keep at the offered total
+_CLIPPING_RAMP = LinearPolicy(11.0, 16.0)
+
+
+@pytest.mark.parametrize("mode", list(QueueMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("window", [1, 4])
+def test_accepted_fraction_matches_the_exact_poisson_sum(mode, window):
+    sim = SimConfig(
+        game=GameConfig.uniform(60.0, 2.0, 2),
+        policy=_CLIPPING_RAMP,
+        input_rates=RateProfile((6.0, 7.0)),
+        slots=20_000,
+        window=window,
+        seed=17,
+        queue_mode=mode,
+    )
+    rep = run(sim)
+    kappa, sd = _accepted_fraction_oracle(_CLIPPING_RAMP, 13.0, window, sim.slots - window)
+    assert abs(sum(rep.accepted) / sum(rep.arrivals) - kappa) <= 4.0 * sd
+
+
+def test_the_exact_accepted_fraction_is_not_the_keep_at_the_offered_total():
+    kappa, sd = _accepted_fraction_oracle(_CLIPPING_RAMP, 13.0, 1, 20_000 - 1)
+    assert kappa == pytest.approx(0.56561, abs=5e-6)
+    # the naive keep(13) = 0.6 lies far outside the band the test above allows
+    assert keep_probability(_CLIPPING_RAMP, 13.0) - kappa > 8.0 * sd
 
 
 # --------------------------------------------------------------- empirical PoA
