@@ -218,28 +218,30 @@ def keep_probability(policy: DropPolicy, total_rate):
     """Probability an arrival survives when the offered total is ``total_rate``.
 
     1 up to ``r1``, 0 from ``r2`` on, ``(r2 - T) / (r2 - r1)`` between.
-    Accepts a scalar or a numpy array of totals.  Python and numpy scalars
-    take a plain-float path with the same expression, so both give the same
-    bits.  Negative and NaN totals raise ValueError.
+    Accepts a scalar or a numpy array of totals.  Python and numpy scalars,
+    and 0-d arrays, take a plain-float path with the same expression, so
+    every path gives the same bits.  Negative and NaN totals raise ValueError.
     """
     if not isinstance(policy, DropPolicy):
         raise TypeError(f"unknown drop policy {policy!r}")
     r1, r2 = policy.r1, policy.r2
-    if isinstance(total_rate, _SCALARS):
-        t = float(total_rate)
-        if not t >= 0:
-            raise ValueError("total_rate must be non-negative")
-        return 1.0 if t <= r1 else 0.0 if t >= r2 else (r2 - t) / (r2 - r1)
-    t = np.asarray(total_rate, dtype=float)
-    if not np.all(t >= 0):
+    if not isinstance(total_rate, _SCALARS):
+        t = np.asarray(total_rate, dtype=float)
+        if t.ndim:
+            if not (t >= 0).all():
+                raise ValueError("total_rate must be non-negative")
+            if r1 < r2:
+                out = r2 - t
+                out /= r2 - r1
+                np.maximum(out, 0.0, out=out)
+                return np.minimum(out, 1.0, out=out)
+            # a step, where the ramp expression would divide by zero
+            return (t <= r1).astype(float)
+        total_rate = t
+    t = float(total_rate)
+    if not t >= 0:
         raise ValueError("total_rate must be non-negative")
-    if r1 < r2:
-        out = np.clip((r2 - t) / (r2 - r1), 0.0, 1.0)
-    else:  # a step, where the ramp expression would divide by zero
-        out = (t <= r1).astype(float)
-    if np.ndim(total_rate) == 0:
-        return float(out)
-    return out
+    return 1.0 if t <= r1 else 0.0 if t >= r2 else (r2 - t) / (r2 - r1)
 
 
 def _keep_and_load(

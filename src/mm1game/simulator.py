@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from itertools import product
@@ -201,21 +202,25 @@ def _event_queue_sojourns(
             services = rng.exponential(1.0 / sim.game.mu, n)
             departures = _fifo_departures(times, services, server_free)
             server_free = float(departures[-1])
-            sojourn[slot_ids] = np.bincount(slot_of - start, departures - times, len(slot_ids))
+            sojourn[start : start + len(per_slot)] = np.bincount(
+                slot_of - start, departures - times, len(per_slot)
+            )
             queue = np.concatenate((pending, departures))
         # FIFO departures are sorted, so the packets gone by a slot's end are
-        # a prefix of those that arrived by then
-        in_system = len(pending) + np.cumsum(per_slot)
-        gone = np.minimum(np.searchsorted(queue, slot_ids + 1.0, side="right"), in_system)
-        backlog = in_system - gone
-        over = np.flatnonzero(backlog > sim.queue_cap)
-        if over.size:
-            t = int(over[0])
-            raise OverloadError(
-                f"queue backlog {int(backlog[t])} exceeded the cap {sim.queue_cap} "
-                f"at slot {start + t}"
-            )
-        pending = queue[gone[-1] :]
+        # a prefix of those that arrived by then.  The backlog never exceeds
+        # the packets in the system, so below the cap there is nothing to scan.
+        if len(queue) > sim.queue_cap:
+            in_system = len(pending) + np.cumsum(per_slot)
+            gone = np.minimum(np.searchsorted(queue, slot_ids + 1.0, side="right"), in_system)
+            backlog = in_system - gone
+            over = np.flatnonzero(backlog > sim.queue_cap)
+            if over.size:
+                t = int(over[0])
+                raise OverloadError(
+                    f"queue backlog {int(backlog[t])} exceeded the cap {sim.queue_cap} "
+                    f"at slot {start + t}"
+                )
+        pending = queue[np.searchsorted(queue, start + len(per_slot), side="right") :]
     return sojourn / np.maximum(acc_sum, 1)
 
 
@@ -223,50 +228,52 @@ def run(sim: SimConfig) -> SimReport:
     """Simulate and aggregate.  Deterministic for a given config and seed."""
     rng = np.random.Generator(np.random.PCG64(sim.seed))
     mu = sim.game.mu
-    rates = np.asarray(sim.input_rates.rates, dtype=float)
+    rates = sim.input_rates.rates
     offered = sim.input_rates.total
     warmup = sim.window
-    kept_slots = sim.slots - warmup
 
     slot_totals = rng.poisson(offered, sim.slots)
     # the estimate at slot t is the mean of the last min(t, window) totals,
     # 0.0 at slot 0; prefix[k] sums the totals of slots 0..k
-    prefix = np.cumsum(slot_totals)
+    prefix = slot_totals.cumsum()
     ramp_up = min(warmup, sim.slots - 1)
-    est = np.zeros(sim.slots)
-    est[1 : ramp_up + 1] = prefix[:ramp_up] / np.arange(1, ramp_up + 1)
-    est[ramp_up + 1 :] = (prefix[warmup:-1] - prefix[: -warmup - 1]) / warmup
+    est = np.empty(sim.slots)
+    est[0] = 0.0
+    np.divide(prefix[:ramp_up], np.arange(1, ramp_up + 1), out=est[1 : ramp_up + 1])
+    np.divide(prefix[warmup:-1] - prefix[: -warmup - 1], warmup, out=est[ramp_up + 1 :])
     keep = keep_probability(sim.policy, est)
     acc_sum = rng.binomial(slot_totals, keep)
 
+    counted = acc_sum[warmup:]
     if sim.queue_mode is QueueMode.EVENT_QUEUE:
-        slot_delay = _event_queue_sojourns(sim, acc_sum, rng)
+        delay = _event_queue_sojourns(sim, acc_sum, rng)[warmup:]
     else:
-        over = np.flatnonzero(acc_sum >= mu)
-        if over.size:
-            first = int(over[0])
+        if float(acc_sum.max()) >= mu:
+            first = int(np.argmax(acc_sum >= mu))
             raise OverloadError(
                 f"accepted load {int(acc_sum[first])} reached the per-slot service rate "
                 f"{mu} at slot {first}; the steady-state delay is undefined"
             )
-        slot_delay = 1.0 / (mu - acc_sum)
-    counted = acc_sum[warmup:]
+        delay = 1.0 / (mu - counted)
     n_accepted = int(counted.sum())
-    pooled_delay = float(slot_delay[warmup:] @ counted) / max(n_accepted, 1)
+    pooled_delay = float(delay @ counted) / max(n_accepted, 1)
 
     # every packet is user i's with probability rates[i] / offered, apart
     # from its slot and its fate, so one split of each pool is exact
-    shares = rates / offered if offered > 0 else rates
-    accepted_total = rng.multinomial(n_accepted, shares)
-    n_dropped = int(slot_totals[warmup:].sum()) - n_accepted
-    arrivals_total = accepted_total + rng.multinomial(n_dropped, shares)
+    shares = [r / offered for r in rates] if offered > 0 else rates
+    accepted = rng.multinomial(n_accepted, shares).tolist()
+    n_dropped = int(prefix[-1] - prefix[warmup - 1]) - n_accepted
+    dropped = rng.multinomial(n_dropped, shares).tolist()
 
-    goodput = accepted_total / max(kept_slots, 1)
-    mean_delay = np.where(accepted_total > 0, pooled_delay, 0.0)
+    # the per-user summaries are plain floats, except numpy's power, log and
+    # sum, whose bits can differ from Python's
+    kept_slots = max(sim.slots - warmup, 1)
+    goodput = [float(a) / kept_slots for a in accepted]
+    mean_delay = [pooled_delay if a > 0 else 0.0 for a in accepted]
     # zero power where no packet was accepted, so no delay was measured
-    power = goodput ** np.asarray(sim.game.alphas) / np.where(mean_delay > 0, mean_delay, np.inf)
+    power = np.power(goodput, sim.game.alphas) / [d if d > 0 else math.inf for d in mean_delay]
     power_t = tuple(power.tolist())
-    log_welfare = float(np.sum(np.log(power))) if np.all(power > 0) else -math.inf
+    log_welfare = float(np.log(power).sum()) if all(p > 0 for p in power_t) else -math.inf
     if sim.game.homogeneous:
         poa = _poa_against(sim.game, WelfareKind.SUM_LOG_UTILITY)(power_t)
     else:
@@ -276,11 +283,11 @@ def run(sim: SimConfig) -> SimReport:
         trace.flags.writeable = False
 
     return SimReport(
-        input_rates=tuple(rates.tolist()),
-        arrivals=tuple(arrivals_total.tolist()),
-        accepted=tuple(accepted_total.tolist()),
-        goodput=tuple(goodput.tolist()),
-        mean_delay=tuple(mean_delay.tolist()),
+        input_rates=rates,
+        arrivals=tuple(a + d for a, d in zip(accepted, dropped)),
+        accepted=tuple(accepted),
+        goodput=tuple(goodput),
+        mean_delay=tuple(mean_delay),
         power=power_t,
         sum_welfare=float(power.sum()),
         log_welfare=log_welfare,
@@ -304,7 +311,14 @@ def empirical_poa(report: SimReport, config: GameConfig, kind: WelfareKind) -> f
 
 @dataclass(frozen=True)
 class SweepCell:
-    """Aggregated replications for one (target, service rate, window) point."""
+    """Aggregated replications for one (target, service rate, window) point.
+
+    ``mean_poa`` is ``statistics.fmean`` of the replications' empirical
+    price of anarchy.  ``std_poa`` is their sample standard deviation as
+    ``statistics.stdev`` gives it: from Python 3.11 on, the exact value,
+    correctly rounded.  It is 0.0 for one replication and NaN when a ratio
+    is unbounded.
+    """
 
     desired_poa: float
     mu: float
@@ -313,6 +327,44 @@ class SweepCell:
     mean_poa: float
     std_poa: float
     error: str | None = None
+
+
+# Bits of the scaled variance whose integer root is rounded to odd: twice a
+# double's 53, plus 3, so the root keeps at least 55 bits and its one later
+# rounding to a float is the correct rounding of the exact root.
+_ROOT_BITS = 2 * 53 + 3
+
+
+def _sample_stdev(values: Sequence[float]) -> float:
+    """Sample standard deviation of two or more finite floats, bit for bit ``statistics.stdev``.
+
+    Over the largest denominator 2**k of the floats' integer ratios each
+    value is an integer X, and the variance is the exact ratio
+    ``(n * sum(X**2) - sum(X)**2) / (n * (n - 1) * 4**k)``.  Its square
+    root is taken on integers, rounded to odd and then once to a float: the
+    correctly rounded root, as ``statistics.stdev`` computes it from Python
+    3.11 on, without its ``Fraction`` arithmetic.  Before 3.11 that function
+    rounds along the way, so there this calls it.
+    """
+    if sys.version_info < (3, 11):
+        return statistics.stdev(values)
+    ratios = [v.as_integer_ratio() for v in values]
+    k = max(d for _, d in ratios).bit_length() - 1
+    scaled = [x << (k - d.bit_length() + 1) for x, d in ratios]
+    n = len(scaled)
+    num = n * sum(x * x for x in scaled) - sum(scaled) ** 2
+    den = n * (n - 1) << 2 * k
+    # sqrt(num / den) = sqrt(num / (den * 4**shift)) * 2**shift, with the
+    # first ratio about 2**_ROOT_BITS
+    shift = (num.bit_length() - den.bit_length() - _ROOT_BITS) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num  # round to odd: an inexact root gets its last bit set
+    # int / int rounds the exact quotient once, subnormals included
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
 
 
 def _run_cell(
@@ -339,27 +391,28 @@ def _run_cell(
                 welfare_kind=welfare_kind,
             )
         )
-        sim = replace(
-            base,
-            game=game,
-            policy=design.policy,
-            input_rates=design.predicted_ne,
-            window=window,
-        )
+        sims = [
+            replace(
+                base,
+                game=game,
+                policy=design.policy,
+                input_rates=design.predicted_ne,
+                window=window,
+                seed=base.seed + k,
+            )
+            for k in range(replications)
+        ]
     except (ValueError, OverflowError) as exc:  # includes DesignInfeasibleError
         return failed(exc)
     try:
-        poas = [
-            empirical_poa(run(replace(sim, seed=base.seed + k)), game, welfare_kind)
-            for k in range(replications)
-        ]
+        poas = [empirical_poa(run(sim), game, welfare_kind) for sim in sims]
     except OverloadError as exc:
         return failed(exc)
     mean = statistics.fmean(poas)
-    if not all(map(math.isfinite, poas)):  # an unbounded ratio has no spread; stdev raises
+    if not all(map(math.isfinite, poas)):  # an unbounded ratio has no spread
         std = math.nan
     else:
-        std = statistics.stdev(poas) if len(poas) > 1 else 0.0
+        std = _sample_stdev(poas) if len(poas) > 1 else 0.0
     return SweepCell(desired_poa, mu, window, replications, mean, std)
 
 

@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mm1game import (
     SERVICE_RATE_LIMIT,
@@ -217,6 +219,36 @@ def test_keep_probability_vectorized_matches_scalar():
     for policy in (NoDrop(), StepPolicy(4.0), pol):
         vals = keep_probability(policy, totals)
         assert np.all(np.diff(vals) <= 1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r1=st.floats(1e-3, 1e3),
+    width=st.one_of(st.just(0.0), st.floats(1e-9, 1e3)),
+    inner=st.lists(st.floats(0.0, 1.0), max_size=20),
+    beyond=st.lists(st.floats(0.0, 1e6), max_size=5),
+)
+def test_keep_probability_array_is_the_scalar_path_to_the_bit(r1, width, inner, beyond):
+    # a ramp (or a step, at width 0) at its breakpoints, at 0, between and past r2
+    policy = StepPolicy(r1) if width == 0.0 else LinearPolicy(r1, r1 + width)
+    r2 = policy.r2
+    totals = np.array(
+        [0.0, r1, r2, math.nextafter(r1, 0.0), math.nextafter(r2, math.inf), math.inf]
+        + [r1 + f * (r2 - r1) for f in inner]
+        + [r2 + b for b in beyond]
+    )
+    before = totals.copy()
+    got = keep_probability(policy, totals)
+    assert got is not totals and np.array_equal(totals, before)  # the input is not clipped
+    assert got.dtype == np.float64 and got.shape == totals.shape
+    for t, g in zip(totals.tolist(), got.tolist()):
+        assert g.hex() == keep_probability(policy, t).hex(), t
+    for t in totals[:3]:
+        zero_d = keep_probability(policy, np.array(t))
+        assert type(zero_d) is float and zero_d.hex() == keep_probability(policy, float(t)).hex()
+    for bad in (np.array([r1, -0.5]), np.array([math.nan, r1]), np.array(-1.0), np.array(math.nan)):
+        with pytest.raises(ValueError, match="^total_rate must be non-negative$"):
+            keep_probability(policy, bad)
 
 
 def test_keep_probability_rejects_negative_totals():

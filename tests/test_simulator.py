@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import re
+import statistics
 from collections import deque
 from dataclasses import replace
 
@@ -40,7 +41,12 @@ from mm1game import (
 )
 from mm1game import simulator
 from mm1game.cli import main
-from mm1game.simulator import _BLOCK_SLOTS, _event_queue_sojourns, _fifo_departures
+from mm1game.simulator import (
+    _BLOCK_SLOTS,
+    _event_queue_sojourns,
+    _fifo_departures,
+    _sample_stdev,
+)
 
 CFG = GameConfig.uniform(6.0, 2.0, 2)
 
@@ -321,6 +327,88 @@ def test_analytic_delay_matches_a_plain_python_per_slot_sum(
     assert rep.empirical_poa == pytest.approx(poa, rel=1e-12, abs=0.0)
 
 
+def _numpy_summaries(sim, gen):
+    """The per-user summaries as whole-array numpy formulas, on a replay of
+    run's draws: the reference that run's plain-float summaries must match
+    to the bit."""
+    rates = np.asarray(sim.input_rates.rates, dtype=float)
+    offered, w = sim.input_rates.total, sim.window
+    totals = gen.poisson(offered, sim.slots)
+    est = [sum(totals[t - min(t, w) : t].tolist()) / min(t, w) if t else 0.0
+           for t in range(sim.slots)]
+    acc_sum = gen.binomial(totals, keep_probability(sim.policy, np.asarray(est)))
+    if sim.queue_mode is QueueMode.EVENT_QUEUE:
+        slot_delay = _event_queue_sojourns(sim, acc_sum, gen)
+    else:
+        slot_delay = 1.0 / (sim.game.mu - acc_sum)
+    counted = acc_sum[w:]
+    n_accepted = int(counted.sum())
+    pooled = float(slot_delay[w:] @ counted) / max(n_accepted, 1)
+    shares = rates / offered if offered > 0 else rates
+    accepted = gen.multinomial(n_accepted, shares)
+    arrivals = accepted + gen.multinomial(int(totals[w:].sum()) - n_accepted, shares)
+    goodput = accepted / max(sim.slots - w, 1)
+    mean_delay = np.where(accepted > 0, pooled, 0.0)
+    power = goodput ** np.asarray(sim.game.alphas) / np.where(mean_delay > 0, mean_delay, np.inf)
+    return {
+        "arrivals": tuple(arrivals.tolist()),
+        "accepted": tuple(accepted.tolist()),
+        "goodput": tuple(goodput.tolist()),
+        "mean_delay": tuple(mean_delay.tolist()),
+        "power": tuple(power.tolist()),
+        "sum_welfare": float(power.sum()),
+        "log_welfare": float(np.sum(np.log(power))) if np.all(power > 0) else -math.inf,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rates=st.lists(st.sampled_from([0.0, 0.3, 2.5, 7.0]), min_size=1, max_size=9),
+    alphas=st.lists(st.sampled_from([0.5, 1.0, 1.7, 2.0, 3.0]), min_size=9, max_size=9),
+    window=st.integers(1, 12),
+    extra_slots=st.integers(0, 200),
+    shape=st.sampled_from(sorted(_POLICIES)),
+    mode=st.sampled_from(list(QueueMode)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_user_summaries_match_the_numpy_formulas_exactly(
+    rates, alphas, window, extra_slots, shape, mode, seed
+):
+    # up to nine users, so numpy's pairwise sum of the powers takes both of
+    # its paths; mixed exponents and silent users included
+    sim = SimConfig(
+        game=GameConfig(200.0, tuple(alphas[: len(rates)])),
+        policy=_POLICIES[shape],
+        input_rates=RateProfile(tuple(rates)),
+        slots=window + extra_slots,
+        window=window,
+        seed=seed,
+        queue_mode=mode,
+    )
+    rep = run(sim)
+    want = _numpy_summaries(sim, np.random.Generator(np.random.PCG64(seed)))
+    assert {name: getattr(rep, name) for name in want} == want
+    assert rep.input_rates == sim.input_rates.rates
+
+
+@pytest.mark.parametrize("mode", list(QueueMode), ids=lambda mode: mode.value)
+def test_per_user_summaries_of_a_silent_user_and_mixed_exponents_match_exactly(mode):
+    sim = SimConfig(
+        game=GameConfig(30.0, (0.5, 2.0, 1.3, 2.0)),
+        policy=LinearPolicy(4.0, 12.0),
+        input_rates=RateProfile((0.0, 1.5, 2.5, 4.0)),
+        slots=700,
+        window=7,
+        seed=99,
+        queue_mode=mode,
+    )
+    rep = run(sim)
+    want = _numpy_summaries(sim, np.random.Generator(np.random.PCG64(sim.seed)))
+    assert {name: getattr(rep, name) for name in want} == want
+    assert rep.accepted[0] == 0 and rep.power[0] == 0.0 and rep.log_welfare == -math.inf
+    assert all(rep.accepted[1:])
+
+
 # --------------------------------------------------------------- queue physics
 
 
@@ -427,12 +515,14 @@ class _PooledRng:
 def _per_slot_event_queue(sim, acc_sum, rng):
     """The event queue one slot at a time: the reference for the blocked one.
 
-    Returns the per-slot mean sojourns and the first slot whose backlog
-    exceeds the cap (None if none does).
+    Returns the per-slot mean sojourns, the first slot whose backlog
+    exceeds the cap (None if none does), and the backlog at each slot's end
+    up to there.
     """
     sojourn = np.zeros(len(acc_sum))
     server_free = 0.0
     pending = deque()
+    backlogs = []
     for t, n in enumerate(acc_sum.tolist()):
         if n:
             times = np.sort(t + rng.random(n))
@@ -443,9 +533,10 @@ def _per_slot_event_queue(sim, acc_sum, rng):
             pending.extend(departures[departures > t + 1.0])
         while pending and pending[0] <= t + 1.0:
             pending.popleft()
+        backlogs.append(len(pending))
         if len(pending) > sim.queue_cap:
-            return sojourn, t
-    return sojourn, None
+            return sojourn, t, backlogs
+    return sojourn, None, backlogs
 
 
 def _labelled_event_queue(sim, accepted, rng):
@@ -490,7 +581,7 @@ def test_blocked_event_queue_matches_the_per_slot_loop(
     accepted = np.random.default_rng(8).poisson((1.2, 1.5), size=(sim.slots, 2))
     acc_sum = accepted.sum(axis=1)
     n = int(acc_sum.sum())
-    want, overload_slot = _per_slot_event_queue(sim, acc_sum, _PooledRng(3, n))
+    want, overload_slot, _ = _per_slot_event_queue(sim, acc_sum, _PooledRng(3, n))
     assert (overload_slot is not None) == overloads
     monkeypatch.setattr(simulator, "_BLOCK_SLOTS", block)
     if overloads:
@@ -510,6 +601,47 @@ def test_blocked_event_queue_matches_the_per_slot_loop(
     assert labelled.sum() == pytest.approx(acc_sum[sim.window :] @ got[sim.window :], rel=1e-12)
     assert charged.sum() == pytest.approx(labelled.sum(), rel=1e-12)
     assert not np.allclose(charged, labelled, rtol=1e-6)  # equal only in expectation
+
+
+@pytest.mark.parametrize("block", [1, 7, _BLOCK_SLOTS, 5000])
+@pytest.mark.parametrize("cap_at", ["peak backlog", "peak in system"])
+@pytest.mark.parametrize("below", [0, 1], ids=["at", "one below"])
+def test_event_queue_cap_at_its_boundaries_matches_the_per_slot_loop(
+    monkeypatch, block, cap_at, below
+):
+    # The blocked queue scans a block's backlog only when the packets in the
+    # system during it (those pending at its start plus its arrivals) exceed
+    # the cap.  Put the cap at the largest such count and at the largest
+    # backlog, and one below each: the per-slot loop decides every case.
+    sim = SimConfig(
+        game=GameConfig.uniform(2.7, 2.0, 2),
+        policy=NoDrop(),
+        input_rates=RateProfile((1.2, 1.5)),
+        slots=1000,
+        window=5,
+    )
+    accepted = np.random.default_rng(8).poisson((1.2, 1.5), size=(sim.slots, 2))
+    acc_sum = accepted.sum(axis=1)
+    n = int(acc_sum.sum())
+    _, never, backlogs = _per_slot_event_queue(sim, acc_sum, _PooledRng(3, n))
+    assert never is None
+    starts = range(0, sim.slots, block)
+    in_system = [
+        (backlogs[start - 1] if start else 0) + int(acc_sum[start : start + block].sum())
+        for start in starts
+    ]
+    cap = (max(backlogs) if cap_at == "peak backlog" else max(in_system)) - below
+    sim = replace(sim, queue_cap=cap)
+    want, overload_slot, _ = _per_slot_event_queue(sim, acc_sum, _PooledRng(3, n))
+    assert (overload_slot is not None) == (cap_at == "peak backlog" and below == 1)
+    monkeypatch.setattr(simulator, "_BLOCK_SLOTS", block)
+    if overload_slot is not None:
+        message = f"^queue backlog {cap + 1} exceeded the cap {cap} at slot {overload_slot}$"
+        with pytest.raises(OverloadError, match=message):
+            _event_queue_sojourns(sim, acc_sum, _PooledRng(3, n))
+        return
+    got = _event_queue_sojourns(sim, acc_sum, _PooledRng(3, n))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_run_charges_every_user_the_pooled_mean_sojourn():
@@ -826,7 +958,8 @@ def test_single_cell_sweep_reduces_to_runs():
             replace(base, policy=design.policy, input_rates=design.predicted_ne, seed=31 + k)
         )
         vals.append(empirical_poa(rep, game, WelfareKind.SUM_LOG_UTILITY))
-    assert cell.mean_poa == pytest.approx(sum(vals) / 3, rel=1e-12)
+    assert cell.mean_poa == statistics.fmean(vals)
+    assert cell.std_poa == statistics.stdev(vals)
 
 
 def test_sweep_records_per_cell_errors():
@@ -901,8 +1034,8 @@ def test_sweep_validates_replications():
 
 def test_a_sweep_cell_of_unbounded_ratios_has_no_spread():
     # at mu=3, alpha=1/16 the designed rates are ~6e-6 a slot, so no packet
-    # arrives in 100 slots and every replication's ratio is infinite;
-    # statistics.stdev raises AttributeError on such a list
+    # arrives in 100 slots and every replication's ratio is infinite; an
+    # infinite value has no integer ratio, so the spread is not computed
     base = SimConfig(
         game=GameConfig.uniform(3.0, 0.0625, 2),
         policy=NoDrop(),
@@ -914,3 +1047,55 @@ def test_a_sweep_cell_of_unbounded_ratios_has_no_spread():
     assert cell.error is None
     assert cell.mean_poa == math.inf
     assert math.isnan(cell.std_poa)
+
+
+def _ulps_from(x, steps):
+    """``x`` moved one ulp up or down per step, stopping short of infinity."""
+    for step in steps:
+        y = math.nextafter(x, step * math.inf) if step else x
+        x = y if math.isfinite(y) else x
+    return x
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SPREAD_INPUTS = st.one_of(
+    # any exponents, subnormals and signed zeros included
+    st.lists(_FINITE, min_size=2, max_size=10),
+    # a few values repeated
+    st.lists(_FINITE, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=10)
+    ),
+    # values a few ulps apart
+    st.builds(
+        lambda x, walks: [_ulps_from(x, walk) for walk in walks],
+        _FINITE,
+        st.lists(st.lists(st.sampled_from([-1, 0, 1]), max_size=3), min_size=2, max_size=10),
+    ),
+    # replications of a price of anarchy, where the sweep takes its spread
+    st.lists(st.floats(1.0, 1.5), min_size=2, max_size=4),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SPREAD_INPUTS)
+def test_sample_stdev_is_statistics_stdev_to_the_bit(values):
+    try:
+        want = statistics.stdev(values)
+    except OverflowError:  # a spread beyond the float range
+        with pytest.raises(OverflowError):
+            _sample_stdev(values)
+        return
+    got = _sample_stdev(values)
+    assert got.hex() == want.hex(), values
+    if len(set(values)) == 1:
+        assert got.hex() == "0x0.0p+0"
+
+
+def test_sample_stdev_is_exact_where_summed_squares_round():
+    # the squared deviations of values one ulp apart near 1 are exact, but
+    # their float sum and mean are not: a float formula lands ulps away
+    values = [1.0, math.nextafter(1.0, 2.0), 1.0 + 4 * math.ulp(1.0), 1.0]
+    mean = math.fsum(values) / len(values)
+    naive = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
+    assert _sample_stdev(values) == statistics.stdev(values) != naive
+
