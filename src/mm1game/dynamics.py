@@ -34,7 +34,7 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TWO_PI, _FOUR_PI = 2.0 * math.pi, 2.0 * math.pi * 2  # 2 pi k for the cubic's roots k = 1, 2
-_TIE_RTOL = 1e-12  # best-response utilities this close count as a tie
+_LOG_TIE = math.log1p(-1e-12)  # utilities within 1e-12 of the best, relative, tie with it
 
 
 class UpdateMode(Enum):
@@ -138,11 +138,7 @@ def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
         return [u - p / (3.0 * u) - shift]
     if p == 0.0:  # triple root
         return [-shift]
-    r = 2.0 * math.sqrt(-p / 3.0) if p < 0.0 else 0.0
-    if p * r == 0.0:  # underflow: solve again in a power-of-two unit near the roots' size
-        k = math.frexp(max(abs(b), abs(c) ** 0.5, abs(d) ** (1.0 / 3.0)))[1]
-        b, c, d = math.ldexp(b, -k), math.ldexp(c, -2 * k), math.ldexp(d, -3 * k)
-        return [math.ldexp(y, k) for y in _cubic_roots(1.0, b, c, d)]  # no underflow at size 1
+    r = 2.0 * math.sqrt(-p / 3.0)  # disc <= 0 and p != 0 leave p < 0
     phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * r))))
     cos = math.cos
     return [
@@ -176,8 +172,11 @@ def _ramp_best_response(b: float, alpha: float, mu: float, r1: float, r2: float)
     lo = r1 - b
     if not lo > 0.0:  # max(0, r1 - b): the ramp start
         lo = 0.0
-    xs = [lo]
-    us = [lo**alpha * (mu - (b + lo))]  # the ramp start keeps everything
+    # each candidate is scored by its log utility, -inf where the utility is not
+    # positive, so that no power of a rate overflows or underflows a double
+    log = math.log
+    q = mu - (b + lo)  # the ramp start keeps everything
+    xs, us = [lo], [alpha * log(lo) + log(q) if lo > 0.0 < q else -math.inf]
     c3 = -2.0 * (alpha + 1.0)
     c2 = alpha * (d + 2.0 * e) + 2.0 * d + e
     c1 = -alpha * (e * d + 2.0 * h) - d * e
@@ -196,15 +195,13 @@ def _ramp_best_response(b: float, alpha: float, mu: float, r1: float, r2: float)
             y = x - g / slope
         if lo < x < d:
             p = (d - x) / w
+            a, q = x * p, mu - (b + x) * p
             xs.append(x)
-            us.append((x * p) ** alpha * (mu - (b + x) * p))
-    best = max(us)
-    if best <= 0.0:
-        return 0.0
-    floor = best - _TIE_RTOL * best  # the largest rate this close to the best wins
-    answer = 0.0
+            us.append(alpha * log(a) + log(q) if a > 0.0 < q else -math.inf)
+    floor = max(us) + _LOG_TIE  # the largest rate this close to the best wins
+    answer = 0.0  # also when no rate earns a positive utility
     for x, u in zip(xs, us):
-        if u >= floor and x > answer:
+        if u >= floor > -math.inf and x > answer:
             answer = x
     return answer
 
@@ -270,8 +267,9 @@ def best_response(
     earns at least ``star``'s utility (strictly more when ``B > 0``; a lone
     user ties).
 
-    Ties go to the larger rate; utilities within a relative ``1e-12`` of the
-    best count as tied, so rounding does not pick between exact ties such as
+    Candidates are compared by the logarithm of their utility.  Ties go to
+    the larger rate; utilities within a relative ``1e-12`` of the best count
+    as tied, so rounding does not pick between exact ties such as
     the two ramp rates at which a lone user's accepted rate is ``star``.
     Returns 0 when no rate earns positive utility.
     """

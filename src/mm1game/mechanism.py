@@ -19,7 +19,7 @@ from .analysis import (
     poa_of_equilibrium,
 )
 from .dynamics import UpdateMode, _census_totals, run_dynamics
-from .model import DropPolicy, GameConfig, LinearPolicy, RateProfile, StepPolicy
+from .model import RATE_FLOOR, DropPolicy, GameConfig, LinearPolicy, RateProfile, StepPolicy
 
 __all__ = [
     "DesignInfeasibleError",
@@ -225,7 +225,9 @@ def design_linear(spec: DesignSpec) -> PolicyDesign:
 
     The target effective total and keep probability fix the raw equilibrium
     total.  A symmetric user's stationarity condition there is linear in the
-    policy's slope, which pins the slope and hence both breakpoints.
+    policy's slope, which pins the slope and hence both breakpoints.  Breakpoints
+    that do not bracket the target, or a ramp start below
+    :data:`~mm1game.model.RATE_FLOOR`, raise :class:`DesignInfeasibleError`.
     """
     config = spec.config
     alpha = config.alpha
@@ -243,8 +245,6 @@ def design_linear(spec: DesignSpec) -> PolicyDesign:
     # stationarity of one user at the even split of lam_raw, solved for the slope
     keep_gain = p * (alpha * mu - lam_e * (alpha * m + 1.0) / m)
     drop_cost = lam_raw * (alpha + 1.0) * (lam_opt - lam_e) / m
-    if drop_cost == 0.0:
-        raise DesignInfeasibleError(f"the slope underflows at alpha={alpha}, mu={mu}")
     if not keep_gain > 0.0:  # positive below the optimum, but it rounds to 0 within an ulp of it
         raise DesignInfeasibleError(
             f"the target effective total {lam_e} is too close to the welfare-optimal "
@@ -254,11 +254,11 @@ def design_linear(spec: DesignSpec) -> PolicyDesign:
     r2 = lam_raw - p / slope
     r1 = 1.0 / slope + r2
 
-    if r1 <= lam_e or r2 <= r1:
+    if r1 <= lam_e or r2 <= r1 or r1 < RATE_FLOOR:
         raise DesignInfeasibleError(
             f"the solved breakpoints r1={r1}, r2={r2} do not bracket the target "
-            f"(effective total {lam_e}, raw total {lam_raw}); "
-            "pick a keep_prob closer to 1 or a less aggressive target"
+            f"(effective total {lam_e}, raw total {lam_raw}) above the rate floor "
+            f"{RATE_FLOOR:g}; pick a keep_prob closer to 1 or a less aggressive target"
         )
 
     predicted_poa = poa_at_symmetric_rate(config, spec.welfare_kind, lam_e)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "RATE_FLOOR",
     "SERVICE_RATE_LIMIT",
     "GameConfig",
     "RateProfile",
@@ -42,6 +43,17 @@ __all__ = [
 # a load near mu (a run counts at most 2**62, about 4.6e18, packets).
 SERVICE_RATE_LIMIT = 1e21
 
+# Every service rate, exponent and ramp start lies at or above this.  Far
+# below it the float arithmetic fails: the best-response and census cubics'
+# coefficients turn subnormal, and designed play drifts from its prediction
+# once the per-user optimal rate mu alpha / ((alpha + 1) m) is near 2.5e-56
+# (mu = 1e-55, alpha = 1, m = 2).  On about 96,000 random ramps whose rates
+# all lay at or above the floor, neither cubic's solve underflowed; with a
+# floor of 1e-60 each underflowed about 7,500 times.  The floor keeps about
+# twenty-five decades above the drift.  A design whose per-user optimum lies
+# under the drift solves its ramp start below the floor, so it is refused.
+RATE_FLOOR = 1e-30
+
 
 class UnstableQueueError(ValueError):
     """Effective load reaches the service rate, so the queue has no steady state."""
@@ -64,8 +76,9 @@ class GameConfig:
 
     ``alphas[i]`` is user *i*'s exponent: the user maximizes
     ``throughput**alphas[i] / delay``.  Exponents above one favour throughput,
-    below one favour low delay.  ``mu`` must lie below
-    :data:`SERVICE_RATE_LIMIT`.  ``homogeneous`` (all users share one
+    below one favour low delay.  ``mu`` must lie in
+    ``[RATE_FLOOR, SERVICE_RATE_LIMIT)`` and every exponent at or above
+    :data:`RATE_FLOOR`.  ``homogeneous`` (all users share one
     exponent) is computed once; it takes no part in ``==``, ``hash`` or
     ``repr``.
     """
@@ -79,13 +92,15 @@ class GameConfig:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         if not math.isfinite(self.mu) or self.mu <= 0:
             raise ValueError(f"mu must be a positive finite rate, got {self.mu}")
+        if self.mu < RATE_FLOOR:
+            raise ValueError(f"mu must be at least {RATE_FLOOR:g}, got {self.mu}")
         if not self.mu < SERVICE_RATE_LIMIT:
             raise ValueError(f"mu must be below {SERVICE_RATE_LIMIT:g}, got {self.mu}")
         if len(self.alphas) == 0:
             raise ValueError("alphas must contain at least one user")
         for a in self.alphas:
-            if not math.isfinite(a) or a <= 0:
-                raise ValueError(f"every alpha must be positive and finite, got {a}")
+            if not RATE_FLOOR <= a < math.inf:  # false for NaN too
+                raise ValueError(f"every alpha must be finite and at least {RATE_FLOOR:g}, got {a}")
         object.__setattr__(self, "homogeneous", len(set(self.alphas)) == 1)
 
     @classmethod
@@ -155,17 +170,19 @@ class DropPolicy:
     The paper's single dropping function: the keep probability falls affinely
     from 1 at ``r1`` to 0 at ``r2``.  A step at ``theta`` is the degenerate
     ramp ``r1 = r2 = theta``, and keeping everything is the step at infinity.
+    ``r1`` must be at least :data:`RATE_FLOOR`.
     """
 
     r1: float
     r2: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r1", float(self.r1))
-        object.__setattr__(self, "r2", float(self.r2))
-        if not 0 < self.r1 <= self.r2 or (self.r1 < self.r2 and math.isinf(self.r2)):
+        r1, r2 = float(self.r1), float(self.r2)
+        object.__setattr__(self, "r1", r1)
+        object.__setattr__(self, "r2", r2)
+        if not RATE_FLOOR <= r1 <= r2 or (r1 < r2 and math.isinf(r2)):
             raise ValueError(
-                f"need 0 < r1 <= r2 and a finite r2 on a ramp, got r1={self.r1}, r2={self.r2}"
+                f"need {RATE_FLOOR:g} <= r1 <= r2 and a finite r2 on a ramp, got r1={r1}, r2={r2}"
             )
 
 
@@ -181,8 +198,8 @@ class StepPolicy(DropPolicy):
 
     def __init__(self, threshold: float) -> None:
         threshold = float(threshold)
-        if not math.isfinite(threshold) or threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold}")
         super().__init__(threshold, threshold)
 
     @property
@@ -196,8 +213,8 @@ class LinearPolicy(DropPolicy):
 
     def __init__(self, r1: float, r2: float) -> None:
         r1, r2 = float(r1), float(r2)
-        if not 0 < r1 < r2:
-            raise ValueError(f"need 0 < r1 < r2, got r1={r1}, r2={r2}")
+        if not r1 < r2:
+            raise ValueError(f"need r1 < r2, got r1={r1}, r2={r2}")
         super().__init__(r1, r2)
 
     @property

@@ -964,8 +964,6 @@ def test_invalid_yaml_and_an_unreadable_config_are_rejected(tmp_path, monkeypatc
         # the closed forms' powers overflow a double: ratio**m, and **(alpha + 1)
         ["analyze", "--mu", "6", "--alpha", "3", "--m", "200"],
         ["analyze", "--mu", "6", "--alpha", "400", "--m", "2"],
-        # the design's slope divides by a product that underflows to zero
-        ["design", "--mu", "60", "--alpha", "1e-300", "--epsilon", "2"],
         # one ulp under the optimum total the slope's numerator rounds to zero
         ["design", "--mu", "10", "--alpha", "2", "--m", "1", "--epsilon", "0.05",
          "--target-effective-total", "6.666666666666666"],
@@ -977,7 +975,7 @@ def test_invalid_yaml_and_an_unreadable_config_are_rejected(tmp_path, monkeypatc
     ],
     ids=[
         "infeasible-design", "overload", "unstable-start",
-        "analyze-many-users", "analyze-large-exponent", "design-slope-underflow",
+        "analyze-many-users", "analyze-large-exponent",
         "design-target-an-ulp-below-the-optimum", "design-large-exponent",
         "design-infimum-past-the-float-range",
     ],
@@ -1012,16 +1010,41 @@ def test_a_horizon_too_large_is_a_config_error_naming_slots(
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["design", "--mu", "60", "--alpha", "1e-300", "--epsilon", "2"],
+         "game: every alpha must be finite and at least 1e-30, got 1e-300"),
+        (["design", "--mu", "60", "--alpha", "1e-60", "--m", "2", "--epsilon", "0.05"],
+         "game: every alpha must be finite and at least 1e-30, got 1e-60"),
+        (["dynamics", "--mu", "60", "--alpha", "1e-60", "--m", "2", "--policy", "designed",
+          "--epsilon", "0.05"],
+         "game: every alpha must be finite and at least 1e-30, got 1e-60"),
+        (["design", "--mu", "9e-31", "--alpha", "2", "--m", "2", "--epsilon", "0.05"],
+         "game: mu must be at least 1e-30, got 9e-31"),
+        (["dynamics", "--mu", "6", "--alpha", "2", "--m", "2", "--policy", "linear",
+          "--r1", "9e-31", "--r2", "5"],
+         "policy: need 1e-30 <= r1 <= r2 and a finite r2 on a ramp, got r1=9e-31, r2=5.0"),
+    ],
+    ids=["design-alpha-1e-300", "design-alpha-1e-60", "dynamics-alpha-1e-60", "mu", "linear-r1"],
+)
+def test_a_rate_below_the_floor_is_a_config_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "x.csv"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [
-        ["design", "--mu", "60", "--alpha", "1e-60", "--m", "2", "--epsilon", "0.05"],
-        ["dynamics", "--mu", "60", "--alpha", "1e-60", "--m", "2", "--policy", "designed",
+        ["design", "--mu", "60", "--alpha", "1e-18", "--m", "2", "--epsilon", "0.05"],
+        ["dynamics", "--mu", "60", "--alpha", "1e-18", "--m", "2", "--policy", "designed",
          "--epsilon", "0.05"],
     ],
     ids=["design", "dynamics"],
 )
-def test_a_design_with_rates_near_1e_70_succeeds(tmp_path, argv):
-    # the census and best-response cubics' discriminants underflow to zero here
+def test_a_design_with_rates_near_the_floor_succeeds(tmp_path, argv):
+    # the designed rates are near 3e-29, a decade and a half above the floor
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == EXIT_OK
     _, rows = read_csv(out)
@@ -1029,13 +1052,16 @@ def test_a_design_with_rates_near_1e_70_succeeds(tmp_path, argv):
         assert rows[0]["check_unique"] == rows[0]["check_ne_matches"] == "true"
 
 
-def test_a_sweep_cell_records_an_underflowing_design(tmp_path):
+def test_a_sweep_cell_records_a_design_below_the_floor_and_the_next_cell_still_runs(tmp_path):
     out = tmp_path / "w.json"
-    argv = ["sweep", "--mu", "60", "--alpha", "1e-300", "--m", "1", "--desired-poas", "3",
-            "--replications", "1", "--slots", "100", "--format", "json", "--out", str(out)]
+    # a service rate at the floor is accepted, but its design's ramp start lies below it
+    argv = ["sweep", "--mu", "5000", "--alpha", "2", "--m", "2", "--mus", "1e-30,5000",
+            "--desired-poas", "1.05", "--replications", "1", "--slots", "100",
+            "--format", "json", "--out", str(out)]
     assert main(argv) == EXIT_OK
-    (cell,) = json.loads(out.read_text())["cells"]
-    assert cell["error"] == "the slope underflows at alpha=1e-300, mu=60.0"
+    below, ran = json.loads(out.read_text())["cells"]
+    assert "the rate floor 1e-30" in below["error"] and below["mean_poa"] is None
+    assert ran["error"] is None and math.isfinite(ran["mean_poa"])
 
 
 def test_a_sweep_cell_records_an_overflowing_design_and_the_next_cell_still_runs(tmp_path):

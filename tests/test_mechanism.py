@@ -7,17 +7,21 @@ differences, grid scans, best-response runs).
 """
 
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from mm1game import (
+    RATE_FLOOR,
+    SERVICE_RATE_LIMIT,
     DesignInfeasibleError,
     DesignSpec,
+    EquilibriumCensus,
     GameConfig,
     LinearPolicy,
     NoDrop,
@@ -197,20 +201,32 @@ def test_target_rate_matches_a_60_digit_decimal_root(m, alpha, mu, kind, epsilon
         assert error <= 8 * condition * Decimal(math.ulp(float(want)))
 
 
+def _in_domain(*rates):
+    return all(RATE_FLOOR <= rate < SERVICE_RATE_LIMIT for rate in rates)
+
+
+# a service rate log-uniform over the whole domain [RATE_FLOOR, SERVICE_RATE_LIMIT)
+_LOG_UNIFORM_MU = st.floats(-30.0, 21.0, exclude_max=True).map(lambda e: 10.0**e)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     m=st.integers(1, 12),
     alpha=st.floats(0.2, 3.0),
-    mu=st.floats(0.1, 1e5),
+    mu=_LOG_UNIFORM_MU,
     kind=st.sampled_from(list(WelfareKind)),
     epsilon=_LOG_UNIFORM_EPSILON,
     k=st.integers(-30, 30),
 )
 @example(m=2, alpha=2.0, mu=6.0, kind=WelfareKind.SUM_LOG_UTILITY, epsilon=0.05, k=3)
+# the ramp start crosses the floor: r1 is 6.6e-30 at mu = 1e-29 and 8.2e-31 at mu / 8
+@example(m=2, alpha=2.0, mu=1e-29, kind=WelfareKind.SUM_LOG_UTILITY, epsilon=0.05, k=-3)
 def test_scaling_mu_by_a_power_of_two_scales_the_design_bit_for_bit(
     m, alpha, mu, kind, epsilon, k
 ):
     # the price of anarchy does not depend on the unit of rate, nor should its rounding
+    assume(_in_domain(mu, math.ldexp(mu, k)))
+
     def solve(rate):
         spec = DesignSpec(GameConfig.uniform(rate, alpha, m), epsilon=epsilon, welfare_kind=kind)
         values = []
@@ -222,7 +238,76 @@ def test_scaling_mu_by_a_power_of_two_scales_the_design_bit_for_bit(
             pass
         return values
 
-    assert solve(math.ldexp(mu, k)) == [math.ldexp(v, k) for v in solve(mu)]
+    got = solve(math.ldexp(mu, k))
+    want = [math.ldexp(v, k) for v in solve(mu)]
+    assert got[:1] == want[:1]
+    if len(got) == len(want):
+        assert got == want
+    else:  # the floor is the one bound that does not scale: one ramp start lies below it
+        r1 = max(got, want, key=len)[1]  # the ramp start at the scaled rate
+        assert min(r1, math.ldexp(r1, -k)) < RATE_FLOOR
+
+
+def _ulps(a, b):
+    return abs(a - b) / math.ulp(max(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mu=_LOG_UNIFORM_MU,
+    # exponents log-uniform over the domain, or over the usual range half the time
+    alpha=st.one_of(st.floats(-30.0, 2.0), st.floats(-3.0, 2.0)).map(lambda e: 10.0**e),
+    m=st.integers(1, 12),
+    start=st.floats(-3.0, 0.5),
+    width=st.floats(-9.0, 1.0),
+    others=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    k=st.integers(-60, 60),
+)
+# the candidates' utilities overflow a double here, and all underflow to 0 at 2**-54 the unit
+@example(mu=3032004912.205291, alpha=83.1934954626257, m=1, start=-2.242, width=-2.66,
+         others=0.2436, k=-54)
+def test_scaling_a_ramp_game_by_a_power_of_two_scales_best_responses_and_the_census(
+    mu, alpha, m, start, width, others, k
+):
+    r1 = mu * 10.0**start
+    r2 = r1 + r1 * 10.0**width
+    assume(_in_domain(mu, math.ldexp(mu, k), r1, math.ldexp(r1, k)))
+
+    def play(unit):
+        game = GameConfig.uniform(math.ldexp(mu, unit), alpha, m)
+        policy = LinearPolicy(math.ldexp(r1, unit), math.ldexp(r2, unit))
+        census = equilibrium_census(policy, game)
+        members = [*census.roots, *(census.kink or ()), *filter(None, [census.flat])]
+        response = best_response(0, math.ldexp(others * r2, unit), policy, game)
+        return math.ldexp(response, -unit), [math.ldexp(t, -unit) for t in members]
+
+    response, members = play(0)
+    scaled, scaled_members = play(k)
+    assert (scaled == 0.0) == (response == 0.0)
+    if response:
+        assert _ulps(scaled, response) <= 4
+    if m == 1 and r2 == 2.0 * r1:
+        return  # the census's knife edge, pinned by the test below
+    assert len(scaled_members) == len(members)
+    # a census root can sit in a cluster of roots (with m = 1 one lies at r2 / 2), where
+    # the cube root's rounding moved it by up to 36 ulps in 600,000 random draws
+    assert all(_ulps(a, b) <= 64 for a, b in zip(scaled_members, members))
+
+
+def test_a_lone_users_census_at_r2_twice_r1_depends_on_the_unit():
+    # Pins a defect.  With m = 1 and r2 = 2 r1 the census cubic's root r2 / 2 is the
+    # ramp start, where the root test (r1 < T) and the kink test (m lo <= r1) are both
+    # on their boundary.  The lone user's best response to nothing is r1, an
+    # equilibrium, yet at mu = 100 the root rounds onto r1 and lo above it, so the
+    # census is empty; in a unit 2**-5 as large it holds the root.
+    game = GameConfig.uniform(100.0, 1.0, 1)
+    r1 = 100.0 * 10.0**-0.375
+    policy = LinearPolicy(r1, r1 + r1)
+    assert best_response(0, 0.0, policy, game) == r1
+    assert equilibrium_census(policy, game) == EquilibriumCensus((), None, None)
+    scaled = LinearPolicy(math.ldexp(r1, -5), math.ldexp(2.0 * r1, -5))
+    (root,) = equilibrium_census(scaled, GameConfig.uniform(100.0 / 32.0, 1.0, 1)).roots
+    assert math.ldexp(root, 5) == pytest.approx(r1, rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -588,26 +673,46 @@ def test_census_matches_its_reference_bit_for_bit():
 
 
 # ------------------------------------------------------- tiny exponents
-# At alpha = 1e-60 the designed rates are near 1e-70, where the cubics'
-# discriminants underflow; from about alpha = 1e-158 so does the slope's
-# denominator in ``design_linear``.
+# A design's rates scale with alpha: at mu = 60 an exponent of 1e-18 puts them
+# near 3e-29, just above RATE_FLOOR.  Below the floor the game is refused: there
+# the cubics' coefficients turned subnormal, and from alpha near 1e-49 designed
+# play drifted from its prediction.  An exponent above the floor whose design
+# solves its ramp start below it is infeasible.
 
 
 def test_designs_at_every_tiny_exponent_return_or_are_infeasible():
-    for k in range(1, 324, 2):
+    matched = 0
+    for k in range(1, 31):
         for m in (1, 2, 3, 8):
             for epsilon in (0.05, 2.0):
                 spec = DesignSpec(GameConfig.uniform(60.0, 10.0**-k, m), epsilon)
                 try:
-                    designed_with_diagnostics(spec)
+                    design = designed_with_diagnostics(spec)
                 except DesignInfeasibleError:
-                    pass
+                    continue
+                assert design.diagnostics.ne_matches_prediction, spec
+                matched += 1
+    assert matched >= 100
 
 
-def test_an_underflowing_slope_names_alpha_and_mu():
-    spec = DesignSpec(GameConfig.uniform(60.0, 1e-300, 1), 2.0)
-    with pytest.raises(DesignInfeasibleError, match=r"alpha=1e-300, mu=60\.0"):
+def test_an_exponent_below_the_floor_is_refused_naming_alpha_and_the_floor():
+    message = "every alpha must be finite and at least 1e-30, got 1e-300"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GameConfig.uniform(60.0, 1e-300, 1)
+
+
+def test_a_design_whose_ramp_start_falls_below_the_floor_is_infeasible():
+    # alpha = 1e-20 is in the domain, but the solved r1 is near 6.3e-31
+    spec = DesignSpec(GameConfig.uniform(60.0, 1e-20, 2), 0.05)
+    with pytest.raises(DesignInfeasibleError, match=r"r1=6\.29.*e-31, .* the rate floor 1e-30"):
         design_linear(spec)
+
+
+@pytest.mark.parametrize("mu,alpha", [(60.0, 1e-100), (1e-55, 1.0)], ids=["alpha", "mu"])
+def test_a_game_whose_designed_play_drifted_is_refused(mu, alpha):
+    # designed play drifted from its prediction at rates near 3e-111 and 2.5e-56
+    with pytest.raises(ValueError, match="must be (finite and )?at least 1e-30, got "):
+        GameConfig.uniform(mu, alpha, 2)
 
 
 def _scaled_real_roots(poly: Polynomial, unit: float) -> list[float]:
@@ -620,13 +725,15 @@ def _scaled_real_roots(poly: Polynomial, unit: float) -> list[float]:
     return sorted(math.ldexp(float(r), k) for r in real)
 
 
-def test_a_tiny_exponent_design_solves_its_cubics_like_a_scaled_reference():
-    mu, alpha, m = 60.0, 1e-60, 2
+@pytest.mark.parametrize("alpha", [1e-18, 1e-19])
+def test_a_design_at_the_rate_floor_solves_its_cubics_like_a_scaled_reference(alpha):
+    mu, m = 60.0, 2
     game = GameConfig.uniform(mu, alpha, m)
     design = designed_with_diagnostics(DesignSpec(game, 0.05))
     assert design.diagnostics.all_ok
     policy = design.policy
     r1, r2 = policy.r1, policy.r2
+    assert RATE_FLOOR < r1 < 1e3 * RATE_FLOOR
     w = r2 - r1
     x = Polynomial([0.0, 1.0])
 
@@ -647,16 +754,3 @@ def test_a_tiny_exponent_design_solves_its_cubics_like_a_scaled_reference():
     (root,) = [r for r in _scaled_real_roots(ramp, r2) if max(0.0, r1 - b) < r < d]
     assert best_response(0, b, policy, game) == pytest.approx(root, rel=1e-9)
     assert root == pytest.approx(star, rel=1e-9)
-
-
-def test_a_design_whose_play_drifts_at_alpha_1e_100_does_not_match_its_prediction():
-    # one round of play from the census root moves these rates near 3e-111
-    # by about 1e-5 relative, far below any absolute tolerance on rates
-    design = designed_with_diagnostics(DesignSpec(GameConfig.uniform(60.0, 1e-100, 2), 0.05))
-    diagnostics = design.diagnostics
-    gaps = [
-        abs(r - q) / q
-        for r, q in zip(diagnostics.realized_ne.rates, design.predicted_ne.rates)
-    ]
-    assert max(gaps) > 1e-6
-    assert not diagnostics.ne_matches_prediction

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mm1game import (
+    RATE_FLOOR,
     SERVICE_RATE_LIMIT,
     DropPolicy,
     GameConfig,
@@ -104,6 +105,23 @@ def test_mu_is_bounded_above():
             GameConfig.uniform(mu, 2.0, 2)
 
 
+def test_mu_alpha_and_r1_are_bounded_below_by_the_rate_floor():
+    below = math.nextafter(RATE_FLOOR, 0.0)
+    assert GameConfig(RATE_FLOOR, (RATE_FLOOR,)) == GameConfig(1e-30, (1e-30,))
+    assert DropPolicy(RATE_FLOOR, RATE_FLOOR).r1 == RATE_FLOOR
+    message = f"mu must be at least 1e-30, got {below}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GameConfig(below, (2.0,))
+    for alphas in [(below,), (2.0, below), (2.0, -1.0)]:
+        message = "every alpha must be finite and at least 1e-30, got "
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            GameConfig(6.0, alphas)
+    for make in (DropPolicy, LinearPolicy):
+        message = f"need 1e-30 <= r1 <= r2 and a finite r2 on a ramp, got r1={below}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            make(below, 1.0)
+
+
 def test_profile_validation_and_helpers():
     with pytest.raises(ValueError):
         RateProfile((1.0, -0.5))
@@ -158,9 +176,14 @@ def test_step_keeps_up_to_threshold_inclusive():
     assert keep_probability(pol, 4.0 + 1e-12) == 0.0
 
 
-@pytest.mark.parametrize("threshold", [math.inf, 0.0])
-def test_a_step_threshold_that_is_not_finite_and_positive_is_refused(threshold):
-    with pytest.raises(ValueError, match="^threshold must be positive"):
+@pytest.mark.parametrize(
+    "threshold,message",
+    [(math.inf, "threshold must be finite"), (0.0, "need 1e-30 <= r1 <= r2")],
+    ids=["inf", "0.0"],
+)
+def test_a_step_threshold_that_is_not_finite_and_positive_is_refused(threshold, message):
+    # the step checks only finiteness; the floor under every ramp start is DropPolicy's
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         StepPolicy(threshold)
 
 
