@@ -134,7 +134,7 @@ def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
     disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
     if disc > 0.0:  # one real root
         v = -q / 2.0 - math.copysign(math.sqrt(disc), q)
-        u = math.copysign(abs(v) ** (1.0 / 3.0), v)  # real cube root; math.cbrt is 3.11+
+        u = math.cbrt(v)
         return [u - p / (3.0 * u) - shift]
     if p == 0.0:  # triple root
         return [-shift]

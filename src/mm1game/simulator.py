@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import statistics
-import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from itertools import product
@@ -63,12 +62,10 @@ class OverloadError(RuntimeError):
 # and the estimate's prefix sum, and keeps every single Poisson draw under
 # numpy's limit of about 9.22e18.
 _MAX_PACKETS = 2**62
-# Most slots times users a run may cover.  No per-user, per-slot array is
-# built, but the bound is kept as the documented limit on a horizon: each
-# per-slot trace then holds at most 2**32 / users values (32 GiB of int64 or
-# float64 for one user), and a longer horizon is refused before numpy tries
-# to allocate it.
-_MAX_COUNTS = 2**32
+# Most slots a run may cover.  No array has a user axis; each per-slot trace
+# then holds at most 2**32 values (32 GiB of int64 or float64), and a longer
+# horizon is refused before numpy tries to allocate it.
+_MAX_SLOTS = 2**32
 
 
 @dataclass(frozen=True)
@@ -111,10 +108,9 @@ class SimConfig:
                 f"input_rates total {self.input_rates.total:.6g} per slot over {self.slots} "
                 "slots is more than 2**62 packets, too many to count in int64"
             )
-        if self.slots * self.game.m > _MAX_COUNTS:
+        if self.slots > _MAX_SLOTS:
             raise ValueError(
-                f"slots ({self.slots}) times users ({self.game.m}) is more than 2**32 "
-                "per-slot counts, too many to hold in memory"
+                f"slots ({self.slots}) is more than 2**32, too many to hold in memory"
             )
 
 
@@ -315,9 +311,8 @@ class SweepCell:
 
     ``mean_poa`` is ``statistics.fmean`` of the replications' empirical
     price of anarchy.  ``std_poa`` is their sample standard deviation as
-    ``statistics.stdev`` gives it: from Python 3.11 on, the exact value,
-    correctly rounded.  It is 0.0 for one replication and NaN when a ratio
-    is unbounded.
+    ``statistics.stdev`` gives it: the exact value, correctly rounded.  It
+    is 0.0 for one replication and NaN when a ratio is unbounded.
     """
 
     desired_poa: float
@@ -342,12 +337,9 @@ def _sample_stdev(values: Sequence[float]) -> float:
     value is an integer X, and the variance is the exact ratio
     ``(n * sum(X**2) - sum(X)**2) / (n * (n - 1) * 4**k)``.  Its square
     root is taken on integers, rounded to odd and then once to a float: the
-    correctly rounded root, as ``statistics.stdev`` computes it from Python
-    3.11 on, without its ``Fraction`` arithmetic.  Before 3.11 that function
-    rounds along the way, so there this calls it.
+    correctly rounded root, as ``statistics.stdev`` computes it, without its
+    ``Fraction`` arithmetic.
     """
-    if sys.version_info < (3, 11):
-        return statistics.stdev(values)
     ratios = [v.as_integer_ratio() for v in values]
     k = max(d for _, d in ratios).bit_length() - 1
     scaled = [x << (k - d.bit_length() + 1) for x, d in ratios]

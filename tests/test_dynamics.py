@@ -451,7 +451,7 @@ def _reference_cubic_roots(a, b, c, d):
     disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
     if disc > 0.0:
         v = -q / 2.0 - math.copysign(math.sqrt(disc), q)
-        u = math.copysign(abs(v) ** (1.0 / 3.0), v)
+        u = math.cbrt(v)
         return [u - p / (3.0 * u) - shift]
     if p == 0.0:
         return [-shift]

@@ -122,8 +122,9 @@ def test_symmetric_ratio_at_nearly_full_rate_is_nearly_one():
     assert poa_at_symmetric_rate(CFG, WelfareKind.SUM_LOG_UTILITY, 3.9) == pytest.approx(
         1.0036977233707745
     )
-    with pytest.raises(ValueError):
-        poa_at_symmetric_rate(CFG, WelfareKind.SUM_LOG_UTILITY, 0.0)
+    for total in (0.0, CFG.mu):
+        with pytest.raises(ValueError):
+            poa_at_symmetric_rate(CFG, WelfareKind.SUM_LOG_UTILITY, total)
 
 
 def test_sum_welfare_with_high_exponent_has_a_floor():
@@ -290,24 +291,22 @@ def test_scaling_a_ramp_game_by_a_power_of_two_scales_best_responses_and_the_cen
         return  # the census's knife edge, pinned by the test below
     assert len(scaled_members) == len(members)
     # a census root can sit in a cluster of roots (with m = 1 one lies at r2 / 2), where
-    # the cube root's rounding moved it by up to 36 ulps in 600,000 random draws
+    # rounding moved it by up to 2 ulps in 476,571 random ramps (|k| <= 60)
     assert all(_ulps(a, b) <= 64 for a, b in zip(scaled_members, members))
 
 
-def test_a_lone_users_census_at_r2_twice_r1_depends_on_the_unit():
+def test_a_lone_users_census_at_r2_twice_r1_misses_the_ramp_start_in_every_unit():
     # Pins a defect.  With m = 1 and r2 = 2 r1 the census cubic's root r2 / 2 is the
     # ramp start, where the root test (r1 < T) and the kink test (m lo <= r1) are both
     # on their boundary.  The lone user's best response to nothing is r1, an
-    # equilibrium, yet at mu = 100 the root rounds onto r1 and lo above it, so the
-    # census is empty; in a unit 2**-5 as large it holds the root.
-    game = GameConfig.uniform(100.0, 1.0, 1)
-    r1 = 100.0 * 10.0**-0.375
-    policy = LinearPolicy(r1, r1 + r1)
-    assert best_response(0, 0.0, policy, game) == r1
-    assert equilibrium_census(policy, game) == EquilibriumCensus((), None, None)
-    scaled = LinearPolicy(math.ldexp(r1, -5), math.ldexp(2.0 * r1, -5))
-    (root,) = equilibrium_census(scaled, GameConfig.uniform(100.0 / 32.0, 1.0, 1)).roots
-    assert math.ldexp(root, 5) == pytest.approx(r1, rel=1e-15)
+    # equilibrium, yet at mu = 50, alpha = 2 the root rounds onto r1 and lo above it,
+    # so the census is empty, in every unit from 2**-3 to 2**3.
+    r1 = 50.0 * 10.0**-0.375
+    for k in range(-3, 4):
+        game = GameConfig.uniform(math.ldexp(50.0, k), 2.0, 1)
+        policy = LinearPolicy(math.ldexp(r1, k), math.ldexp(2.0 * r1, k))
+        assert best_response(0, 0.0, policy, game) == policy.r1
+        assert equilibrium_census(policy, game) == EquilibriumCensus((), None, None)
 
 
 @pytest.mark.parametrize(

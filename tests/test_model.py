@@ -112,7 +112,9 @@ def test_mu_alpha_and_r1_are_bounded_below_by_the_rate_floor():
     message = f"mu must be at least 1e-30, got {below}"
     with pytest.raises(ValueError, match=re.escape(message)):
         GameConfig(below, (2.0,))
-    for alphas in [(below,), (2.0, below), (2.0, -1.0)]:
+    with pytest.raises(ValueError, match=re.escape("mu must be a positive finite rate, got 0.0")):
+        GameConfig(0.0, (2.0,))
+    for alphas in [(below,), (2.0, below), (2.0, -1.0), (math.inf,)]:
         message = "every alpha must be finite and at least 1e-30, got "
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             GameConfig(6.0, alphas)

@@ -68,6 +68,7 @@ def test_sim_config_validation():
         SimConfig(
             game=CFG, policy=NoDrop(), input_rates=RateProfile((1.0, 1.0)), queue_cap=0
         )
+    SimConfig(game=CFG, policy=NoDrop(), input_rates=RateProfile((1.0, 1.0)), queue_cap=1)
 
 
 @pytest.mark.parametrize(
@@ -110,12 +111,13 @@ def test_sim_config_bounds_the_packets_a_run_can_count():
 
 
 def test_sim_config_bounds_the_counts_a_run_holds():
-    # each int64 (slots, users) matrix stays within 32 GiB; building a config allocates nothing
-    idle = SimConfig(game=CFG, policy=NoDrop(), input_rates=RateProfile((0.0, 0.0)), slots=2**31)
-    with pytest.raises(
-        ValueError, match=r"^slots \(2147483649\) times users \(2\) is more than 2\*\*32 "
-    ):
-        replace(idle, slots=2**31 + 1)
+    # each per-slot trace stays within 32 GiB; building a config allocates nothing
+    idle = SimConfig(game=CFG, policy=NoDrop(), input_rates=RateProfile((0.0, 0.0)), slots=2**32)
+    with pytest.raises(ValueError, match=r"^slots \(4294967297\) is more than 2\*\*32, "):
+        replace(idle, slots=2**32 + 1)
+    # no array has a user axis, so the users do not shorten the horizon
+    crowd = GameConfig.uniform(1e6, 1.0, 10_000)
+    SimConfig(game=crowd, policy=NoDrop(), input_rates=RateProfile((1.0,) * 10_000), slots=500_000)
 
 
 def test_same_seed_same_report():
