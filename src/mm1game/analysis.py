@@ -8,7 +8,6 @@ against.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,6 +16,7 @@ from .model import (
     GameConfig,
     NoDrop,
     RateProfile,
+    _require_feasible,
     utility,
 )
 
@@ -32,6 +32,10 @@ __all__ = [
     "poa_of_equilibrium",
     "no_drop_report",
 ]
+
+# Largest logarithm of a finite double, math.log(sys.float_info.max): exp of anything
+# above it overflows.
+_LOG_FLOAT_MAX = 709.782712893384
 
 
 class WelfareKind(Enum):
@@ -100,7 +104,12 @@ def welfare(
 
     For the log kind, any user with zero utility sends the welfare to -inf.
     """
-    utilities = [utility(i, profile, policy, config) for i in range(config.m)]
+    try:
+        utilities = [utility(i, profile, policy, config) for i in range(config.m)]
+    except OverflowError as exc:
+        alphas = ",".join(f"{a:g}" for a in dict.fromkeys(config.alphas))
+        message = f"a user's utility overflows a float at mu={config.mu:g}, alpha={alphas}"
+        raise OverflowError(message) from exc
     if kind is WelfareKind.SUM_UTILITY:
         return float(sum(utilities))
     if any(u == 0.0 for u in utilities):
@@ -114,62 +123,69 @@ def poa_closed_form(m: int, alpha: float, kind: WelfareKind) -> float:
     Worst-case ratio of optimal to equilibrium welfare (for the log kind the
     ratio is taken after mapping the welfare gap back through exp, i.e. it is
     the product of per-user utility ratios).  Grows without bound in ``m``.
+    It is formed from its logarithm, so only a ratio past a double overflows.
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    try:
-        top = (alpha * m + 1.0) ** (alpha + 1.0)
-        denom = (alpha + 1.0) ** (alpha + 1.0)
-        ratio = top / (m**alpha * denom)
-        if kind is WelfareKind.SUM_UTILITY:
-            if alpha > 1.0:
-                return top / (m * denom)
-            return ratio
-        return ratio**m
-    except OverflowError as exc:
-        raise OverflowError(
-            f"the price of anarchy overflows a float at m={m}, alpha={alpha:g}"
-        ) from exc
-
-
-def _poa_against(config: GameConfig, kind: WelfareKind) -> Callable[[Sequence[float]], float]:
-    """Drop-free optimal welfare over the welfare of per-user utilities, as a function of them.
-
-    The optimum is computed once, here, so it needs a shared exponent, and an
-    overflow raises before any utility is read.  For the log kind the ratio
-    is the product over users of optimal-to-given utility ratios; a user at
-    zero utility makes it +inf.  For the sum kind a zero total makes it +inf.
-    """
+    # log of the per-user ratio (alpha m + 1)**(alpha + 1) / (m**alpha (alpha + 1)**(alpha + 1)),
+    # as log(m) plus (alpha + 1) log((alpha m + 1) / ((alpha + 1) m)): no large terms cancel
+    log_ratio = math.log(m) + (alpha + 1.0) * math.log1p((1 - m) / ((alpha + 1.0) * m))
     if kind is WelfareKind.SUM_LOG_UTILITY:
-        lam = optimal_total_rate(config)
-        try:
-            per_user_opt = (lam / config.m) ** config.alpha * (config.mu - lam)
-        except OverflowError as exc:
-            raise OverflowError(
-                f"the social optimum overflows a float at mu={config.mu:g}, "
-                f"alpha={config.alpha:g}"
-            ) from exc
+        log_ratio *= m
+    elif alpha > 1.0:  # the optimum sends everything through one user
+        log_ratio += (alpha - 1.0) * math.log(m)
+    if log_ratio > _LOG_FLOAT_MAX:
+        raise OverflowError(f"the price of anarchy overflows a float at m={m}, alpha={alpha:g}")
+    return math.exp(log_ratio)
 
-        def ratio(utilities: Sequence[float]) -> float:
-            if 0.0 in utilities:  # -0.0 too
-                return math.inf
-            value = 1.0
-            for u in utilities:
-                value *= per_user_opt / u
-            return value
 
-        return ratio
-    _, opt_value = social_optimum_sum(config)
+def _log_over(x: float, y: float) -> float:
+    """``log(x / y)`` for positive ``x`` and ``y``; near ``x == y`` it keeps the
+    digits of their difference, and a quotient past a double gives +-inf."""
+    return math.log1p((x - y) / y) if x > y else -math.log1p((y - x) / x)
 
-    def ratio(utilities: Sequence[float]) -> float:
-        total = sum(utilities)
-        if total == 0.0:
+
+def _poa(config: GameConfig, kind: WelfareKind, accepted, headroom: float) -> float:
+    """Drop-free optimal welfare over the welfare of users that get ``accepted``
+    through and share the positive ``headroom``, the service rate left over.
+
+    User ``i``'s utility is ``accepted[i]**alpha * headroom``, so the ratio
+    depends only on each accepted rate over the optimum's per-user rate and
+    on ``headroom`` over the optimum's ``mu - lam``: it is the same under
+    any change of units, and nothing is raised to a power that can pass a
+    double.  A ratio past a double is +inf, and a welfare past a double
+    gives 0.0.  A user at zero (log kind) or a zero total (sum kind) makes
+    it +inf.  Needs a shared exponent, which is read first.  Raises
+    ValueError where the optimal total rounds to ``mu`` (``alpha`` near
+    2**53 or above), which leaves the optimum no headroom to compare with.
+    """
+    alpha, m = config.alpha, config.m
+    lam = optimal_total_rate(config)
+    spare = config.mu - lam  # the optimum's headroom
+    if not spare > 0.0:  # alpha / (alpha + 1) rounds to 1
+        raise ValueError(f"the drop-free optimum leaves no headroom in a float at alpha={alpha:g}")
+    if kind is WelfareKind.SUM_LOG_UTILITY:
+        if 0.0 in accepted:  # -0.0 too
             return math.inf
-        return opt_value / total
-
-    return ratio
+        # each rate over the optimum's lam / m, as m times the rate over lam: the
+        # rounding of lam cancels to first order against mu - lam, one of lam / m would not
+        gains = math.fsum(_log_over(m * x, lam) for x in accepted)
+        log_ratio = m * _log_over(spare, headroom) - alpha * gains
+    else:
+        top = max(accepted)
+        if top == 0.0:
+            return math.inf
+        # above exponent one the optimum sends all of lam through one user
+        count, a = (1, lam) if alpha > 1.0 else (m, lam / m)
+        # the sum of (x / top) ** alpha lies in [1, m]
+        scale = count * spare / headroom / math.fsum((x / top) ** alpha for x in accepted)
+        lead = -alpha * _log_over(top, a)  # log of (a / top) ** alpha
+        if abs(lead) < _LOG_FLOAT_MAX / 2:  # the power fits; a product past a double rounds
+            return scale * (a / top) ** alpha
+        log_ratio = math.log(scale) + lead
+    return math.exp(log_ratio) if log_ratio <= _LOG_FLOAT_MAX else math.inf
 
 
 def poa_of_equilibrium(
@@ -185,8 +201,8 @@ def poa_of_equilibrium(
     mixed exponents has no such optimum and raises
     :class:`~mm1game.model.UnsupportedGameError`, whatever the utilities.
     """
-    ratio = _poa_against(config, kind)
-    return ratio([utility(i, ne_profile, policy, config) for i in range(config.m)])
+    p = _require_feasible(ne_profile, policy, config)
+    return _poa(config, kind, [r * p for r in ne_profile.rates], config.mu - ne_profile.total * p)
 
 
 @dataclass(frozen=True)

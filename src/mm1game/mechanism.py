@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .analysis import (
     WelfareKind,
-    _poa_against,
+    _poa,
     optimal_total_rate,
     poa_of_equilibrium,
 )
@@ -165,9 +165,7 @@ def poa_at_symmetric_rate(
         raise ValueError(
             f"effective_total must lie in (0, mu={config.mu}), got {effective_total}"
         )
-    ratio = _poa_against(config, kind)  # names an overflowing optimum before the power can
-    per_user = (effective_total / config.m) ** config.alpha * (config.mu - effective_total)
-    return ratio([per_user] * config.m)
+    return _poa(config, kind, [effective_total / config.m] * config.m, config.mu - effective_total)
 
 
 def target_effective_rate(spec: DesignSpec) -> float:

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import WelfareKind, _poa_against
+from .analysis import WelfareKind, _poa
 from .mechanism import DesignSpec, design_linear
 from .model import DropPolicy, GameConfig, RateProfile, _check_integer, keep_probability
 
@@ -266,14 +266,16 @@ def run(sim: SimConfig) -> SimReport:
     kept_slots = max(sim.slots - warmup, 1)
     goodput = [float(a) / kept_slots for a in accepted]
     mean_delay = [pooled_delay if a > 0 else 0.0 for a in accepted]
-    # zero power where no packet was accepted, so no delay was measured
-    power = np.power(goodput, sim.game.alphas) / [d if d > 0 else math.inf for d in mean_delay]
+    # zero power where no packet was accepted, so no delay was measured; +inf
+    # where it exceeds a double
+    with np.errstate(over="ignore"):
+        power = np.power(goodput, sim.game.alphas) / [d if d > 0 else math.inf for d in mean_delay]
     power_t = tuple(power.tolist())
     log_welfare = float(np.log(power).sum()) if all(p > 0 for p in power_t) else -math.inf
+    poa = math.nan
     if sim.game.homogeneous:
-        poa = _poa_against(sim.game, WelfareKind.SUM_LOG_UTILITY)(power_t)
-    else:
-        poa = math.nan
+        headroom = 1.0 / pooled_delay if pooled_delay else math.inf  # as the delay measures it
+        poa = _poa(sim.game, WelfareKind.SUM_LOG_UTILITY, goodput, headroom)
     drop_probs = 1.0 - keep
     for trace in (est, drop_probs, slot_totals):
         trace.flags.writeable = False
@@ -299,10 +301,13 @@ def run(sim: SimConfig) -> SimReport:
 def empirical_poa(report: SimReport, config: GameConfig, kind: WelfareKind) -> float:
     """Measured price of anarchy: drop-free optimal welfare over measured welfare.
 
-    A user with zero measured power makes the log-kind ratio +inf.  A game
-    with mixed exponents raises :class:`~mm1game.model.UnsupportedGameError`.
+    It is formed from the goodputs and the inverse of the pooled delay, so a
+    power past a double does not stop it.  A user with zero measured goodput
+    makes the log-kind ratio +inf.  A game with mixed exponents raises
+    :class:`~mm1game.model.UnsupportedGameError`.
     """
-    return _poa_against(config, kind)(report.power)
+    delay = max(report.mean_delay)
+    return _poa(config, kind, report.goodput, 1.0 / delay if delay else math.inf)
 
 
 @dataclass(frozen=True)
@@ -394,7 +399,7 @@ def _run_cell(
             )
             for k in range(replications)
         ]
-    except (ValueError, OverflowError) as exc:  # includes DesignInfeasibleError
+    except ValueError as exc:  # includes DesignInfeasibleError
         return failed(exc)
     try:
         poas = [empirical_poa(run(sim), game, welfare_kind) for sim in sims]
@@ -421,8 +426,9 @@ def sweep(
 
     Every cell designs a linear policy for its target, offers the predicted
     equilibrium rates open-loop, and replicates the run with seeds
-    ``base.seed + k``.  A cell whose design is infeasible or overflows, or
-    whose run overloads, records its error instead of aborting the sweep.
+    ``base.seed + k``.  A cell whose design is infeasible, whose run is
+    refused (too many packets, say) or whose run overloads records its error
+    instead of aborting the sweep.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")

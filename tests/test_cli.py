@@ -1072,8 +1072,27 @@ def test_a_sweep_cell_records_an_overflowing_design_and_the_next_cell_still_runs
     assert main(argv) == EXIT_OK
     ran, overflowed = json.loads(out.read_text())["cells"]
     assert ran["mu"] == 1e4 and ran["error"] is None and math.isfinite(ran["mean_poa"])
+    # its design no longer overflows: its run would draw more packets than int64 counts
     assert overflowed["mu"] == 1e20 and overflowed["mean_poa"] is None
-    assert overflowed["error"] == "the social optimum overflows a float at mu=1e+20, alpha=20"
+    assert overflowed["error"] == (
+        "input_rates total 8.88567e+19 per slot over 100 slots is more than 2**62 packets, "
+        "too many to count in int64"
+    )
+
+
+def test_a_simulation_whose_power_overflows_writes_it_as_missing_and_its_ratio(
+    tmp_path, capsys
+):
+    # 4e17**20 is past a double; the ratio is formed from rates, which are not
+    out = tmp_path / "big.json"
+    argv = ["simulate", "--mu", "1e19", "--alpha", "20", "--m", "2", "--rates", "4e17,4e17",
+            "--slots", "5", "--queue-mode", "analytic", "--format", "json", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    users = json.loads(out.read_text(), parse_constant=_reject_constant)["users"]
+    for user in users:
+        assert user["power"] is None and user["sum_welfare"] is None and user["log_welfare"] is None
+        assert math.isfinite(user["empirical_poa"]) and user["goodput"] > 0
 
 
 @pytest.mark.parametrize(
@@ -1083,8 +1102,10 @@ def test_a_sweep_cell_records_an_overflowing_design_and_the_next_cell_still_runs
          "the price of anarchy overflows a float at m=200, alpha=3"),
         (["analyze", "--mu", "6", "--alpha", "400", "--m", "2"],
          "the social optimum overflows a float at mu=6, alpha=400"),
+        (["analyze", "--mu", "1e20", "--alpha", "20", "--m", "2"],
+         "a user's utility overflows a float at mu=1e+20, alpha=20"),
     ],
-    ids=["many-users", "large-exponent"],
+    ids=["many-users", "large-exponent", "large-rate"],
 )
 def test_an_overflow_names_the_quantity_and_the_input(tmp_path, monkeypatch, capsys, argv, cause):
     monkeypatch.chdir(tmp_path)

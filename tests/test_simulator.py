@@ -885,7 +885,13 @@ def test_empirical_poa_zero_power_is_infinite():
     rep = _report_from_analytic_profile(
         RateProfile((2.0, 2.0)), NoDrop(), CFG
     )
-    rep = replace(rep, power=(0.0, rep.power[1]))
+    # a user that got nothing through has no goodput, no measured delay and no power
+    rep = replace(
+        rep,
+        goodput=(0.0, rep.goodput[1]),
+        mean_delay=(0.0, rep.mean_delay[1]),
+        power=(0.0, rep.power[1]),
+    )
     assert empirical_poa(rep, CFG, WelfareKind.SUM_LOG_UTILITY) == math.inf
 
 
