@@ -50,8 +50,8 @@ class Trajectory:
     ``==``.  ``potential_series`` holds :func:`~mm1game.model.potential` at
     each iterate, computed on first read; at an iterate that overloads the
     queue, where the potential is undefined, it holds a value that is not
-    positive.  Reading it raises ``OverflowError`` where a potential
-    overflows a double, though play itself succeeded.
+    positive.  Reading it raises ``OverflowError``, naming the game, where a
+    potential overflows a double, though play itself succeeded.
     """
 
     iterates: tuple[RateProfile, ...]
@@ -68,7 +68,12 @@ class Trajectory:
         rows = [profile.rates for profile in self.iterates]
         totals = [sum(rates) for rates in rows]
         keeps = [keep_probability(self.policy, t) for t in totals]
-        return tuple(_potentials(rows, totals, keeps, self.config))
+        try:
+            return tuple(_potentials(rows, totals, keeps, self.config))
+        except OverflowError as exc:
+            alphas = ",".join(f"{a:g}" for a in dict.fromkeys(self.config.alphas))
+            message = f"the potential overflows a float at mu={self.config.mu:g}, alpha={alphas}"
+            raise OverflowError(message) from exc
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -148,97 +153,40 @@ def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
     ]
 
 
-def _ramp_best_response(b: float, alpha: float, mu: float, r1: float, r2: float) -> float:
-    """Closed-form argmax of the one-user utility on a ramp ``r1 < r2``.
+def _ramp_roots(alpha: float, k: float, b: float, d: float, muw: float) -> list[float]:
+    """Real roots ``y`` of the ramp's stationarity condition, each Newton-polished.
 
-    See :func:`best_response`.  Rates are measured against ``d = r2 - b``, the
-    room left before everything is dropped, so the keep probability on the
-    ramp is ``(d - x) / w`` with ``w = r2 - r1``: no total near ``r2`` is
-    formed and subtracted again, which keeps tiny keep probabilities exact.
-
-    Each root of the cubic gets at most two Newton steps on the unexpanded
-    condition ``g``, which is ``w^2 x p q`` times ``d/dx log u``, i.e.
-    ``alpha q (p + s x) - x p (p + s T)``; a step is kept only while it
-    shrinks ``|g|``.  :func:`_census_totals` writes out the same polish on
-    the census cubic; change the two together.
+    ``k`` users share a total ``y`` evenly against outsiders sending ``b``;
+    ``d = r2 - b`` and ``muw = mu w`` with ``w = r2 - r1``.  With
+    ``e = d - b`` and ``h = mu w - b d``, ``k w^2`` times each user's
+    condition (see :func:`best_response`) is
+    ``g(y) = alpha (mu w - (b + y)(d - y)) (k d - (k + 1) y) - y (d - y)(e - 2 y)``,
+    a cubic with coefficients from ``y^3`` down ``-alpha (k + 1) - 2``,
+    ``alpha (e (k + 1) + k d) + 2 d + e``, ``-alpha (h (k + 1) + e k d) - d e``
+    and ``alpha h k d``.  Each root gets at most two Newton steps on the
+    unexpanded ``g``, each kept only while it shrinks ``|g|``.  The roots are
+    not filtered: callers keep those inside their ramp.
     """
-    d = r2 - b
-    if d <= 0.0:
-        return 0.0  # everything the user could send is dropped
-    w = r2 - r1
     e = d - b  # r2 - 2b
-    muw = mu * w
-    h = muw - b * d  # w times the headroom q at x = 0
-    lo = r1 - b
-    if not lo > 0.0:  # max(0, r1 - b): the ramp start
-        lo = 0.0
-    # each candidate is scored by its log utility, -inf where the utility is not
-    # positive, so that no power of a rate overflows or underflows a double
-    log = math.log
-    q = mu - (b + lo)  # the ramp start keeps everything
-    xs, us = [lo], [alpha * log(lo) + log(q) if lo > 0.0 < q else -math.inf]
-    c3 = -2.0 * (alpha + 1.0)
-    c2 = alpha * (d + 2.0 * e) + 2.0 * d + e
-    c1 = -alpha * (e * d + 2.0 * h) - d * e
-    c0 = alpha * h * d
-    roots = _cubic_roots(c3, c2, c1, c0)
+    h = muw - b * d  # w times the headroom q at y = 0
+    k1, kd = k + 1.0, k * d
+    c3 = -alpha * k1 - 2.0
+    c2 = alpha * (e * k1 + kd) + 2.0 * d + e
+    c1 = -alpha * (h * k1 + e * kd) - d * e
     a3, b2 = 3.0 * c3, 2.0 * c2
-    for y in roots:
-        for k in range(3):  # the root, then two Newton steps, each kept only while it shrinks |g|
-            g_y = alpha * (muw - (b + y) * (d - y)) * (d - 2.0 * y) - y * (d - y) * (e - 2.0 * y)
-            if k and not abs(g_y) < abs(g):
+    roots = []
+    for y in _cubic_roots(c3, c2, c1, alpha * h * kd):
+        for n in range(3):  # the root, then two Newton steps, each kept only while it shrinks |g|
+            g_y = alpha * (muw - (b + y) * (d - y)) * (kd - k1 * y) - y * (d - y) * (e - 2.0 * y)
+            if n and not abs(g_y) < abs(g):
                 break
             x, g = y, g_y
             slope = (a3 * x + b2) * x + c1
             if slope == 0.0:
                 break
             y = x - g / slope
-        if lo < x < d:
-            p = (d - x) / w
-            a, q = x * p, mu - (b + x) * p
-            xs.append(x)
-            us.append(alpha * log(a) + log(q) if a > 0.0 < q else -math.inf)
-    floor = max(us) + _LOG_TIE  # the largest rate this close to the best wins
-    answer = 0.0  # also when no rate earns a positive utility
-    for x, u in zip(xs, us):
-        if u >= floor > -math.inf and x > answer:
-            answer = x
-    return answer
-
-
-def _census_totals(alpha: float, m: int, mu: float, r1: float, r2: float) -> list[float]:
-    """Interior equilibrium totals of a shared-exponent ramp game, unsorted.
-
-    See :func:`~mm1game.mechanism.equilibrium_census` for the cubic, used
-    times ``w^2``.  Each root gets the Newton polish of
-    :func:`_ramp_best_response`, written out on this cubic's unexpanded
-    condition; change the two together.  A root counts when
-    ``r1 < T < r2`` and ``q > 0``.
-    """
-    w = r2 - r1
-    ma = m * alpha
-    muw = mu * w
-    c3 = -(ma + 2.0 + alpha)
-    c2 = (2.0 * ma + 3.0 + alpha) * r2
-    c1 = -ma * (r2 * r2 + muw) - r2 * r2 - alpha * mu * w  # alpha * muw rounds differently
-    c0 = ma * r2 * mu * w  # so does ma * r2 * muw
-    a3, b2 = 3.0 * c3, 2.0 * c2
-    totals = []
-    for y in _cubic_roots(c3, c2, c1, c0):
-        for k in range(3):  # the root, then two Newton steps, each kept only while it shrinks |g|
-            room = r2 - y  # w p
-            head = muw - y * room  # w q
-            g_y = ma * room * head - y * (room * (r2 - 2.0 * y) + alpha * head)
-            if k and not abs(g_y) < abs(g):
-                break
-            t, g = y, g_y
-            slope = (a3 * t + b2) * t + c1
-            if slope == 0.0:
-                break
-            y = t - g / slope
-        if r1 < t < r2 and muw > t * (r2 - t):  # q > 0
-            totals.append(t)
-    return totals
+        roots.append(x)
+    return roots
 
 
 def best_response(
@@ -256,18 +204,21 @@ def best_response(
     the headroom is ``q = mu - T p``.  Multiplying the stationarity condition
     of ``log u``, ``alpha / x + alpha s / p - (p + s T) / q = 0``, by
     ``x p q`` gives, for any real ``alpha``, the cubic
-    ``alpha q (2 s x + p_B) - x (s x + p_B) (2 s x + p_B + s B) = 0`` with
-    ``p_B = s B + c`` and leading coefficient ``-2 s^2 (alpha + 1)``.  The
-    answer is the best of two kinds of candidate: the cubic's real roots
-    strictly inside the ramp ``(max(0, r1 - B), r2 - B)``, each polished by
-    Newton steps on the unexpanded condition, and the ramp start
-    ``max(0, r1 - B)``.  ``star`` needs no candidate of its own: when
+    ``alpha q (p + s x) - x p (p + s T) = 0``.  With ``s = -1 / w``,
+    ``w = r2 - r1``, it is the condition of :func:`_ramp_roots` over
+    ``w^2`` with ``k = 1`` and ``b = B``.  Rates are measured against
+    ``d = r2 - B``, so ``p = (d - x) / w``: no total near ``r2`` is formed
+    and subtracted again, which keeps tiny keep probabilities exact.  The
+    answer is the best of two kinds of candidate: the cubic's polished real
+    roots strictly inside the ramp ``(max(0, r1 - B), d)``, and the ramp
+    start ``max(0, r1 - B)``.  ``star`` needs no candidate of its own: when
     ``B + star <= r1``, some ramp rate has accepted rate ``x p = star``, and
     there the others' accepted load ``B p`` is at most ``B``, so the ramp
     earns at least ``star``'s utility (strictly more when ``B > 0``; a lone
     user ties).
 
-    Candidates are compared by the logarithm of their utility.  Ties go to
+    Candidates are compared by the logarithm of their utility, so that no
+    power of a rate overflows or underflows a double.  Ties go to
     the larger rate; utilities within a relative ``1e-12`` of the best count
     as tied, so rounding does not pick between exact ties such as
     the two ramp rates at which a lone user's accepted rate is ``star``.
@@ -275,13 +226,35 @@ def best_response(
     """
     if not others_total >= 0:  # NaN fails this too
         raise ValueError(f"others_total must be non-negative, got {others_total!r}")
+    b = others_total
     r1, r2 = policy.r1, policy.r2
-    if r1 < r2:  # the ramp first: it is play's hot path
-        return _ramp_best_response(others_total, config.alphas[i], config.mu, r1, r2)
     alpha = config.alphas[i]
     mu = config.mu
-    star = alpha * (mu - others_total) / (alpha + 1.0) if others_total < mu else 0.0
-    return max(0.0, min(star, r2 - others_total))  # no cap when r2 is infinite
+    if not r1 < r2:
+        star = alpha * (mu - b) / (alpha + 1.0) if b < mu else 0.0
+        return max(0.0, min(star, r2 - b))  # no cap when r2 is infinite
+    d = r2 - b
+    if d <= 0.0:
+        return 0.0  # everything the user could send is dropped
+    w = r2 - r1
+    lo = r1 - b
+    if not lo > 0.0:  # max(0, r1 - b): the ramp start
+        lo = 0.0
+    log = math.log
+    q = mu - (b + lo)  # the ramp start keeps everything
+    xs, us = [lo], [alpha * log(lo) + log(q) if lo > 0.0 < q else -math.inf]
+    for x in _ramp_roots(alpha, 1.0, b, d, mu * w):
+        if lo < x < d:
+            p = (d - x) / w
+            a, q = x * p, mu - (b + x) * p
+            xs.append(x)
+            us.append(alpha * log(a) + log(q) if a > 0.0 < q else -math.inf)
+    floor = max(us) + _LOG_TIE  # the largest rate this close to the best wins
+    answer = 0.0  # also when no rate earns a positive utility
+    for x, u in zip(xs, us):
+        if u >= floor > -math.inf and x > answer:
+            answer = x
+    return answer
 
 
 def run_dynamics(

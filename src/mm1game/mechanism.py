@@ -18,7 +18,7 @@ from .analysis import (
     optimal_total_rate,
     poa_of_equilibrium,
 )
-from .dynamics import UpdateMode, _census_totals, run_dynamics
+from .dynamics import UpdateMode, _ramp_roots, run_dynamics
 from .model import RATE_FLOOR, DropPolicy, GameConfig, LinearPolicy, RateProfile, StepPolicy
 
 __all__ = [
@@ -280,21 +280,17 @@ def equilibrium_census(policy: DropPolicy, config: GameConfig) -> EquilibriumCen
     """Every candidate equilibrium of a shared-exponent game on a ramp, without iteration.
 
     The game is aggregative: fix the total ``T`` on the ramp, with keep
-    probability ``p = s T + c`` (``s`` and ``c`` are the policy's slope and
-    intercept) and headroom ``q = mu - T p``.  The stationarity condition in
-    :func:`~mm1game.dynamics.best_response` is then linear in a user's own
-    rate, so every user sends ``x(T) = alpha p q / D(T)`` with
-    ``D(T) = (2 + alpha) s^2 T^2 + (3 + alpha) s c T + c^2 - alpha s mu``.
-    An interior equilibrium total is a root of the cubic
-    ``m alpha p q - T D(T)``, whose coefficients from ``T^3`` down are
-    ``-(m alpha + 2 + alpha) s^2``, ``-(2 m alpha + 3 + alpha) s c``,
-    ``m alpha (s mu - c^2) - c^2 + alpha s mu`` and ``m alpha c mu``.  They
-    are used times ``w^2 = 1 / s^2`` with ``w = r2 - r1``, which keeps them
-    the size of the breakpoints on a steep ramp;
-    :func:`~mm1game.dynamics._census_totals` polishes each root by Newton
-    steps on the unexpanded condition.  A root counts when
-    ``r1 < T < r2`` and ``q > 0``; at a root ``T D = m alpha p q``, so
-    ``D > 0`` follows, and ``x(T)`` is a positive rate into a stable queue.
+    probability ``p`` and headroom ``q = mu - T p``.  An interior symmetric
+    equilibrium total is a ``T`` at which one user's stationarity condition
+    in :func:`~mm1game.dynamics.best_response`, taken against the others'
+    total ``(m - 1) T / m``, holds at its own rate ``T / m``.  That is the
+    condition of :func:`~mm1game.dynamics._ramp_roots` with ``k = m``
+    users sharing ``y = T`` and no outsiders (``b = 0``), the same cubic
+    and Newton polish as a best response's ``k = 1``.  Its coefficients
+    are used times ``w^2`` with ``w = r2 - r1``, which keeps them the size
+    of the breakpoints on a steep ramp.  A root counts when
+    ``r1 < T < r2`` and ``q > 0``; each user then sends a positive rate
+    ``T / m`` into a stable queue.
 
     At the kink ``T = r1`` no user may gain by moving either way: the
     drop-free side asks ``x <= alpha (mu - r1)`` of each rate, the ramp side
@@ -318,9 +314,9 @@ def equilibrium_census(policy: DropPolicy, config: GameConfig) -> EquilibriumCen
     r1, r2 = policy.r1, policy.r2
     if not r1 < r2:
         raise ValueError(f"the census needs a ramp with r1 < r2, got r1={r1}, r2={r2}")
-    roots = _census_totals(alpha, m, mu, r1, r2)
-
     w = r2 - r1
+    muw = mu * w
+    roots = [t for t in _ramp_roots(alpha, m, 0.0, r2, muw) if r1 < t < r2 and muw > t * (r2 - t)]
     kink = None
     if r1 < mu:
         hi = alpha * (mu - r1)

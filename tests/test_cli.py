@@ -232,6 +232,18 @@ def test_dynamics_non_convergence_exits_numeric_but_writes(tmp_path, capsys):
     assert len(rows) == 4  # init plus three rounds
 
 
+def test_dynamics_names_the_potential_that_overflows(tmp_path, capsys):
+    # play converges, but the potential at its start, about (2.5e18) ** 40, is past a double
+    out = tmp_path / "t.csv"
+    argv = ["dynamics", "--mu", "1e20", "--alpha", "20", "--m", "2",
+            "--policy", "linear", "--r1", "5e19", "--r2", "9e19", "--out", str(out)]
+    assert main(argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numerical failure: the potential overflows a float at mu=1e+20, alpha=20\n"
+    )
+    assert not out.exists()
+
+
 def test_field_contains_a_fixed_point_row(tmp_path):
     out = tmp_path / "f.csv"
     code = main(

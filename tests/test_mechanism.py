@@ -600,24 +600,24 @@ def test_a_lone_user_below_the_ramp_is_a_census_member():
 
 
 def _reference_census(policy, config):
-    """The census as it read with a generic root polish taking the condition
-    as a closure.  The written-out polish keeps every float operation and
-    its order, so it must reproduce this bit for bit."""
+    """The census on the shared ramp condition, with ``k = m`` users and no
+    outsiders, polished by a generic loop taking the condition as a closure.
+    The written-out polish keeps every float operation and its order, so it
+    must reproduce this bit for bit."""
     alpha, m, mu = config.alpha, config.m, config.mu
     r1, r2 = policy.r1, policy.r2
     w = r2 - r1
-    ma = m * alpha
+    muw = mu * w
+    k1, kd = m + 1.0, m * r2
 
     def condition(t):
-        room = r2 - t
-        head = mu * w - t * room
-        return ma * room * head - t * (room * (r2 - 2.0 * t) + alpha * head)
+        return alpha * (muw - t * (r2 - t)) * (kd - k1 * t) - t * (r2 - t) * (r2 - 2.0 * t)
 
-    a = -(ma + 2.0 + alpha)
-    b = (2.0 * ma + 3.0 + alpha) * r2
-    c = -ma * (r2 * r2 + mu * w) - r2 * r2 - alpha * mu * w
+    a = -alpha * k1 - 2.0
+    b = alpha * (r2 * k1 + kd) + 2.0 * r2 + r2
+    c = -alpha * (muw * k1 + r2 * kd) - r2 * r2
     roots = []
-    for x in _cubic_roots(a, b, c, ma * r2 * mu * w):
+    for x in _cubic_roots(a, b, c, alpha * muw * kd):
         g = condition(x)
         for _ in range(2):
             slope = (3.0 * a * x + 2.0 * b) * x + c
@@ -628,7 +628,7 @@ def _reference_census(policy, config):
             if not abs(g_step) < abs(g):
                 break
             x, g = step, g_step
-        if r1 < x < r2 and mu * w > x * (r2 - x):
+        if r1 < x < r2 and muw > x * (r2 - x):
             roots.append(x)
     kink = None
     if r1 < mu:
@@ -650,18 +650,23 @@ def _census_hex(roots, kink, flat):
     )
 
 
-def test_census_matches_its_reference_bit_for_bit():
-    n = 10_000
-    rng = np.random.default_rng(20261019)
+def _random_ramps(n, seed, narrowest):
+    """``n`` shared-exponent ramp games, log-uniform in mu, alpha, r1 / mu and
+    the width over r1, which runs from ``10**narrowest`` to 10."""
+    rng = np.random.default_rng(seed)
     mu = 10.0 ** rng.uniform(-5.0, 20.0, n)
     alpha = 10.0 ** rng.uniform(-2.0, 1.0, n)
     m = rng.integers(1, 13, n)
     r1 = mu * 10.0 ** rng.uniform(-2.0, 0.5, n)
-    r2 = r1 + r1 * 10.0 ** rng.uniform(-9.0, 1.0, n)
-    seen = {"roots": 0, "kink": 0, "flat": 0}
+    r2 = r1 + r1 * 10.0 ** rng.uniform(narrowest, 1.0, n)
     for k in range(n):
         policy = LinearPolicy(float(r1[k]), float(r2[k]))
-        game = GameConfig.uniform(float(mu[k]), float(alpha[k]), int(m[k]))
+        yield policy, GameConfig.uniform(float(mu[k]), float(alpha[k]), int(m[k]))
+
+
+def test_census_matches_its_reference_bit_for_bit():
+    seen = {"roots": 0, "kink": 0, "flat": 0}
+    for policy, game in _random_ramps(10_000, 20261019, -9.0):
         got = equilibrium_census(policy, game)
         want = _reference_census(policy, game)
         assert _census_hex(got.roots, got.kink, got.flat) == _census_hex(*want), (policy, game)
@@ -669,6 +674,83 @@ def test_census_matches_its_reference_bit_for_bit():
         seen["kink"] += got.kink is not None
         seen["flat"] += got.flat is not None
     assert min(seen.values()) >= 100, seen
+
+
+def _decimal_census_root(t, policy, config):
+    """The census root nearest ``t`` in 60-digit decimal, from the exact
+    inputs, and its condition number.
+
+    The condition is ``g(T) = alpha (mu w - T (r2 - T)) (m r2 - (m + 1) T)
+    - T (r2 - T) (r2 - 2 T)``.  Its float evaluation adds products whose
+    magnitudes sum to ``M``, so its rounding noise is a few ulps of ``M``,
+    and no polish on it can pin the root closer than about
+    ``kappa = M / |T g'(T)|`` ulps of ``T``.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, m, r2 = Decimal(config.alpha), config.m, Decimal(policy.r2)
+        muw = Decimal(config.mu) * (r2 - Decimal(policy.r1))
+        c3 = -a * (m + 1) - 2
+        c2 = a * (2 * m + 1) * r2 + 3 * r2
+        c1 = -a * (muw * (m + 1) + m * r2 * r2) - r2 * r2
+        c0 = a * muw * m * r2
+        x = Decimal(t)
+        for _ in range(50):
+            step = (((c3 * x + c2) * x + c1) * x + c0) / ((3 * c3 * x + 2 * c2) * x + c1)
+            x -= step
+            if abs(step) <= abs(x) * Decimal("1e-55"):
+                break
+        room = abs(x * (r2 - x))
+        magnitude = a * (muw + room) * (m * r2 + (m + 1) * x) + room * (r2 + 2 * x)
+        slope = (3 * c3 * x + 2 * c2) * x + c1
+        return x, float(magnitude / abs(x * slope))
+
+
+def test_census_roots_match_a_60_digit_decimal_root():
+    # 8 ulps where the root is well conditioned; near a second root no polish on
+    # the float condition can come closer than its noise, about kappa ulps
+    roots = tight = 0
+    for policy, game in _random_ramps(4_000, 20261020, -6.0):
+        for t in equilibrium_census(policy, game).roots:
+            want, kappa = _decimal_census_root(t, policy, game)
+            error = abs(Decimal(t) - want) / Decimal(math.ulp(t))
+            assert error <= max(8.0, kappa), (policy, game, t, float(error), kappa)
+            roots += 1
+            tight += kappa <= 8.0
+    assert roots >= 2_000 and tight >= 0.9 * roots, (roots, tight)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mu=st.floats(-5.0, 20.0).map(lambda e: 10.0**e),
+    alpha=st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+    m=st.integers(1, 12),
+    start=st.floats(-2.0, 0.5),
+    width=st.floats(-6.0, 1.0),
+)
+# ramps with three census roots
+@example(mu=748231702151742.8, alpha=0.016562525167488764, m=6,
+         start=math.log10(77892795425005.14 / 748231702151742.8),
+         width=math.log10(399358655821496.0 / 77892795425005.14 - 1.0))
+@example(mu=385.6488667448196, alpha=0.03043562193589723, m=9,
+         start=math.log10(105.69419277816694 / 385.6488667448196),
+         width=math.log10(454.49356970419507 / 105.69419277816694 - 1.0))
+def test_each_census_root_is_a_users_stationary_rate_against_the_others(
+    mu, alpha, m, start, width
+):
+    # an interior symmetric equilibrium total T is where one user's own
+    # stationarity cubic, against the others' (m - 1) T / m, has the root T / m
+    r1 = mu * 10.0**start
+    r2 = r1 + r1 * 10.0**width
+    policy, game = LinearPolicy(r1, r2), GameConfig.uniform(mu, alpha, m)
+    w = r2 - r1
+    x = Polynomial([0.0, 1.0])
+    for t in equilibrium_census(policy, game).roots:
+        own = t / m
+        b = (m - 1) * own
+        d = r2 - b
+        ramp = alpha * (mu * w - (b + x) * (d - x)) * (d - 2.0 * x) - x * (d - x) * (d - b - 2.0 * x)
+        assert min(abs(r - own) for r in _scaled_real_roots(ramp, r2)) <= 1e-9 * own
 
 
 # ------------------------------------------------------- tiny exponents
