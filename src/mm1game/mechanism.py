@@ -284,17 +284,27 @@ def equilibrium_census(policy: DropPolicy, config: GameConfig) -> EquilibriumCen
     equilibrium total is a ``T`` at which one user's stationarity condition
     in :func:`~mm1game.dynamics.best_response`, taken against the others'
     total ``(m - 1) T / m``, holds at its own rate ``T / m``.  That is the
-    condition of :func:`~mm1game.dynamics._ramp_roots` with ``k = m``
+    condition ``g`` of :func:`~mm1game.dynamics._ramp_roots` with ``k = m``
     users sharing ``y = T`` and no outsiders (``b = 0``), the same cubic
     and Newton polish as a best response's ``k = 1``.  Its coefficients
     are used times ``w^2`` with ``w = r2 - r1``, which keeps them the size
     of the breakpoints on a steep ramp.  A root counts when
     ``r1 < T < r2`` and ``q > 0``; each user then sends a positive rate
-    ``T / m`` into a stable queue.
+    ``T / m`` into a stable queue.  Roots that polish to one float count once.
 
     At the kink ``T = r1`` no user may gain by moving either way: the
     drop-free side asks ``x <= alpha (mu - r1)`` of each rate, the ramp side
-    ``x >= alpha / ((1 + s r1) / (mu - r1) - alpha s)``.  Below ``r1`` a ramp
+    ``x >= lo = alpha / ((1 + s r1) / (mu - r1) - alpha s)``.  Both are read
+    at the even split ``x = r1 / m`` off floats the census lists anyway.  The
+    drop-free side is ``r1 <= top = mu m alpha / (m alpha + 1)``; for a lone
+    user ``top`` is the drop-free optimum to the bit, so the flat member
+    below and the kink exclude each other exactly.  The ramp side is
+    ``g(r1) <= 0``, since ``g(r1) = w gain (m lo - r1)`` with ``gain > 0``;
+    ``g`` ends negative, so that holds when an even number of its real roots
+    lie above ``r1``.  The root filter reads the same roots: where ``r1`` is a
+    root of ``g``, a root polished just above ``r1`` takes the kink's place,
+    and one at or below ``r1`` leaves it.  The kink's range ``(lo, hi)``
+    holds ``r1 / m`` however ``lo`` and ``hi`` round.  Below ``r1`` a ramp
     rate beats the drop-free optimum whenever the others send anything (see
     :func:`~mm1game.dynamics.best_response`), so the flat piece holds an
     equilibrium only for a lone user.
@@ -316,18 +326,18 @@ def equilibrium_census(policy: DropPolicy, config: GameConfig) -> EquilibriumCen
         raise ValueError(f"the census needs a ramp with r1 < r2, got r1={r1}, r2={r2}")
     w = r2 - r1
     muw = mu * w
-    roots = [t for t in _ramp_roots(alpha, m, 0.0, r2, muw) if r1 < t < r2 and muw > t * (r2 - t)]
+    ys = _ramp_roots(alpha, m, 0.0, r2, muw)
+    roots = {t for t in ys if r1 < t < r2 and muw > t * (r2 - t)}  # a double root once
+    top = mu * (m * alpha) / (m * alpha + 1.0)  # m = 1: optimal_total_rate, to the bit
     kink = None
-    if r1 < mu:
-        hi = alpha * (mu - r1)
+    # the ramp side: an even number of g's roots above r1; the flat side: r1 <= top
+    # (r1 < mu too, as top rounds to mu once m alpha passes 2**53)
+    if r1 < mu and r1 <= top and sum(t > r1 for t in ys) % 2 == 0:
+        x = r1 / m  # the even split, which the range holds however lo and hi round
         gain = r2 - 2.0 * r1 + alpha * (mu - r1)  # w (mu - r1) times the ramp-side bound
-        if gain > 0.0:
-            lo = alpha * w * (mu - r1) / gain
-            if m * lo <= r1 <= m * hi:
-                kink = (lo, hi)
-
-    star = optimal_total_rate(config)  # a lone user's drop-free optimum
-    flat = star if m == 1 and star < r1 else None
+        lo = alpha * w * (mu - r1) / gain if gain > 0.0 else x  # gain is noise at a 1-ulp edge
+        kink = (min(lo, x), max(alpha * (mu - r1), x))
+    flat = top if m == 1 and top < r1 else None
     return EquilibriumCensus(tuple(sorted(roots)), kink, flat)
 
 

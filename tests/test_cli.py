@@ -12,6 +12,7 @@ import json
 import math
 import os
 import re
+import runpy
 import stat
 import subprocess
 import sys
@@ -521,6 +522,18 @@ def test_a_pipe_takes_the_output_through_dev_stdout(tmp_path):
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60,
     )
     assert (done.returncode, done.stderr, done.stdout) == (EXIT_OK, b"", want)
+
+
+def test_the_module_entry_exits_with_mains_code(tmp_path, monkeypatch):
+    # what python -m mm1game.cli runs, in this process
+    want = _analyze_output(tmp_path)
+    got = tmp_path / "got.csv"
+    monkeypatch.setattr(sys, "argv", ["mm1game.cli", *_ANALYZE, "--out", str(got)])
+    monkeypatch.delitem(sys.modules, "mm1game.cli")  # runpy warns on a module already loaded
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("mm1game.cli", run_name="__main__")
+    assert exc.value.code == EXIT_OK
+    assert got.read_bytes() == want
 
 
 def test_a_csv_simulate_refuses_an_out_that_is_not_a_regular_file(tmp_path, capsys):

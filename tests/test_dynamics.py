@@ -316,6 +316,12 @@ def test_best_response_ties_go_to_the_larger_rate():
         assert best_response(0, 0.0, pol, cfg) == pytest.approx(larger, rel=1e-12)
 
 
+def test_cubic_roots_returns_a_triple_root_once():
+    # the depressed cubic is t^3: p and q are both 0
+    assert dynamics._cubic_roots(1.0, -3.0, 3.0, -1.0) == [1.0]
+    assert dynamics._cubic_roots(-2.0, 12.0, -24.0, 16.0) == [2.0]  # -2 (x - 2)^3
+
+
 # -------------------------------------------------------------------- dynamics
 
 
@@ -612,6 +618,14 @@ def test_verify_designed_equilibrium():
     assert verify_equilibrium(design.predicted_ne, design.policy, CFG)
     shifted = design.predicted_ne.replace(0, design.predicted_ne.rates[0] - 0.4)
     assert not verify_equilibrium(shifted, design.policy, CFG)
+
+
+def test_verify_accepts_a_profile_whose_others_already_reach_r2():
+    # each user's others send past r2, so the ramp drops whatever anyone adds
+    ramp = LinearPolicy(1.0, 2.0)
+    assert verify_equilibrium(RateProfile((2.5, 2.5)), ramp, CFG)
+    # here user 0's others send 0.5, and user 0 gains by sending into the ramp
+    assert not verify_equilibrium(RateProfile((2.5, 0.5)), ramp, CFG)
 
 
 def test_verify_tolerance_scales_sensitivity():

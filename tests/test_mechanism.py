@@ -9,6 +9,7 @@ differences, grid scans, best-response runs).
 import math
 import re
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -287,26 +288,99 @@ def test_scaling_a_ramp_game_by_a_power_of_two_scales_best_responses_and_the_cen
     assert (scaled == 0.0) == (response == 0.0)
     if response:
         assert _ulps(scaled, response) <= 4
-    if m == 1 and r2 == 2.0 * r1:
-        return  # the census's knife edge, pinned by the test below
     assert len(scaled_members) == len(members)
     # a census root can sit in a cluster of roots (with m = 1 one lies at r2 / 2), where
     # rounding moved it by up to 2 ulps in 476,571 random ramps (|k| <= 60)
     assert all(_ulps(a, b) <= 64 for a, b in zip(scaled_members, members))
 
 
-def test_a_lone_users_census_at_r2_twice_r1_misses_the_ramp_start_in_every_unit():
-    # Pins a defect.  With m = 1 and r2 = 2 r1 the census cubic's root r2 / 2 is the
-    # ramp start, where the root test (r1 < T) and the kink test (m lo <= r1) are both
-    # on their boundary.  The lone user's best response to nothing is r1, an
-    # equilibrium, yet at mu = 50, alpha = 2 the root rounds onto r1 and lo above it,
-    # so the census is empty, in every unit from 2**-3 to 2**3.
+def test_a_lone_users_census_at_r2_twice_r1_lists_the_ramp_start_in_every_unit():
+    # With m = 1 and r2 = 2 r1 the census condition's root r2 / 2 is the ramp start,
+    # where the root test (r1 < T) and the kink's ramp side are both on their boundary.
+    # The lone user's best response to nothing is r1, an equilibrium; the census lists
+    # it once, as the kink, in every unit from 2**-3 to 2**3.
     r1 = 50.0 * 10.0**-0.375
     for k in range(-3, 4):
         game = GameConfig.uniform(math.ldexp(50.0, k), 2.0, 1)
         policy = LinearPolicy(math.ldexp(r1, k), math.ldexp(2.0 * r1, k))
         assert best_response(0, 0.0, policy, game) == policy.r1
-        assert equilibrium_census(policy, game) == EquilibriumCensus((), None, None)
+        census = equilibrium_census(policy, game)
+        assert census.roots == () and census.flat is None
+        lo, hi = census.kink
+        assert lo <= policy.r1 <= hi
+
+
+def _members_at_the_ramp_start(mu, alpha, m, r1, r2):
+    """For each unit from 2**-3 to 2**3: the census members within max(64, kappa)
+    ulps of r1 (the kink counting as r1), and the policy of that unit.  ``kappa``
+    is the census condition's rounding noise at its root nearest r1, in ulps (see
+    :func:`_decimal_census_root`); it passes 64 only where roots cluster at r1."""
+    kappa = _decimal_census_root(r1, LinearPolicy(r1, r2), GameConfig.uniform(mu, alpha, m))[1]
+    ulps = max(64.0, kappa)
+    for k in range(-3, 4):
+        game = GameConfig.uniform(math.ldexp(mu, k), alpha, m)
+        policy = LinearPolicy(math.ldexp(r1, k), math.ldexp(r2, k))
+        census = equilibrium_census(policy, game)
+        members = [*census.roots, *filter(None, [census.flat])]
+        if census.kink is not None:
+            members.append(policy.r1)
+        near = [t for t in members if abs(t - policy.r1) <= ulps * math.ulp(policy.r1)]
+        yield near, policy
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mu=st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
+    alpha=st.floats(-1.5, 1.0).map(lambda e: 10.0**e),
+    share=st.floats(0.01, 1.0, exclude_max=True),
+)
+# r1 an ulp below the optimum: the condition's three roots meet at r1, and the float
+# cubic put its one real root 2.7e-6 above r1, relative, within kappa, for the kink
+@example(mu=10.0, alpha=1.0, share=0.9999999999999998)
+# and here it returned r1 + 1 ulp three times, which the census lists once
+@example(mu=9.999999999999998, alpha=0.15274435846658263, share=0.9999999999999999)
+def test_a_lone_user_with_r2_twice_r1_below_its_optimum_has_one_member_at_r1(mu, alpha, share):
+    # r1 below the drop-free optimum: the kink is an equilibrium, and the census
+    # condition's root r2 / 2 sits on it
+    r1 = optimal_total_rate(GameConfig.uniform(mu, alpha, 1)) * share
+    for near, policy in _members_at_the_ramp_start(mu, alpha, 1, r1, 2.0 * r1):
+        assert len(near) == 1, (policy, near)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    mu=st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
+    share=st.floats(0.05, 0.95),
+    excess=st.floats(0.001, 1.5),
+)
+def test_a_ramp_start_that_is_a_root_of_the_census_condition_is_one_member(m, mu, share, excess):
+    # With q = mu - r1 the condition g(r1) = w (m alpha w q - r1 (w - r1 + alpha q))
+    # vanishes at w = r1 (alpha q - r1) / (m alpha q - r1).  An exponent above
+    # r1 / q puts r1 below the drop-free optimum, where w > 0 and the kink's flat
+    # side holds: the kink or a root just above r1, not both, is the member there.
+    r1 = mu * share
+    q = mu - r1
+    alpha = r1 / q * 10.0**excess
+    r2 = r1 * (m * alpha * q + alpha * q - 2.0 * r1) / (m * alpha * q - r1)
+    for near, policy in _members_at_the_ramp_start(mu, alpha, m, r1, r2):
+        assert len(near) == 1, (policy, near)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mu=st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
+    alpha=st.floats(-1.5, 1.0).map(lambda e: 10.0**e),
+    width=st.floats(-6.0, 1.0).map(lambda e: 10.0**e),  # w / r1
+)
+def test_a_lone_user_whose_ramp_starts_at_its_optimum_has_one_member_there(mu, alpha, width):
+    # r1 = optimal_total_rate: the flat member and the kink's flat side are both on
+    # their boundary, and r1 is a root of the census condition
+    # the roots are r1, r2 / 2 and w: at w = r1 they meet, the triple corner pinned below
+    assume(abs(width - 1.0) > 1e-4)
+    r1 = optimal_total_rate(GameConfig.uniform(mu, alpha, 1))
+    for near, policy in _members_at_the_ramp_start(mu, alpha, 1, r1, r1 + r1 * width):
+        assert len(near) == 1, (policy, near)
 
 
 @pytest.mark.parametrize(
@@ -599,6 +673,29 @@ def test_a_lone_user_below_the_ramp_is_a_census_member():
     assert verify_equilibrium(RateProfile((census.flat,)), ramp, lone)
 
 
+def test_validation_lists_a_lone_users_flat_member():
+    # design_linear never builds this ramp: a lone user's design puts r1 below its
+    # target.  Above the optimum 4 the ramp's accepted rate x (r2 - x) / w reaches 4
+    # at the root 5.236..., so that root and the flat member earn the same, and play
+    # from the flat member, the one nearest the prediction, ends on the root.
+    lone = GameConfig.uniform(6.0, 2.0, 1)
+    ramp = LinearPolicy(5.0, 6.0)
+    design = PolicyDesign(
+        policy=ramp,
+        predicted_ne=RateProfile((4.0,)),
+        predicted_poa=1.0,
+        keep_prob=1.0,
+        target_effective_total=4.0,
+        target_raw_total=4.0,
+    )
+    diag = validate_design(design, DesignSpec(lone, epsilon=0.05, target_effective_total=3.9))
+    (root,) = equilibrium_census(ramp, lone).roots
+    assert not diag.certified_unique and not diag.ne_matches_prediction
+    assert diag.realized_ne.rates == (root,)
+    flat = utility(0, RateProfile((4.0,)), ramp, lone)
+    assert utility(0, diag.realized_ne, ramp, lone) == pytest.approx(flat, rel=1e-12)
+
+
 def _reference_census(policy, config):
     """The census on the shared ramp condition, with ``k = m`` users and no
     outsiders, polished by a generic loop taking the condition as a closure.
@@ -696,13 +793,19 @@ def _decimal_census_root(t, policy, config):
         c0 = a * muw * m * r2
         x = Decimal(t)
         for _ in range(50):
-            step = (((c3 * x + c2) * x + c1) * x + c0) / ((3 * c3 * x + 2 * c2) * x + c1)
+            value = ((c3 * x + c2) * x + c1) * x + c0
+            slope = (3 * c3 * x + 2 * c2) * x + c1
+            if not (value and slope):  # an exact root, or a flat point by a triple one
+                break
+            step = value / slope
             x -= step
             if abs(step) <= abs(x) * Decimal("1e-55"):
                 break
         room = abs(x * (r2 - x))
         magnitude = a * (muw + room) * (m * r2 + (m + 1) * x) + room * (r2 + 2 * x)
         slope = (3 * c3 * x + 2 * c2) * x + c1
+        if not slope:  # a multiple root, which no float polish can pin
+            return x, math.inf
         return x, float(magnitude / abs(x * slope))
 
 
@@ -751,6 +854,273 @@ def test_each_census_root_is_a_users_stationary_rate_against_the_others(
         d = r2 - b
         ramp = alpha * (mu * w - (b + x) * (d - x)) * (d - 2.0 * x) - x * (d - x) * (d - b - 2.0 * x)
         assert min(abs(r - own) for r in _scaled_real_roots(ramp, r2)) <= 1e-9 * own
+
+
+# ------------------------------------------------------- an exact census
+# The census decides in floats.  The helpers below decide the same members in
+# exact rationals of its float inputs and share no code with it: the condition
+# is built from its unexpanded factors, and its roots on the ramp are counted
+# with a Sturm sequence, not solved (Sturm 1829; Basu, Pollack & Roy,
+# "Algorithms in Real Algebraic Geometry", ch. 2).  Polynomials are lists of
+# Fractions, constant term first.
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_sub(p, q):
+    n = max(len(p), len(q))
+    out = [a - b for a, b in zip(p + [0] * (n - len(p)), q + [0] * (n - len(q)))]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_at(p, x):
+    value = Fraction(0)
+    for c in reversed(p):
+        value = value * x + c
+    return value
+
+
+def _poly_rem(p, q):
+    p = list(p)
+    while len(p) >= len(q):
+        lead, shift = p[-1] / q[-1], len(p) - len(q)
+        p = _poly_sub(p, [0] * shift + [lead * c for c in q])
+    return p
+
+
+def _tarski_query(p, q, a, b):
+    """The sum of the sign of ``q`` over the distinct real roots of ``p`` in
+    ``(a, b]``, where neither ``a`` nor ``b`` is a root of ``p`` (the
+    Sturm-Tarski theorem): the sign changes that the signed remainder
+    sequence of ``p`` and ``p' q`` loses from a to b."""
+    seq = [p, _poly_mul([k * c for k, c in enumerate(p)][1:], q)]
+    while seq[-1]:
+        seq.append([-c for c in _poly_rem(seq[-2], seq[-1])])
+
+    def changes(x):
+        signs = [v > 0 for v in (_poly_at(f, x) for f in seq[:-1]) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return changes(a) - changes(b)
+
+
+def _exact_census(policy, config, cut):
+    """The census decided exactly, with ``cut`` just above r1.
+
+    Returns the number of distinct roots T of ``g`` in ``(cut, r2)`` whose
+    headroom ``H = mu w - T (r2 - T)`` is positive; whether a member lies
+    within ``cut - r1`` of r1 (the kink, by the sign of ``g(r1)`` and by
+    ``r1 (1 + m alpha) <= m alpha mu``; a root with ``H > 0`` in
+    ``(r1, cut]``; or a lone user's drop-free optimum that close below r1);
+    whether that optimum is a member farther below; and whether the kink's
+    flat side holds or the optimum stands in for it.
+    """
+    a, mu, r1, r2, cut = map(Fraction, (config.alpha, config.mu, policy.r1, policy.r2, cut))
+    m = config.m
+    w = r2 - r1
+    room = [Fraction(0), r2, Fraction(-1)]  # T (r2 - T)
+    headroom = [mu * w, -r2, Fraction(1)]
+    ramp = _poly_mul([a], _poly_mul(headroom, [m * r2, -(m + 1)]))
+    g = _poly_sub(ramp, _poly_mul(room, [r2, -2]))
+    flat_side = r1 * (1 + m * a) <= m * a * mu
+    kink = _poly_at(g, r1) <= 0 and flat_side
+    p = g
+    while _poly_at(p, r1) == 0:  # no Sturm endpoint may be a root
+        p = _deflate(p, r1)
+    assert _poly_at(p, cut) != 0  # nor is r2: g(r2) = -alpha mu w r2
+
+    def members(lo, hi):  # TaQ(H) + TaQ(H^2) counts the roots with H > 0 twice
+        signed = _tarski_query(p, headroom, lo, hi)
+        return (signed + _tarski_query(p, _poly_mul(headroom, headroom), lo, hi)) // 2
+
+    optimum = mu * a / (a + 1)
+    lone = m == 1 and optimum < r1
+    near_flat = lone and r1 - optimum <= cut - r1
+    edge = kink or members(r1, cut) > 0 or near_flat
+    return members(cut, r2), edge, lone and not near_flat, flat_side or near_flat
+
+
+def _deflate(p, r):
+    """``p / (T - r)`` for a root ``r`` of ``p``, by synthetic division."""
+    out, acc = [], Fraction(0)
+    for c in reversed(p):
+        acc = acc * r + c
+        out.append(acc)
+    assert out.pop() == 0
+    return out[::-1]
+
+
+def _assert_the_census_is_exact(policy, game):
+    census = equilibrium_census(policy, game)
+    r1 = policy.r1
+    # a float root within max(8, kappa) ulps of r1 counts as the kink (kappa is
+    # infinite where r1 is a multiple root of g)
+    kappa = _decimal_census_root(r1, policy, game)[1]
+    cut = min(r1 + max(8.0, kappa) * math.ulp(r1), policy.r2)
+    roots, edge, flat, decided = _exact_census(policy, game, cut)
+    far = [t for t in census.roots if t > cut]
+    assert len(far) == roots, (policy, game, census)
+    near_flat = census.flat is not None and r1 - census.flat <= cut - r1
+    assert (census.flat is not None and not near_flat) == flat, (policy, game, census)
+    if decided:
+        listed = census.kink is not None or len(far) < len(census.roots) or near_flat
+        assert listed == edge, (policy, game, census)
+    else:
+        # Each user would rather send its drop-free optimum, a finite gain, than
+        # r1 / m or a rate within rounding of it: neither the kink nor a ramp root
+        # that close to r1 is an equilibrium.  The census may list such a root or
+        # not, as its float lands above r1 or not (r1 a rising root of g).
+        assert census.kink is None, (policy, game, census)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mu=st.floats(-5.0, 20.0).map(lambda e: 10.0**e),
+    alpha=st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+    m=st.integers(1, 12),
+    start=st.floats(-2.0, 0.5),
+    width=st.floats(-9.0, 1.0),
+)
+# ramps with three census roots
+@example(mu=748231702151742.8, alpha=0.016562525167488764, m=6,
+         start=math.log10(77892795425005.14 / 748231702151742.8),
+         width=math.log10(399358655821496.0 / 77892795425005.14 - 1.0))
+@example(mu=385.6488667448196, alpha=0.03043562193589723, m=9,
+         start=math.log10(105.69419277816694 / 385.6488667448196),
+         width=math.log10(454.49356970419507 / 105.69419277816694 - 1.0))
+def test_the_census_matches_an_exact_count_on_random_ramps(mu, alpha, m, start, width):
+    r1 = mu * 10.0**start
+    policy = LinearPolicy(r1, r1 + r1 * 10.0**width)
+    _assert_the_census_is_exact(policy, GameConfig.uniform(mu, alpha, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edge=st.sampled_from(["root", "twice", "optimum"]),
+    m=st.integers(1, 12),
+    mu=st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
+    share=st.floats(0.05, 0.95),
+    excess=st.floats(-1.5, 1.5),
+    width=st.floats(-6.0, 1.0).map(lambda e: 10.0**e),
+)
+# r1 a rising root of g, above the drop-free optimum: the flat side fails
+@example(edge="twice", m=1, mu=10.0, share=0.9, excess=-0.5, width=1.0)
+# a ramp one ulp wide, on which the kink's gain rounds to 0 and the root to r1
+@example(edge="root", m=5, mu=1.0, share=0.2424301476289374, excess=0.0, width=1.0)
+def test_the_census_matches_an_exact_count_at_knife_edges(edge, m, mu, share, excess, width):
+    # "root": r1 a root of g, below the drop-free optimum (excess > 0) or above it;
+    # "twice": a lone user with r2 = 2 r1, whose root r2 / 2 is then r1;
+    # "optimum": a lone user whose ramp starts at its drop-free optimum
+    r1 = mu * share
+    q = mu - r1
+    alpha = r1 / q * 10.0**excess
+    if edge == "root":
+        assume(m * alpha * q != r1)
+        r2 = r1 * (m * alpha * q + alpha * q - 2.0 * r1) / (m * alpha * q - r1)
+    elif edge == "twice":
+        m, r2 = 1, 2.0 * r1
+    else:
+        m, r1 = 1, optimal_total_rate(GameConfig.uniform(mu, alpha, 1))
+        r2 = r1 + r1 * width
+    assume(r1 < r2 < math.inf)
+    # the lone user's triple corner, r1 and r2 / 2 at the optimum, is pinned below
+    optimum = optimal_total_rate(GameConfig.uniform(mu, alpha, 1))
+    assume(m > 1 or max(abs(r1 / optimum - 1.0), abs(r2 / (2.0 * r1) - 1.0)) > 1e-4)
+    _assert_the_census_is_exact(LinearPolicy(r1, r2), GameConfig.uniform(mu, alpha, m))
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _meeting_service_rates(alpha, m, r1, r2):
+    """Service rates at which two roots of the census condition meet in (r1, r2),
+    and the one at which the headroom H touches 0 there.
+
+    ``g`` is linear in mu, so its roots are the T at which mu equals
+    ``mu(T) = T (r2 - T) (alpha lean + r2 - 2 T) / (alpha w lean)``, with
+    ``lean = m r2 - (m + 1) T``; two roots meet at an extremum of ``mu(T)``,
+    found on a grid and refined by golden section.  ``H = mu w - T (r2 - T)``
+    touches 0 at ``r2 / 2`` when ``mu = r2^2 / (4 w)``.
+    """
+    w = r2 - r1
+
+    def rate(t):
+        lean = m * r2 - (m + 1) * t
+        return t * (r2 - t) * (alpha * lean + r2 - 2.0 * t) / (alpha * w * lean)
+
+    ts = np.linspace(r1, r2, 2001)[1:-1]
+    rates = [r2 * r2 / (4.0 * w)]
+    with np.errstate(all="ignore"):  # lean is 0 at one T
+        grid = rate(ts)
+        for k in range(1, len(ts) - 1):
+            turn = (grid[k] - grid[k - 1]) * (grid[k] - grid[k + 1])
+            if turn > 0.0 and grid[k] > 0.0 and math.isfinite(grid[k]):
+                a, b, sign = ts[k - 1], ts[k + 1], math.copysign(1.0, grid[k] - grid[k - 1])
+                for _ in range(80):
+                    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+                    a, b = (a, d) if sign * rate(c) > sign * rate(d) else (c, b)
+                rates.append(float(rate(0.5 * (a + b))))
+    return [mu for mu in rates if math.isfinite(mu)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+    m=st.integers(1, 12),
+    r1=st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
+    width=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+    pick=st.integers(0, 2),
+    nudge=st.floats(-12.0, -3.0).map(lambda e: 10.0**e),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_the_census_matches_an_exact_count_where_roots_nearly_meet(
+    alpha, m, r1, width, pick, nudge, sign
+):
+    r2 = r1 + r1 * width
+    # with m = 1, two roots of g meet only at r2 / 2, on its third root: that
+    # triple corner is pinned by the test below
+    rates = _meeting_service_rates(alpha, m, r1, r2)[: 1 if m == 1 else None]
+    mu = rates[pick % len(rates)] * (1.0 + sign * nudge)
+    assume(_in_domain(mu))
+    _assert_the_census_is_exact(LinearPolicy(r1, r2), GameConfig.uniform(mu, alpha, m))
+
+
+def test_a_lone_users_census_lists_one_root_where_three_nearly_meet():
+    # Pins a defect.  With m = 1 the census condition is (r2 - 2 T) (alpha mu w -
+    # (alpha + 1) T (r2 - T)), whose three roots meet at r2 / 2 when mu is
+    # (alpha + 1) r2^2 / (4 alpha w).  Here mu lies 1e-10 below that, relative:
+    # the roots are r2 / 2 and r2 / 2 -+ 2.08e-5, and the lone user's utility,
+    # symmetric about r2 / 2, is as high at the outer two.  The depressed cubic's
+    # q rounds to one ulp of 2 shift^3, its discriminant to +1.5e-31, and the
+    # census lists one root, so it certifies a unique equilibrium.
+    policy = LinearPolicy(1.0, 4.16227766016838)
+    game = GameConfig.uniform(2.739252712818683, 1.0, 1)
+    census = equilibrium_census(policy, game)
+    assert census.roots == pytest.approx((2.0811180,), rel=1e-7) and census.unique
+    assert _exact_census(policy, game, 1.5)[:2] == (3, False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.sampled_from([2, 3]),
+    alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    mu=st.floats(5.0, 50.0),
+    epsilon=st.floats(0.0097, 0.206),
+    keep_prob=st.sampled_from([0.9, 0.95]),
+)
+def test_the_census_of_a_design_matches_an_exact_count(m, alpha, mu, epsilon, keep_prob):
+    # the designs of the equilibria benchmark
+    game = GameConfig.uniform(mu, alpha, m)
+    design = design_linear(DesignSpec(game, epsilon=epsilon, keep_prob=keep_prob))
+    _assert_the_census_is_exact(design.policy, game)
 
 
 # ------------------------------------------------------- tiny exponents

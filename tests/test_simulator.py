@@ -143,6 +143,8 @@ def test_report_equality_compares_the_traces_by_value():
     assert rep == replace(rep, drop_probs=rep.drop_probs.copy())
     # the summaries match, only one slot's count differs
     assert rep != replace(rep, slot_arrivals=rep.slot_arrivals + (np.arange(sim.slots) == 0))
+    # a report is never equal to anything else
+    assert rep.__eq__(rep.slots) is NotImplemented and rep != "report"
 
 
 @pytest.mark.parametrize("name", ["estimated_rates", "drop_probs", "slot_arrivals"])
