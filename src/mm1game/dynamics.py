@@ -15,7 +15,7 @@ from .model import (
     GameConfig,
     RateProfile,
     UnstableQueueError,
-    _potentials,
+    _potential,
     _unchecked_profile,
     feasible,
     keep_probability,
@@ -48,10 +48,11 @@ class Trajectory:
 
     It carries the policy and the game it was played on; both take part in
     ``==``.  ``potential_series`` holds :func:`~mm1game.model.potential` at
-    each iterate, computed on first read; at an iterate that overloads the
-    queue, where the potential is undefined, it holds a value that is not
-    positive.  Reading it raises ``OverflowError``, naming the game, where a
-    potential overflows a double, though play itself succeeded.
+    each iterate, computed on first read by the same formula; at an iterate
+    that overloads the queue, where the potential is undefined, it holds a
+    value that is not positive.  Reading it raises that formula's
+    ``OverflowError``, naming the game, where a potential overflows a
+    double, though play itself succeeded.
     """
 
     iterates: tuple[RateProfile, ...]
@@ -65,15 +66,11 @@ class Trajectory:
 
     @cached_property
     def potential_series(self) -> tuple[float, ...]:
-        rows = [profile.rates for profile in self.iterates]
-        totals = [sum(rates) for rates in rows]
-        keeps = [keep_probability(self.policy, t) for t in totals]
-        try:
-            return tuple(_potentials(rows, totals, keeps, self.config))
-        except OverflowError as exc:
-            alphas = ",".join(f"{a:g}" for a in dict.fromkeys(self.config.alphas))
-            message = f"the potential overflows a float at mu={self.config.mu:g}, alpha={alphas}"
-            raise OverflowError(message) from exc
+        policy, config = self.policy, self.config
+        return tuple(
+            _potential(p.rates, p.total, keep_probability(policy, p.total), config)
+            for p in self.iterates
+        )
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:

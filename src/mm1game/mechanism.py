@@ -347,9 +347,11 @@ def validate_design(design: PolicyDesign, spec: DesignSpec) -> DesignDiagnostics
     Reports the paper's sufficient slope condition for uniqueness, the
     census certificate of :func:`equilibrium_census`, and that the
     keep-everything region stays below the service rate.  Best-response
-    play then starts from the census member nearest the prediction (from
-    the prediction itself if the census is empty); at an equilibrium the
-    first round changes nothing.  The realized equilibrium and its price of
+    play then starts from the census root or kink nearest the prediction
+    (from the prediction itself if there is neither); at an equilibrium the
+    first round changes nothing.  A lone user's flat member is no start:
+    each round answers the others' total 0, so play ends on the same rate
+    from any start.  The realized equilibrium and its price of
     anarchy are where that play ends; it matches the prediction when play
     converged and each rate is within 1e-6 of its predicted rate, relative.
     """
@@ -366,8 +368,6 @@ def validate_design(design: PolicyDesign, spec: DesignSpec) -> DesignDiagnostics
     members = list(census.roots)
     if census.kink is not None:
         members.append(policy.r1)
-    if census.flat is not None:
-        members.append(census.flat)
     predicted = design.predicted_ne.total
     start = min(members, key=lambda t: abs(t - predicted), default=predicted)
     init = RateProfile((start / config.m,) * config.m)

@@ -300,17 +300,17 @@ def utility(i: int, profile: RateProfile, policy: DropPolicy, config: GameConfig
     return eff_i ** config.alphas[i] * (config.mu - profile.total * p)
 
 
-def _potentials(rate_rows, totals, keeps, config: GameConfig) -> list[float]:
-    """:func:`potential` of each row of rates, given its total and keep probability."""
-    mu, alphas = config.mu, config.alphas
-    top = max(alphas)
-    out = []
-    for rates, total, p in zip(rate_rows, totals, keeps):
-        prod = p**top
-        for r, a in zip(rates, alphas):
+def _potential(rates, total: float, keep: float, config: GameConfig) -> float:
+    """:func:`potential` of ``rates``, given their total and keep probability."""
+    prod = keep ** max(config.alphas)
+    try:
+        for r, a in zip(rates, config.alphas):
             prod *= r**a
-        out.append((mu - total * p) * prod)
-    return out
+    except OverflowError as exc:
+        alphas = ",".join(f"{a:g}" for a in dict.fromkeys(config.alphas))
+        message = f"the potential overflows a float at mu={config.mu:g}, alpha={alphas}"
+        raise OverflowError(message) from exc
+    return (config.mu - total * keep) * prod
 
 
 def potential(profile: RateProfile, policy: DropPolicy, config: GameConfig) -> float:
@@ -329,9 +329,12 @@ def potential(profile: RateProfile, policy: DropPolicy, config: GameConfig) -> f
     move (no dropping, or a step policy away from its cliff); on a sloped ramp
     no ordinal potential exists (strict improvement cycles occur), and
     ``A = max(alphas)`` is a convention that keeps the value defined there.
+
+    Where a power of a rate overflows a double, raises ``OverflowError``
+    naming ``mu`` and the exponents.
     """
     p = _require_feasible(profile, policy, config)
-    return _potentials((profile.rates,), (profile.total,), (p,), config)[0]
+    return _potential(profile.rates, profile.total, p, config)
 
 
 def marginal_utility(

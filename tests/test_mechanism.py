@@ -310,6 +310,14 @@ def test_a_lone_users_census_at_r2_twice_r1_lists_the_ramp_start_in_every_unit()
         assert lo <= policy.r1 <= hi
 
 
+def test_a_lone_users_exact_triple_root_is_the_kink():
+    # r1 is the drop-free optimum mu alpha / (alpha + 1) = 2 and r2 = 2 r1: the census
+    # condition is -4 (T - 2)^3, so Newton's slope at its root is exactly 0
+    policy, game = LinearPolicy(2.0, 4.0), GameConfig.uniform(4.0, 1.0, 1)
+    assert equilibrium_census(policy, game) == EquilibriumCensus((), (2.0, 2.0), None)
+    assert best_response(0, 0.0, policy, game) == 2.0 == optimal_total_rate(game)
+
+
 def _members_at_the_ramp_start(mu, alpha, m, r1, r2):
     """For each unit from 2**-3 to 2**3: the census members within max(64, kappa)
     ulps of r1 (the kink counting as r1), and the policy of that unit.  ``kappa``
@@ -526,9 +534,8 @@ def test_validate_flags_a_flat_ramp():
     assert math.isfinite(diag.uniqueness_bound)
 
 
-@pytest.mark.parametrize("alpha, m", [(0.5, 5), (1.0, 2), (2.0, 2)])
-def test_validation_plays_to_a_few_ulps_at_a_large_service_rate(monkeypatch, alpha, m):
-    # an absolute 1e-10 is below one ulp of these rates, so play never stopped
+def _recorded_plays(monkeypatch):
+    """The trajectory of every play that validate_design runs, in order."""
     from mm1game import mechanism
 
     trajectories = []
@@ -538,6 +545,13 @@ def test_validation_plays_to_a_few_ulps_at_a_large_service_rate(monkeypatch, alp
         return trajectories[-1]
 
     monkeypatch.setattr(mechanism, "run_dynamics", recording_run_dynamics)
+    return trajectories
+
+
+@pytest.mark.parametrize("alpha, m", [(0.5, 5), (1.0, 2), (2.0, 2)])
+def test_validation_plays_to_a_few_ulps_at_a_large_service_rate(monkeypatch, alpha, m):
+    # an absolute 1e-10 is below one ulp of these rates, so play never stopped
+    trajectories = _recorded_plays(monkeypatch)
     spec = DesignSpec(GameConfig.uniform(1e15, alpha, m), epsilon=0.05)
     diag = validate_design(design_linear(spec), spec)
     (trajectory,) = trajectories
@@ -673,11 +687,13 @@ def test_a_lone_user_below_the_ramp_is_a_census_member():
     assert verify_equilibrium(RateProfile((census.flat,)), ramp, lone)
 
 
-def test_validation_lists_a_lone_users_flat_member():
+def test_validation_lists_a_lone_users_flat_member(monkeypatch):
     # design_linear never builds this ramp: a lone user's design puts r1 below its
     # target.  Above the optimum 4 the ramp's accepted rate x (r2 - x) / w reaches 4
-    # at the root 5.236..., so that root and the flat member earn the same, and play
-    # from the flat member, the one nearest the prediction, ends on the root.
+    # at the root 5.236..., so that root and the flat member earn the same.  The
+    # flat member, nearest the prediction, is no start: a lone user's every round
+    # answers the others' total 0, so play starts at the root and ends there.
+    plays = _recorded_plays(monkeypatch)
     lone = GameConfig.uniform(6.0, 2.0, 1)
     ramp = LinearPolicy(5.0, 6.0)
     design = PolicyDesign(
@@ -689,11 +705,31 @@ def test_validation_lists_a_lone_users_flat_member():
         target_raw_total=4.0,
     )
     diag = validate_design(design, DesignSpec(lone, epsilon=0.05, target_effective_total=3.9))
-    (root,) = equilibrium_census(ramp, lone).roots
+    census = equilibrium_census(ramp, lone)
+    (root,) = census.roots
+    assert census.flat == 4.0 and root == 5.23606797749979
+    assert [play.iterates[0] for play in plays] == [RateProfile((root,))]
     assert not diag.certified_unique and not diag.ne_matches_prediction
     assert diag.realized_ne.rates == (root,)
     flat = utility(0, RateProfile((4.0,)), ramp, lone)
     assert utility(0, diag.realized_ne, ramp, lone) == pytest.approx(flat, rel=1e-12)
+
+
+def test_validation_starts_play_at_a_kink_one_ulp_from_the_prediction(monkeypatch):
+    # With 1 - keep_prob one ulp, the design's ramp start r1 rounds one ulp above its
+    # target raw total.  The census then has no roots and lists the kink, so play
+    # starts at the even split of r1, not at the prediction.
+    plays = _recorded_plays(monkeypatch)
+    spec = DesignSpec(GameConfig.uniform(6.0, 2.0, 2), 0.2, keep_prob=0.9999999999999999)
+    design = design_linear(spec)
+    r1 = design.policy.r1
+    assert r1 == 3.2731734128117047 and math.ulp(r1) == r1 - design.predicted_ne.total
+    census = equilibrium_census(design.policy, spec.config)
+    assert census == EquilibriumCensus((), (1.6365867064058524, 5.453653174376591), None)
+    diag = validate_design(design, spec)
+    assert [play.iterates[0] for play in plays] == [RateProfile((r1 / 2,) * 2)]
+    assert not diag.certified_unique
+    assert diag.ne_matches_prediction and diag.poa_within_bound
 
 
 def _reference_census(policy, config):

@@ -372,6 +372,14 @@ def test_potential_golden_value():
     assert potential(RateProfile((2.4, 2.4)), NoDrop(), CFG) == pytest.approx(39.81312)
 
 
+def test_potential_names_the_game_whose_potential_overflows():
+    # (2.5e18) ** 20 is past a double; the profile itself is feasible
+    game = GameConfig.uniform(1e20, 20.0, 2)
+    message = "the potential overflows a float at mu=1e+20, alpha=20"
+    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+        potential(RateProfile((2.5e18, 2.5e18)), NoDrop(), game)
+
+
 def _sign(x: float) -> float:
     return 0.0 if abs(x) <= 1e-12 else math.copysign(1.0, x)
 
