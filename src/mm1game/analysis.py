@@ -157,15 +157,13 @@ def _poa(config: GameConfig, kind: WelfareKind, accepted, headroom: float) -> fl
     any change of units, and nothing is raised to a power that can pass a
     double.  A ratio past a double is +inf, and a welfare past a double
     gives 0.0.  A user at zero (log kind) or a zero total (sum kind) makes
-    it +inf.  Needs a shared exponent, which is read first.  Raises
-    ValueError where the optimal total rounds to ``mu`` (``alpha`` near
-    2**53 or above), which leaves the optimum no headroom to compare with.
+    it +inf.  Needs a shared exponent, which is read first.  Under
+    :data:`~mm1game.model.EXPONENT_LIMIT` the optimum's headroom
+    ``mu - lam`` is positive: ``alpha / (alpha + 1)`` never rounds to 1.
     """
     alpha, m = config.alpha, config.m
     lam = optimal_total_rate(config)
     spare = config.mu - lam  # the optimum's headroom
-    if not spare > 0.0:  # alpha / (alpha + 1) rounds to 1
-        raise ValueError(f"the drop-free optimum leaves no headroom in a float at alpha={alpha:g}")
     if kind is WelfareKind.SUM_LOG_UTILITY:
         if 0.0 in accepted:  # -0.0 too
             return math.inf

@@ -172,16 +172,17 @@ def _ramp_roots(alpha: float, k: float, b: float, d: float, muw: float) -> list[
     c1 = -alpha * (h * k1 + e * kd) - d * e
     a3, b2 = 3.0 * c3, 2.0 * c2
     roots = []
-    for y in _cubic_roots(c3, c2, c1, alpha * h * kd):
-        for n in range(3):  # the root, then two Newton steps, each kept only while it shrinks |g|
-            g_y = alpha * (muw - (b + y) * (d - y)) * (kd - k1 * y) - y * (d - y) * (e - 2.0 * y)
-            if n and not abs(g_y) < abs(g):
-                break
-            x, g = y, g_y
+    for x in _cubic_roots(c3, c2, c1, alpha * h * kd):
+        g = alpha * (muw - (b + x) * (d - x)) * (kd - k1 * x) - x * (d - x) * (e - 2.0 * x)
+        for _ in range(2):  # a Newton step, kept only while it shrinks |g|
             slope = (a3 * x + b2) * x + c1
             if slope == 0.0:
                 break
             y = x - g / slope
+            g_y = alpha * (muw - (b + y) * (d - y)) * (kd - k1 * y) - y * (d - y) * (e - 2.0 * y)
+            if not abs(g_y) < abs(g):
+                break
+            x, g = y, g_y
         roots.append(x)
     return roots
 
@@ -219,6 +220,11 @@ def best_response(
     the larger rate; utilities within a relative ``1e-12`` of the best count
     as tied, so rounding does not pick between exact ties such as
     the two ramp rates at which a lone user's accepted rate is ``star``.
+    Only contested candidates are scored: when the others already send
+    ``r1`` or more, the ramp start is 0 and earns nothing, so a lone root
+    inside the ramp is the answer exactly when its accepted rate and
+    headroom are positive (under :data:`~mm1game.model.EXPONENT_LIMIT` a
+    positive accepted rate has a finite log).
     Returns 0 when no rate earns positive utility.
     """
     if not others_total >= 0:  # NaN fails this too
@@ -237,15 +243,19 @@ def best_response(
     lo = r1 - b
     if not lo > 0.0:  # max(0, r1 - b): the ramp start
         lo = 0.0
+    roots = [x for x in _ramp_roots(alpha, 1.0, b, d, mu * w) if lo < x < d]
+    if not lo and len(roots) == 1:  # a ramp start of 0 earns nothing: the root is uncontested
+        x = roots[0]
+        p = (d - x) / w
+        return x if x * p > 0.0 < mu - (b + x) * p else 0.0
     log = math.log
     q = mu - (b + lo)  # the ramp start keeps everything
     xs, us = [lo], [alpha * log(lo) + log(q) if lo > 0.0 < q else -math.inf]
-    for x in _ramp_roots(alpha, 1.0, b, d, mu * w):
-        if lo < x < d:
-            p = (d - x) / w
-            a, q = x * p, mu - (b + x) * p
-            xs.append(x)
-            us.append(alpha * log(a) + log(q) if a > 0.0 < q else -math.inf)
+    for x in roots:
+        p = (d - x) / w
+        a, q = x * p, mu - (b + x) * p
+        xs.append(x)
+        us.append(alpha * log(a) + log(q) if a > 0.0 < q else -math.inf)
     floor = max(us) + _LOG_TIE  # the largest rate this close to the best wins
     answer = 0.0  # also when no rate earns a positive utility
     for x, u in zip(xs, us):

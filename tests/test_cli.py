@@ -1059,6 +1059,19 @@ def test_a_rate_below_the_floor_is_a_config_error(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_an_exponent_above_the_limit_is_a_config_error(tmp_path, monkeypatch, capsys):
+    """Above the limit, this game's best response raised a bare math domain error."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["dynamics", "--mu", "856.387103703908", "--alpha", "9.922539697764571e302",
+            "--m", "2", "--policy", "linear", "--r1", "135.9414536700219",
+            "--r2", "1333.3377681512807", "--out", "x.csv"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: game: every alpha must be at most 1e+08, got 9.922539697764571e+302\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

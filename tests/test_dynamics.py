@@ -22,6 +22,9 @@ from scipy.optimize import minimize_scalar
 
 from mm1game import dynamics
 from mm1game import (
+    EXPONENT_LIMIT,
+    RATE_FLOOR,
+    SERVICE_RATE_LIMIT,
     GameConfig,
     LinearPolicy,
     NoDrop,
@@ -231,6 +234,58 @@ def test_best_response_holds_on_near_cliff_ramps():
         )
         interior += _on_the_ramp(br, others, pol)
     assert interior >= 500
+
+
+def _log_score(rate, others, alpha, mu, policy):
+    """``alpha log(x p) + log q`` on a linear policy, -inf where either is not positive.
+
+    Takes a float or an array of rates.  At large exponents a power of the
+    accepted rate overflows or underflows a double, its logarithm does not.
+    """
+    p = np.minimum(1.0, (policy.r2 - others - rate) / (policy.r2 - policy.r1))
+    a, q = rate * p, mu - (others + rate) * p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((a > 0.0) & (q > 0.0), alpha * np.log(a) + np.log(q), -np.inf)
+
+
+def test_best_response_matches_a_log_scan_up_to_the_exponent_limit():
+    """Exponents log-uniform up to EXPONENT_LIMIT, service rates over the whole
+    domain, 1 to 12 users, ramps 1e-6 to 1e3 times mu wide, others' totals
+    below r1 and in [r1, r2).
+
+    The oracle scans the log utility on 4,001 points plus golden refinement.
+    Rounding of ``alpha log(x p)`` is relative to its size, so the answer may
+    trail the scan by 1e-10 of the terms' sizes; an answer of 0 where the scan
+    earns a positive utility scores -inf and fails.
+    """
+    rng = np.random.default_rng(20261020)
+    top = math.log10(EXPONENT_LIMIT)
+    seen = {"alpha_past_1e6": 0, "others_past_r1": 0, "interior": 0, "ramp_start": 0}
+    for k in range(1500):
+        alpha = EXPONENT_LIMIT if k % 100 == 0 else float(10.0 ** rng.uniform(-1.0, top))
+        mu = min(float(10.0 ** rng.uniform(-30.0, 21.0)), 0.99 * SERVICE_RATE_LIMIT)
+        m = int(rng.integers(1, 13))
+        r1 = max(RATE_FLOOR, float(rng.uniform(0.05, 1.5)) * mu)
+        pol = LinearPolicy(r1, r1 + float(10.0 ** rng.uniform(-6.0, 3.0)) * mu)
+        if m == 1:
+            others = 0.0
+        else:
+            others = float(rng.uniform(0.0, r1) if rng.random() < 0.5 else rng.uniform(r1, pol.r2))
+        br = best_response(m - 1, others, pol, GameConfig(mu, (1.0,) * (m - 1) + (alpha,)))
+        x, best = dynamics._grid_golden_max(
+            lambda x: _log_score(x, others, alpha, mu, pol),
+            0.0, pol.r2 - others, 4001, 1e-15 * (pol.r2 - others),
+        )
+        if best > -math.inf:
+            p = min(1.0, (pol.r2 - others - x) / (pol.r2 - pol.r1))
+            size = 1.0 + alpha * abs(math.log(x * p)) + abs(math.log(mu - (others + x) * p))
+            got = float(_log_score(br, others, alpha, mu, pol))
+            assert got >= best - 1e-10 * size, (mu, alpha, pol, others, br)
+        seen["alpha_past_1e6"] += alpha > 1e6
+        seen["others_past_r1"] += others >= r1
+        seen["interior"] += _on_the_ramp(br, others, pol)
+        seen["ramp_start"] += br == r1 - others
+    assert min(seen.values()) >= 100, seen
 
 
 def test_interior_best_responses_zero_the_marginal_utility():
@@ -549,12 +604,20 @@ def _reference_run_dynamics(config, policy, init, mode, tol, max_iter):
 
 
 def test_best_response_matches_its_reference_bit_for_bit():
+    """Among the draws, thousands take the uncontested branch: the others
+    already send r1 or more, and one root lies inside the ramp."""
+    uncontested = 0
     for mu, alpha, pol, others in _ramp_cases(10_000, 20261018):
         cfg = GameConfig(mu, (alpha,))
         got = best_response(0, others, pol, cfg)
         assert got.hex() == _reference_best_response(0, others, pol, cfg).hex(), (
             mu, alpha, pol, others,
         )
+        d = pol.r2 - others
+        if others >= pol.r1 and d > 0.0:
+            roots = dynamics._ramp_roots(alpha, 1.0, others, d, mu * (pol.r2 - pol.r1))
+            uncontested += sum(0.0 < x < d for x in roots) == 1
+    assert uncontested >= 3000
 
 
 _alphas = st.floats(0.2, 3.0)

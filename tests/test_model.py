@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mm1game import (
+    EXPONENT_LIMIT,
     RATE_FLOOR,
     SERVICE_RATE_LIMIT,
     DropPolicy,
@@ -103,6 +104,16 @@ def test_mu_is_bounded_above():
     for mu in (SERVICE_RATE_LIMIT, 1e300):
         with pytest.raises(ValueError, match=re.escape(f"mu must be below 1e+21, got {mu}")):
             GameConfig.uniform(mu, 2.0, 2)
+
+
+def test_alpha_is_bounded_above_by_the_exponent_limit():
+    assert GameConfig(6.0, (2.0, EXPONENT_LIMIT)).alphas == (2.0, EXPONENT_LIMIT)
+    above = math.nextafter(EXPONENT_LIMIT, math.inf)
+    for alpha in (above, 1e16, 9.922539697764571e302):
+        message = f"every alpha must be at most 1e+08, got {alpha}"
+        for alphas in [(alpha,), (2.0, alpha)]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                GameConfig(6.0, alphas)
 
 
 def test_mu_alpha_and_r1_are_bounded_below_by_the_rate_floor():
