@@ -128,6 +128,18 @@ _OPTIONS = (
 _OPTION_BY_KEY = {option.key: option for option in _OPTIONS}
 
 
+def _keys_by_section() -> tuple[set[str], dict[str, set[str]]]:
+    """Config key names: the top-level ones, and the others by section."""
+    sections: dict[str, set[str]] = {}
+    for option in _OPTIONS:
+        section, _, name = option.key.rpartition(".")
+        sections.setdefault(section, set()).add(name)
+    return sections.pop(""), sections
+
+
+_TOP_LEVEL_KEYS, _KEYS_BY_SECTION = _keys_by_section()
+
+
 class ConfigError(ValueError):
     """The effective configuration is invalid; the message names the field."""
 
@@ -199,15 +211,6 @@ def _get(cfg: dict[str, Any], key: str) -> Any:
     return choices[value]
 
 
-def _keys_by_section() -> dict[str, set[str]]:
-    """Config key names by section, top-level keys under ''."""
-    sections: dict[str, set[str]] = {}
-    for option in _OPTIONS:
-        section, _, name = option.key.rpartition(".")
-        sections.setdefault(section, set()).add(name)
-    return sections
-
-
 def _check_keys(mapping: dict[Any, Any], allowed: set[str], where: str) -> None:
     unknown = sorted(str(key) for key in mapping if key not in allowed)  # YAML keys may be ints
     if unknown:
@@ -236,11 +239,9 @@ def load_config(path: str | None, command: str, overrides: dict[str, Any]) -> di
         raw = {} if loaded is None else loaded
         if not isinstance(raw, dict):
             raise ConfigError(f"config: {path} must hold a mapping at the top level")
-    sections = _keys_by_section()
-    top_level = sections.pop("")
-    _check_keys(raw, {"command", *top_level, *sections}, "config")
-    cfg = {key: raw[key] for key in top_level if key in raw}
-    for name, keys in sections.items():
+    _check_keys(raw, {"command", *_TOP_LEVEL_KEYS, *_KEYS_BY_SECTION}, "config")
+    cfg = {key: raw[key] for key in _TOP_LEVEL_KEYS if key in raw}
+    for name, keys in _KEYS_BY_SECTION.items():
         section = raw.get(name)
         if section is None:
             continue

@@ -17,8 +17,10 @@ conditional expectation of its own mean delay given those counts; a model
 where users differ within a slot would need per-packet labels.
 
 Arrivals never depend on the drop decision, so the whole horizon is drawn
-and thinned as array operations; the event queue runs in fixed-size blocks
-of slots (Lindley's recursion as a cumulative max).
+and thinned as array operations.  The event queue runs in blocks bounded by
+slots and by packets (Lindley's recursion as a running maximum), and it
+returns only the summed sojourn past warm-up: the pooled delay is the one
+figure the report reads.
 """
 
 from __future__ import annotations
@@ -155,9 +157,12 @@ class SimReport:
         return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _TRACES)
 
 
-# Slots per event-queue block.  Bounds the per-packet arrays by the block,
-# not the horizon, at no measurable cost in speed.
+# An event-queue block closes at this many slots or, if it would pass it
+# first, this many packets, and always holds at least one slot.  The
+# per-packet arrays are then bounded by the larger of the budget and the
+# busiest slot, not by the horizon or the per-slot rate.
 _BLOCK_SLOTS = 256
+_BLOCK_PACKETS = 2**18
 
 
 def _fifo_departures(
@@ -165,43 +170,61 @@ def _fifo_departures(
 ) -> np.ndarray:
     """Departure instants of a FCFS batch given when the server last freed up."""
     cum = np.cumsum(services)
-    started_before = arrivals - (cum - services)
-    return cum + np.maximum.accumulate(np.maximum(started_before, server_free))
+    # Lindley's recursion as a running maximum, in one work array
+    out = cum - services
+    np.subtract(arrivals, out, out=out)
+    np.maximum(out, server_free, out=out)
+    np.maximum.accumulate(out, out=out)
+    out += cum
+    return out
 
 
-def _event_queue_sojourns(
+def _event_queue_sojourn_total(
     sim: SimConfig, acc_sum: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Mean FCFS sojourn of each slot's accepted packets (0.0 if none).
+) -> float:
+    """Summed FCFS sojourn of the accepted packets from slot ``sim.window`` on.
 
-    Arrival instants within a slot are iid uniform whatever the user, so this
-    mean is the exact conditional expectation of each packet's sojourn given
-    the slot's counts, and no packet carries a user label; a model where a
-    user's arrival pattern within a slot differs would need the labels back.
-    Slots go through the queue in blocks of ``_BLOCK_SLOTS``, so the
-    per-packet arrays stay small whatever the horizon.  The instant the
-    server frees up and the departures still pending carry across blocks.
+    Arrival instants within a slot are iid uniform whatever the user, so a
+    slot's mean sojourn is the exact conditional expectation of each of its
+    packets' sojourns given the slot's counts, and no packet carries a user
+    label; a model where a user's arrival pattern within a slot differs
+    would need the labels back.  Slots go through the queue in blocks of at
+    most ``_BLOCK_SLOTS`` slots and ``_BLOCK_PACKETS`` packets, so the
+    per-packet arrays stay small whatever the horizon and the rate.  The
+    instant the server frees up and the departures still pending carry
+    across blocks.
     """
-    sojourn = np.zeros(len(acc_sum))
+    total = 0.0
     server_free = 0.0
     pending = np.empty(0)  # departure instants after the previous block's end
-    for start in range(0, len(acc_sum), _BLOCK_SLOTS):
+    start = 0
+    while start < len(acc_sum):
         per_slot = acc_sum[start : start + _BLOCK_SLOTS]
-        slot_ids = np.arange(start, start + len(per_slot))
         n = int(per_slot.sum())
+        if n > _BLOCK_PACKETS:
+            filled = np.cumsum(per_slot)
+            fits = max(int(np.searchsorted(filled, _BLOCK_PACKETS, side="right")), 1)
+            per_slot = per_slot[:fits]
+            n = int(filled[fits - 1])
+        end = start + len(per_slot)
+        slot_ids = np.arange(start, end, dtype=float)
         queue = pending
         if n:
-            slot_of = np.repeat(slot_ids, per_slot)
             # slot t's arrivals lie in [t, t + 1], so sorting by value
-            # permutes only within slots and slot_of needs no reordering
-            times = np.sort(slot_of + rng.random(n))
-            services = rng.exponential(1.0 / sim.game.mu, n)
+            # permutes only within slots: the first packets are the first
+            # slots'
+            times = rng.random(n)
+            times += np.repeat(slot_ids, per_slot)
+            times.sort()
+            services = rng.standard_exponential(n)
+            services *= 1.0 / sim.game.mu
             departures = _fifo_departures(times, services, server_free)
             server_free = float(departures[-1])
-            sojourn[start : start + len(per_slot)] = np.bincount(
-                slot_of - start, departures - times, len(per_slot)
-            )
-            queue = np.concatenate((pending, departures))
+            if end > sim.window:
+                warm = int(per_slot[: max(sim.window - start, 0)].sum())
+                sojourn = np.subtract(departures[warm:], times[warm:], out=times[warm:])
+                total += float(sojourn.sum())
+            queue = np.concatenate((pending, departures)) if len(pending) else departures
         # FIFO departures are sorted, so the packets gone by a slot's end are
         # a prefix of those that arrived by then.  The backlog never exceeds
         # the packets in the system, so below the cap there is nothing to scan.
@@ -216,8 +239,9 @@ def _event_queue_sojourns(
                     f"queue backlog {int(backlog[t])} exceeded the cap {sim.queue_cap} "
                     f"at slot {start + t}"
                 )
-        pending = queue[np.searchsorted(queue, start + len(per_slot), side="right") :]
-    return sojourn / np.maximum(acc_sum, 1)
+        pending = queue[np.searchsorted(queue, end, side="right") :]
+        start = end
+    return total
 
 
 def run(sim: SimConfig) -> SimReport:
@@ -242,7 +266,7 @@ def run(sim: SimConfig) -> SimReport:
 
     counted = acc_sum[warmup:]
     if sim.queue_mode is QueueMode.EVENT_QUEUE:
-        delay = _event_queue_sojourns(sim, acc_sum, rng)[warmup:]
+        total_delay = _event_queue_sojourn_total(sim, acc_sum, rng)
     else:
         if float(acc_sum.max()) >= mu:
             first = int(np.argmax(acc_sum >= mu))
@@ -250,9 +274,9 @@ def run(sim: SimConfig) -> SimReport:
                 f"accepted load {int(acc_sum[first])} reached the per-slot service rate "
                 f"{mu} at slot {first}; the steady-state delay is undefined"
             )
-        delay = 1.0 / (mu - counted)
+        total_delay = float((1.0 / (mu - counted)) @ counted)
     n_accepted = int(counted.sum())
-    pooled_delay = float(delay @ counted) / max(n_accepted, 1)
+    pooled_delay = total_delay / max(n_accepted, 1)
 
     # every packet is user i's with probability rates[i] / offered, apart
     # from its slot and its fate, so one split of each pool is exact

@@ -42,8 +42,9 @@ from mm1game import (
 from mm1game import simulator
 from mm1game.cli import main
 from mm1game.simulator import (
+    _BLOCK_PACKETS,
     _BLOCK_SLOTS,
-    _event_queue_sojourns,
+    _event_queue_sojourn_total,
     _fifo_departures,
     _sample_stdev,
 )
@@ -341,13 +342,13 @@ def _numpy_summaries(sim, gen):
     est = [sum(totals[t - min(t, w) : t].tolist()) / min(t, w) if t else 0.0
            for t in range(sim.slots)]
     acc_sum = gen.binomial(totals, keep_probability(sim.policy, np.asarray(est)))
-    if sim.queue_mode is QueueMode.EVENT_QUEUE:
-        slot_delay = _event_queue_sojourns(sim, acc_sum, gen)
-    else:
-        slot_delay = 1.0 / (sim.game.mu - acc_sum)
     counted = acc_sum[w:]
+    if sim.queue_mode is QueueMode.EVENT_QUEUE:
+        total_delay = _event_queue_sojourn_total(sim, acc_sum, gen)
+    else:
+        total_delay = float((1.0 / (sim.game.mu - acc_sum))[w:] @ counted)
     n_accepted = int(counted.sum())
-    pooled = float(slot_delay[w:] @ counted) / max(n_accepted, 1)
+    pooled = total_delay / max(n_accepted, 1)
     shares = rates / offered if offered > 0 else rates
     accepted = gen.multinomial(n_accepted, shares)
     arrivals = accepted + gen.multinomial(int(totals[w:].sum()) - n_accepted, shares)
@@ -431,6 +432,26 @@ def test_event_queue_reproduces_mm1_delay():
     assert pooled == pytest.approx(0.1, rel=0.05)
 
 
+def test_an_event_run_with_no_slot_past_warm_up_measures_no_delay():
+    # the warm-up covers every block, so the queue runs but sums nothing
+    sim = SimConfig(
+        game=GameConfig.uniform(6.0, 2.0, 2),
+        policy=NoDrop(),
+        input_rates=RateProfile((1.5, 2.5)),
+        slots=2 * _BLOCK_SLOTS + 3,
+        window=2 * _BLOCK_SLOTS + 3,
+        seed=4,
+    )
+    rep = run(sim)
+    assert rep.slot_arrivals.sum() > 0
+    assert rep.arrivals == rep.accepted == (0, 0)
+    assert rep.mean_delay == (0.0, 0.0) and rep.power == (0.0, 0.0)
+    acc_sum = rep.slot_arrivals  # no dropping
+    rng = _PooledRng(3, int(acc_sum.sum()))
+    assert _event_queue_sojourn_total(sim, acc_sum, rng) == 0.0
+    assert len(rng.batches) == 3  # 256, 256 and 3 slots, each block with packets
+
+
 def test_analytic_and_event_delays_agree_at_scale():
     base = SimConfig(
         game=GameConfig.uniform(500.0, 2.0, 2),
@@ -497,6 +518,8 @@ class _PooledRng:
 
     Packet k gets the k-th of each, whatever batch sizes the caller asks
     for, so the per-slot and the blocked event queue see the same packets.
+    Every batch is a fresh array, which the caller may overwrite, and
+    ``batches`` lists the sizes of the uniform batches asked for.
     """
 
     def __init__(self, seed, n):
@@ -504,16 +527,21 @@ class _PooledRng:
         self._uniforms = gen.random(n)
         self._exponentials = gen.exponential(1.0, n)
         self._used_u = self._used_e = 0
+        self.batches = []
 
     def random(self, k):
-        out = self._uniforms[self._used_u : self._used_u + k]
+        out = self._uniforms[self._used_u : self._used_u + k].copy()
         self._used_u += k
+        self.batches.append(k)
+        return out
+
+    def standard_exponential(self, k):
+        out = self._exponentials[self._used_e : self._used_e + k].copy()
+        self._used_e += k
         return out
 
     def exponential(self, scale, k):
-        out = scale * self._exponentials[self._used_e : self._used_e + k]
-        self._used_e += k
-        return out
+        return scale * self.standard_exponential(k)
 
 
 def _per_slot_event_queue(sim, acc_sum, rng):
@@ -543,6 +571,22 @@ def _per_slot_event_queue(sim, acc_sum, rng):
     return sojourn, None, backlogs
 
 
+def _blocks(acc_sum, block, budget):
+    """The (start, end) slots of the blocked queue's blocks: each closes at
+    ``block`` slots or before its packets would pass ``budget``, and holds
+    at least one slot."""
+    counts = acc_sum.tolist()
+    bounds, start = [], 0
+    while start < len(counts):
+        end, packets = start + 1, counts[start]
+        while end < min(start + block, len(counts)) and packets + counts[end] <= budget:
+            packets += counts[end]
+            end += 1
+        bounds.append((start, end))
+        start = end
+    return bounds
+
+
 def _labelled_event_queue(sim, accepted, rng):
     """The event queue with every packet labelled by its user, one slot at a
     time: summed per-user sojourn of the packets past warm-up.
@@ -569,10 +613,23 @@ def _labelled_event_queue(sim, accepted, rng):
     return delay_weight
 
 
-@pytest.mark.parametrize("block", [1, 7, _BLOCK_SLOTS, 5000])
+_BLOCKS = [1, 7, _BLOCK_SLOTS, 5000]
+_BUDGETS = [1, 5, 64, _BLOCK_PACKETS]
+
+
+def _poisson_pair(sim):
+    """Two users' accepted packets per slot at rates 1.2 and 1.5, their
+    per-slot totals and the sum of those."""
+    accepted = np.random.default_rng(8).poisson((1.2, 1.5), size=(sim.slots, 2))
+    acc_sum = accepted.sum(axis=1)
+    return accepted, acc_sum, int(acc_sum.sum())
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
+@pytest.mark.parametrize("block", _BLOCKS)
 @pytest.mark.parametrize("mu, cap, overloads", [(3.0, 10**6, False), (2.5, 60, True)])
 def test_blocked_event_queue_matches_the_per_slot_loop(
-    monkeypatch, block, mu, cap, overloads
+    monkeypatch, block, budget, mu, cap, overloads
 ):
     sim = SimConfig(
         game=GameConfig.uniform(mu, 2.0, 2),
@@ -582,41 +639,80 @@ def test_blocked_event_queue_matches_the_per_slot_loop(
         window=5,
         queue_cap=cap,
     )
-    accepted = np.random.default_rng(8).poisson((1.2, 1.5), size=(sim.slots, 2))
-    acc_sum = accepted.sum(axis=1)
-    n = int(acc_sum.sum())
+    accepted, acc_sum, n = _poisson_pair(sim)
     want, overload_slot, _ = _per_slot_event_queue(sim, acc_sum, _PooledRng(3, n))
     assert (overload_slot is not None) == overloads
     monkeypatch.setattr(simulator, "_BLOCK_SLOTS", block)
+    monkeypatch.setattr(simulator, "_BLOCK_PACKETS", budget)
     if overloads:
         with pytest.raises(OverloadError, match=f"at slot {overload_slot}$"):
-            _event_queue_sojourns(sim, acc_sum, _PooledRng(3, n))
+            _event_queue_sojourn_total(sim, acc_sum, _PooledRng(3, n))
         return
-    got = _event_queue_sojourns(sim, acc_sum, _PooledRng(3, n))
+    rng = _PooledRng(3, n)
+    got = _event_queue_sojourn_total(sim, acc_sum, rng)
+    # one batch of draws per block that holds a packet
+    packets = [int(acc_sum[start:end].sum()) for start, end in _blocks(acc_sum, block, budget)]
+    assert rng.batches == [k for k in packets if k]
     # a sojourn is a difference of instants up to the horizon, where both
     # queues round at ulp(1000) ~ 1.1e-13 along their own paths
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    assert acc_sum @ got == pytest.approx(acc_sum @ want, rel=1e-12)
-    assert np.all(got[acc_sum == 0] == 0.0)
+    w = sim.window
+    assert got == pytest.approx(acc_sum[w:] @ want[w:], rel=1e-12)
     # the labelled queue sees the same packets: its pooled total is exactly
     # the slots' means times their counts, split among users by their counts
     labelled = _labelled_event_queue(sim, accepted, _PooledRng(3, n))
-    charged = got[sim.window :] @ accepted[sim.window :]
-    assert labelled.sum() == pytest.approx(acc_sum[sim.window :] @ got[sim.window :], rel=1e-12)
+    charged = want[w:] @ accepted[w:]
+    assert labelled.sum() == pytest.approx(got, rel=1e-12)
     assert charged.sum() == pytest.approx(labelled.sum(), rel=1e-12)
     assert not np.allclose(charged, labelled, rtol=1e-6)  # equal only in expectation
 
 
-@pytest.mark.parametrize("block", [1, 7, _BLOCK_SLOTS, 5000])
-@pytest.mark.parametrize("cap_at", ["peak backlog", "peak in system"])
-@pytest.mark.parametrize("below", [0, 1], ids=["at", "one below"])
-def test_event_queue_cap_at_its_boundaries_matches_the_per_slot_loop(
-    monkeypatch, block, cap_at, below
+@pytest.mark.parametrize(
+    "budget, batches", [(8, [8]), (7, [7, 1]), (3, [3, 4, 1]), (2, [2, 1, 4, 1])]
+)
+def test_an_event_block_closes_before_its_packets_pass_the_budget(
+    monkeypatch, budget, batches
 ):
-    # The blocked queue scans a block's backlog only when the packets in the
-    # system during it (those pending at its start plus its arrivals) exceed
-    # the cap.  Put the cap at the largest such count and at the largest
-    # backlog, and one below each: the per-slot loop decides every case.
+    # a block may hold exactly the budget, and a slot over it is a block alone
+    acc_sum = np.array([1, 1, 1, 4, 1])
+    sim = SimConfig(
+        game=GameConfig.uniform(3.0, 2.0, 2),
+        policy=NoDrop(),
+        input_rates=RateProfile((1.2, 1.5)),
+        slots=len(acc_sum),
+    )
+    monkeypatch.setattr(simulator, "_BLOCK_PACKETS", budget)
+    rng = _PooledRng(3, int(acc_sum.sum()))
+    _event_queue_sojourn_total(sim, acc_sum, rng)
+    assert rng.batches == batches
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+@pytest.mark.parametrize(
+    "window", [1, 5, _BLOCK_SLOTS - 1, _BLOCK_SLOTS, _BLOCK_SLOTS + 1, 600]
+)
+def test_blocked_event_queue_total_skips_the_warm_up_across_block_edges(
+    monkeypatch, window, block
+):
+    # the warm-up ends inside a block, at its first or last slot, or past it
+    sim = SimConfig(
+        game=GameConfig.uniform(3.0, 2.0, 2),
+        policy=NoDrop(),
+        input_rates=RateProfile((1.2, 1.5)),
+        slots=1000,
+        window=window,
+    )
+    _, acc_sum, n = _poisson_pair(sim)
+    want, overload_slot, _ = _per_slot_event_queue(sim, acc_sum, _PooledRng(3, n))
+    assert overload_slot is None
+    monkeypatch.setattr(simulator, "_BLOCK_SLOTS", block)
+    got = _event_queue_sojourn_total(sim, acc_sum, _PooledRng(3, n))
+    assert got == pytest.approx(acc_sum[window:] @ want[window:], rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def uncapped_run():
+    """The cap test's run, its slots' packets and its backlogs under no cap:
+    one per-slot loop for every case."""
     sim = SimConfig(
         game=GameConfig.uniform(2.7, 2.0, 2),
         policy=NoDrop(),
@@ -624,28 +720,41 @@ def test_event_queue_cap_at_its_boundaries_matches_the_per_slot_loop(
         slots=1000,
         window=5,
     )
-    accepted = np.random.default_rng(8).poisson((1.2, 1.5), size=(sim.slots, 2))
-    acc_sum = accepted.sum(axis=1)
-    n = int(acc_sum.sum())
+    _, acc_sum, n = _poisson_pair(sim)
     _, never, backlogs = _per_slot_event_queue(sim, acc_sum, _PooledRng(3, n))
     assert never is None
-    starts = range(0, sim.slots, block)
+    return sim, acc_sum, n, backlogs
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
+@pytest.mark.parametrize("block", _BLOCKS)
+@pytest.mark.parametrize("cap_at", ["peak backlog", "peak in system"])
+@pytest.mark.parametrize("below", [0, 1], ids=["at", "one below"])
+def test_event_queue_cap_at_its_boundaries_matches_the_per_slot_loop(
+    monkeypatch, uncapped_run, block, budget, cap_at, below
+):
+    # The blocked queue scans a block's backlog only when the packets in the
+    # system during it (those pending at its start plus its arrivals) exceed
+    # the cap.  Put the cap at the largest such count and at the largest
+    # backlog, and one below each: the per-slot loop decides every case.
+    sim, acc_sum, n, backlogs = uncapped_run
     in_system = [
-        (backlogs[start - 1] if start else 0) + int(acc_sum[start : start + block].sum())
-        for start in starts
+        (backlogs[start - 1] if start else 0) + int(acc_sum[start:end].sum())
+        for start, end in _blocks(acc_sum, block, budget)
     ]
     cap = (max(backlogs) if cap_at == "peak backlog" else max(in_system)) - below
     sim = replace(sim, queue_cap=cap)
     want, overload_slot, _ = _per_slot_event_queue(sim, acc_sum, _PooledRng(3, n))
     assert (overload_slot is not None) == (cap_at == "peak backlog" and below == 1)
     monkeypatch.setattr(simulator, "_BLOCK_SLOTS", block)
+    monkeypatch.setattr(simulator, "_BLOCK_PACKETS", budget)
     if overload_slot is not None:
         message = f"^queue backlog {cap + 1} exceeded the cap {cap} at slot {overload_slot}$"
         with pytest.raises(OverloadError, match=message):
-            _event_queue_sojourns(sim, acc_sum, _PooledRng(3, n))
+            _event_queue_sojourn_total(sim, acc_sum, _PooledRng(3, n))
         return
-    got = _event_queue_sojourns(sim, acc_sum, _PooledRng(3, n))
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    got = _event_queue_sojourn_total(sim, acc_sum, _PooledRng(3, n))
+    assert got == pytest.approx(acc_sum[sim.window :] @ want[sim.window :], rel=1e-12)
 
 
 def test_run_charges_every_user_the_pooled_mean_sojourn():
@@ -664,7 +773,7 @@ def test_run_charges_every_user_the_pooled_mean_sojourn():
     totals = gen.poisson(sim.input_rates.total, sim.slots)
     np.testing.assert_array_equal(totals, rep.slot_arrivals)
     acc_sum = gen.binomial(totals, keep_probability(sim.policy, rep.estimated_rates))
-    sojourn = _event_queue_sojourns(sim, acc_sum, gen)
+    total_delay = _event_queue_sojourn_total(sim, acc_sum, gen)
     shares = np.asarray(sim.input_rates.rates) / sim.input_rates.total
     counted = acc_sum[sim.window :]
     n_accepted = int(counted.sum())
@@ -672,7 +781,7 @@ def test_run_charges_every_user_the_pooled_mean_sojourn():
     dropped = gen.multinomial(int(totals[sim.window :].sum()) - n_accepted, shares)
     assert rep.accepted == tuple(accepted.tolist())
     assert rep.arrivals == tuple((accepted + dropped).tolist())
-    pooled = sum(int(c) * s for c, s in zip(counted, sojourn[sim.window :])) / n_accepted
+    pooled = total_delay / n_accepted
     assert rep.accepted[0] == 0 and rep.mean_delay[0] == 0.0  # a silent user measures no delay
     for i in range(1, sim.game.m):
         assert rep.accepted[i] > 0
@@ -696,7 +805,7 @@ def test_per_user_event_delays_match_the_labelled_queue_in_mean():
         acc_sum = accepted.sum(axis=1)
         n = int(acc_sum.sum())
         counted = accepted[sim.window :].sum(axis=0)
-        sojourn = _event_queue_sojourns(sim, acc_sum, _PooledRng(100 + seed, n))
+        sojourn, _, _ = _per_slot_event_queue(sim, acc_sum, _PooledRng(100 + seed, n))
         charged.append(sojourn[sim.window :] @ accepted[sim.window :] / counted)
         labelled.append(_labelled_event_queue(sim, accepted, _PooledRng(100 + seed, n)) / counted)
     charged, labelled = np.array(charged), np.array(labelled)
@@ -720,7 +829,8 @@ def _per_cell_reference(sim):
     accepted = rng.binomial(arrivals, keep_probability(sim.policy, est)[:, None])
     acc_sum = accepted.sum(axis=1)
     if sim.queue_mode is QueueMode.EVENT_QUEUE:
-        delay = _event_queue_sojourns(sim, acc_sum, rng)
+        delay, overload_slot, _ = _per_slot_event_queue(sim, acc_sum, rng)
+        assert overload_slot is None
     else:
         delay = 1.0 / (sim.game.mu - acc_sum)
     counted = accepted[w:].sum(axis=0)
