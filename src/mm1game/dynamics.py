@@ -187,6 +187,14 @@ def _ramp_roots(alpha: float, k: float, b: float, d: float, muw: float) -> list[
     return roots
 
 
+def _ramp_overflow(mu: float, policy: DropPolicy) -> OverflowError:
+    """The error for a ramp too wide for its stationarity cubic to form in floats."""
+    return OverflowError(
+        f"the ramp's stationarity cubic overflows a float at mu={mu:g}, "
+        f"r1={policy.r1:g}, r2={policy.r2:g}"
+    )
+
+
 def best_response(
     i: int, others_total: float, policy: DropPolicy, config: GameConfig
 ) -> float:
@@ -225,7 +233,9 @@ def best_response(
     inside the ramp is the answer exactly when its accepted rate and
     headroom are positive (under :data:`~mm1game.model.EXPONENT_LIMIT` a
     positive accepted rate has a finite log).
-    Returns 0 when no rate earns positive utility.
+    Returns 0 when no rate earns positive utility.  A ramp so wide that
+    its cubic's coefficients overflow a double raises ``OverflowError``
+    naming ``mu`` and the ramp.
     """
     if not others_total >= 0:  # NaN fails this too
         raise ValueError(f"others_total must be non-negative, got {others_total!r}")
@@ -243,7 +253,11 @@ def best_response(
     lo = r1 - b
     if not lo > 0.0:  # max(0, r1 - b): the ramp start
         lo = 0.0
-    roots = [x for x in _ramp_roots(alpha, 1.0, b, d, mu * w) if lo < x < d]
+    try:
+        found = _ramp_roots(alpha, 1.0, b, d, mu * w)
+    except OverflowError as exc:
+        raise _ramp_overflow(mu, policy) from exc
+    roots = [x for x in found if lo < x < d]
     if not lo and len(roots) == 1:  # a ramp start of 0 earns nothing: the root is uncontested
         x = roots[0]
         p = (d - x) / w

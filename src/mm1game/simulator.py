@@ -29,6 +29,7 @@ import math
 import statistics
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -123,24 +124,27 @@ _TRACES = ("estimated_rates", "drop_probs", "slot_arrivals")
 class SimReport:
     """Aggregates past warm-up, plus a per-slot trace of the dropping loop.
 
-    The per-user summaries are tuples.  ``mean_delay`` is the pooled mean
-    delay of all accepted packets for every user that had one (0.0 for a
-    user that had none): the users are indistinguishable within a slot, so
-    this is each user's expected mean delay given the run's counts.  The
-    per-slot traces are read-only numpy arrays, so two reports compare
-    equal when their traces hold the same values and their other fields are
-    equal; a report is not hashable.
+    It carries the game it was run on, which takes part in ``==``.  The
+    per-user summaries are tuples.  ``mean_delay`` is the pooled mean delay
+    of all accepted packets for every user that had one (0.0 for a user that
+    had none): the users are indistinguishable within a slot, so this is
+    each user's expected mean delay given the run's counts.  The per-slot
+    traces are read-only numpy arrays, so two reports compare equal when
+    their traces hold the same values and their other fields are equal; a
+    report is not hashable.
+
+    ``power``, ``sum_welfare``, ``log_welfare`` and ``empirical_poa`` (the
+    log-kind ratio, NaN where the exponents differ) are computed from the
+    game, ``goodput`` and ``mean_delay`` on first read, so a run whose
+    caller reads only the goodputs and delays does not pay for them.
     """
 
+    game: GameConfig
     input_rates: tuple[float, ...]
     arrivals: tuple[int, ...]
     accepted: tuple[int, ...]
     goodput: tuple[float, ...]
     mean_delay: tuple[float, ...]
-    power: tuple[float, ...]
-    sum_welfare: float
-    log_welfare: float
-    empirical_poa: float
     estimated_rates: np.ndarray
     drop_probs: np.ndarray
     slot_arrivals: np.ndarray
@@ -155,6 +159,31 @@ class SimReport:
         if tuple(getattr(self, n) for n in names) != tuple(getattr(other, n) for n in names):
             return False
         return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _TRACES)
+
+    @cached_property
+    def power(self) -> tuple[float, ...]:
+        # zero where no packet was accepted, so no delay was measured; +inf
+        # where it exceeds a double.  The power, the log and the sums are
+        # numpy's, whose bits can differ from Python's
+        divisors = [d if d > 0 else math.inf for d in self.mean_delay]
+        with np.errstate(over="ignore"):
+            return tuple((np.power(self.goodput, self.game.alphas) / divisors).tolist())
+
+    @cached_property
+    def sum_welfare(self) -> float:
+        return float(np.sum(self.power))
+
+    @cached_property
+    def log_welfare(self) -> float:
+        if all(p > 0 for p in self.power):
+            return float(np.log(self.power).sum())
+        return -math.inf
+
+    @cached_property
+    def empirical_poa(self) -> float:
+        if not self.game.homogeneous:
+            return math.nan
+        return empirical_poa(self, self.game, WelfareKind.SUM_LOG_UTILITY)
 
 
 # An event-queue block closes at this many slots or, if it would pass it
@@ -285,35 +314,20 @@ def run(sim: SimConfig) -> SimReport:
     n_dropped = int(prefix[-1] - prefix[warmup - 1]) - n_accepted
     dropped = rng.multinomial(n_dropped, shares).tolist()
 
-    # the per-user summaries are plain floats, except numpy's power, log and
-    # sum, whose bits can differ from Python's
     kept_slots = max(sim.slots - warmup, 1)
-    goodput = [float(a) / kept_slots for a in accepted]
-    mean_delay = [pooled_delay if a > 0 else 0.0 for a in accepted]
-    # zero power where no packet was accepted, so no delay was measured; +inf
-    # where it exceeds a double
-    with np.errstate(over="ignore"):
-        power = np.power(goodput, sim.game.alphas) / [d if d > 0 else math.inf for d in mean_delay]
-    power_t = tuple(power.tolist())
-    log_welfare = float(np.log(power).sum()) if all(p > 0 for p in power_t) else -math.inf
-    poa = math.nan
-    if sim.game.homogeneous:
-        headroom = 1.0 / pooled_delay if pooled_delay else math.inf  # as the delay measures it
-        poa = _poa(sim.game, WelfareKind.SUM_LOG_UTILITY, goodput, headroom)
+    goodput = tuple(float(a) / kept_slots for a in accepted)
+    mean_delay = tuple(pooled_delay if a > 0 else 0.0 for a in accepted)
     drop_probs = 1.0 - keep
     for trace in (est, drop_probs, slot_totals):
         trace.flags.writeable = False
 
     return SimReport(
+        game=sim.game,
         input_rates=rates,
         arrivals=tuple(a + d for a, d in zip(accepted, dropped)),
         accepted=tuple(accepted),
-        goodput=tuple(goodput),
-        mean_delay=tuple(mean_delay),
-        power=power_t,
-        sum_welfare=float(power.sum()),
-        log_welfare=log_welfare,
-        empirical_poa=poa,
+        goodput=goodput,
+        mean_delay=mean_delay,
         estimated_rates=est,
         drop_probs=drop_probs,
         slot_arrivals=slot_totals,

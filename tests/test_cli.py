@@ -245,6 +245,19 @@ def test_dynamics_names_the_potential_that_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dynamics_names_the_ramp_whose_cubic_overflows(tmp_path, capsys):
+    # a ramp 1e200 wide puts the cubic's shift near 1e200, and its cube past a double
+    out = tmp_path / "t.csv"
+    argv = ["dynamics", "--mu", "10", "--alpha", "2", "--m", "2",
+            "--policy", "linear", "--r1", "1", "--r2", "1e200", "--out", str(out)]
+    assert main(argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numerical failure: the ramp's stationarity cubic overflows a float "
+        "at mu=10, r1=1, r2=1e+200\n"
+    )
+    assert not out.exists()
+
+
 def test_field_contains_a_fixed_point_row(tmp_path):
     out = tmp_path / "f.csv"
     code = main(

@@ -677,6 +677,21 @@ def test_census_refuses_a_policy_without_a_ramp(policy):
         equilibrium_census(policy, CFG)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda policy, game: equilibrium_census(policy, game),
+        lambda policy, game: best_response(0, 0.5, policy, game),
+    ],
+    ids=["census", "best_response"],
+)
+def test_a_ramp_too_wide_for_its_cubic_names_mu_and_the_ramp(solve):
+    # the cubic's shift is near r2, and its cube passes a double
+    message = "the ramp's stationarity cubic overflows a float at mu=10, r1=1, r2=1e+200"
+    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+        solve(LinearPolicy(1.0, 1e200), GameConfig.uniform(10.0, 2.0, 2))
+
+
 def test_a_lone_user_below_the_ramp_is_a_census_member():
     # a lone user's drop-free optimum (4 here) is an equilibrium when r1 lies above it
     lone = GameConfig.uniform(6.0, 2.0, 1)

@@ -11,7 +11,7 @@ import math
 import re
 import statistics
 from collections import deque
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from mm1game import (
     RateProfile,
     SimConfig,
     StepPolicy,
+    SweepCell,
     UnsupportedGameError,
     WelfareKind,
     design_linear,
@@ -40,6 +41,7 @@ from mm1game import (
     utility,
 )
 from mm1game import simulator
+from mm1game.analysis import _poa
 from mm1game.cli import main
 from mm1game.simulator import (
     _BLOCK_PACKETS,
@@ -354,7 +356,12 @@ def _numpy_summaries(sim, gen):
     arrivals = accepted + gen.multinomial(int(totals[w:].sum()) - n_accepted, shares)
     goodput = accepted / max(sim.slots - w, 1)
     mean_delay = np.where(accepted > 0, pooled, 0.0)
-    power = goodput ** np.asarray(sim.game.alphas) / np.where(mean_delay > 0, mean_delay, np.inf)
+    with np.errstate(over="ignore"):  # a power past a double is +inf
+        power = goodput ** np.asarray(sim.game.alphas) / np.where(mean_delay > 0, mean_delay, np.inf)
+    poa = math.nan
+    if sim.game.homogeneous:
+        headroom = 1.0 / pooled if pooled else math.inf
+        poa = _poa(sim.game, WelfareKind.SUM_LOG_UTILITY, goodput.tolist(), headroom)
     return {
         "arrivals": tuple(arrivals.tolist()),
         "accepted": tuple(accepted.tolist()),
@@ -363,7 +370,17 @@ def _numpy_summaries(sim, gen):
         "power": tuple(power.tolist()),
         "sum_welfare": float(power.sum()),
         "log_welfare": float(np.sum(np.log(power))) if np.all(power > 0) else -math.inf,
+        "empirical_poa": poa,
     }
+
+
+def _bits(value):
+    """Every float in ``value`` as ``float.hex``, so NaNs and signed zeros compare too."""
+    if isinstance(value, dict):
+        return {name: _bits(v) for name, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return value.hex() if isinstance(value, float) else value
 
 
 @settings(max_examples=60, deadline=None)
@@ -392,7 +409,7 @@ def test_per_user_summaries_match_the_numpy_formulas_exactly(
     )
     rep = run(sim)
     want = _numpy_summaries(sim, np.random.Generator(np.random.PCG64(seed)))
-    assert {name: getattr(rep, name) for name in want} == want
+    assert _bits({name: getattr(rep, name) for name in want}) == _bits(want)
     assert rep.input_rates == sim.input_rates.rates
 
 
@@ -409,9 +426,76 @@ def test_per_user_summaries_of_a_silent_user_and_mixed_exponents_match_exactly(m
     )
     rep = run(sim)
     want = _numpy_summaries(sim, np.random.Generator(np.random.PCG64(sim.seed)))
-    assert {name: getattr(rep, name) for name in want} == want
+    assert _bits({name: getattr(rep, name) for name in want}) == _bits(want)
     assert rep.accepted[0] == 0 and rep.power[0] == 0.0 and rep.log_welfare == -math.inf
-    assert all(rep.accepted[1:])
+    assert all(rep.accepted[1:]) and math.isnan(rep.empirical_poa)
+
+
+# (game, offered rates): a shared exponent, and one whose every power passes
+# a double while the ratio stays finite
+_FIGURE_GAMES = {
+    "shared": (GameConfig.uniform(40.0, 2.0, 3), (3.0, 4.0, 5.0)),
+    "power-past-a-double": (GameConfig.uniform(300.0, 160.0, 2), (100.0, 100.0)),
+}
+
+
+@pytest.mark.parametrize("game", sorted(_FIGURE_GAMES))
+@pytest.mark.parametrize("mode", list(QueueMode), ids=lambda mode: mode.value)
+def test_report_figures_match_the_numpy_formulas_to_the_bit(mode, game):
+    cfg, rates = _FIGURE_GAMES[game]
+    sim = SimConfig(
+        game=cfg,
+        policy=NoDrop(),
+        input_rates=RateProfile(rates),
+        slots=60,
+        window=3,
+        seed=23,
+        queue_mode=mode,
+    )
+    rep = run(sim)
+    want = _numpy_summaries(sim, np.random.Generator(np.random.PCG64(sim.seed)))
+    assert _bits({name: getattr(rep, name) for name in want}) == _bits(want)
+    assert all(rep.accepted) and math.isfinite(rep.empirical_poa)
+    if game == "power-past-a-double":
+        assert rep.power == (math.inf, math.inf) and rep.log_welfare == math.inf
+
+
+def test_a_report_forms_its_ratio_once_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _poa(*args)
+
+    monkeypatch.setattr(simulator, "_poa", counted)
+    sim = SimConfig(
+        game=CFG, policy=LinearPolicy(3.0, 8.0), input_rates=RateProfile((1.0, 1.5)),
+        slots=300, seed=5,
+    )
+    rep = run(sim)
+    assert (rep.power, rep.sum_welfare, rep.log_welfare) and calls == []
+    first = rep.empirical_poa
+    assert [rep.empirical_poa for _ in range(3)] == [first] * 3 and len(calls) == 1
+    # the function is not the report's figure: it forms the ratio on every call
+    assert empirical_poa(rep, CFG, WelfareKind.SUM_LOG_UTILITY) == first and len(calls) == 2
+
+
+def test_a_replaced_report_forms_its_figures_from_its_own_fields():
+    game = GameConfig.uniform(40.0, 2.0, 3)
+    sim = SimConfig(
+        game=game, policy=NoDrop(), input_rates=RateProfile((3.0, 4.0, 5.0)), slots=200, seed=4,
+    )
+    rep = run(sim)
+    figures = (rep.power, rep.sum_welfare, rep.log_welfare, rep.empirical_poa)
+    doubled = replace(rep, goodput=tuple(2.0 * g for g in rep.goodput))
+    power = np.asarray(doubled.goodput) ** 2.0 / np.asarray(doubled.mean_delay)
+    assert doubled.power == tuple(power.tolist())
+    assert doubled.sum_welfare == float(power.sum())
+    assert doubled.log_welfare == float(np.log(power).sum())
+    # each of the three users' utilities gains 2**alpha = 4
+    assert doubled.empirical_poa == pytest.approx(rep.empirical_poa / 64.0, rel=1e-12)
+    # the first report's figures are its own still
+    assert (rep.power, rep.sum_welfare, rep.log_welfare, rep.empirical_poa) == figures
 
 
 # --------------------------------------------------------------- queue physics
@@ -947,21 +1031,13 @@ def _report_from_analytic_profile(profile, policy, cfg):
     keep, load = _keep_and_load(profile, policy, cfg)
     goodput = tuple(r * keep for r in profile.rates)
     delay = 1.0 / (cfg.mu - load)
-    power = tuple(
-        (g ** a) / delay for g, a in zip(goodput, cfg.alphas)
-    )
     return SimReport(
+        game=cfg,
         input_rates=profile.rates,
         arrivals=(0,) * cfg.m,
         accepted=(0,) * cfg.m,
         goodput=goodput,
         mean_delay=(delay,) * cfg.m,
-        power=power,
-        sum_welfare=sum(power),
-        log_welfare=(
-            sum(math.log(p) for p in power) if all(p > 0 for p in power) else -math.inf
-        ),
-        empirical_poa=math.nan,
         estimated_rates=(),
         drop_probs=(),
         slot_arrivals=(),
@@ -997,13 +1073,9 @@ def test_empirical_poa_zero_power_is_infinite():
     rep = _report_from_analytic_profile(
         RateProfile((2.0, 2.0)), NoDrop(), CFG
     )
-    # a user that got nothing through has no goodput, no measured delay and no power
-    rep = replace(
-        rep,
-        goodput=(0.0, rep.goodput[1]),
-        mean_delay=(0.0, rep.mean_delay[1]),
-        power=(0.0, rep.power[1]),
-    )
+    # a user that got nothing through has no goodput, no measured delay and so no power
+    rep = replace(rep, goodput=(0.0, rep.goodput[1]), mean_delay=(0.0, rep.mean_delay[1]))
+    assert rep.power[0] == 0.0
     assert empirical_poa(rep, CFG, WelfareKind.SUM_LOG_UTILITY) == math.inf
 
 
@@ -1060,26 +1132,59 @@ def test_mixed_exponents_have_no_empirical_poa_and_write_it_as_missing(tmp_path,
 # ----------------------------------------------------------------------- sweep
 
 
-def test_single_cell_sweep_reduces_to_runs():
-    game = GameConfig.uniform(800.0, 2.0, 2)
-    base = SimConfig(
-        game=game, policy=NoDrop(), input_rates=RateProfile((0.0, 0.0)),
-        slots=2000, window=1, seed=31, queue_mode=QueueMode.ANALYTIC_DELAY,
+def _cell_of_runs(base, desired_poa, mu, window, replications, kind):
+    """A sweep cell formed from ``run`` and ``empirical_poa`` over its replications."""
+    game = GameConfig.uniform(mu, base.game.alpha, base.game.m)
+    design = design_linear(DesignSpec(game, epsilon=desired_poa - 1.0, welfare_kind=kind))
+    sim = replace(
+        base, game=game, policy=design.policy, input_rates=design.predicted_ne, window=window
     )
-    cells = sweep(base, desired_poas=[1.1], mus=[800.0], windows=[1], replications=3)
-    assert len(cells) == 1
-    cell = cells[0]
-    assert cell.error is None
+    try:
+        poas = [
+            empirical_poa(run(replace(sim, seed=base.seed + k)), game, kind)
+            for k in range(replications)
+        ]
+    except OverloadError as exc:
+        return SweepCell(desired_poa, mu, window, replications, math.nan, math.nan, str(exc))
+    spread = statistics.stdev(poas) if replications > 1 else 0.0
+    return SweepCell(desired_poa, mu, window, replications, statistics.fmean(poas), spread)
 
-    design = design_linear(DesignSpec(game, epsilon=0.1))
-    vals = []
-    for k in range(3):
-        rep = run(
-            replace(base, policy=design.policy, input_rates=design.predicted_ne, seed=31 + k)
-        )
-        vals.append(empirical_poa(rep, game, WelfareKind.SUM_LOG_UTILITY))
-    assert cell.mean_poa == statistics.fmean(vals)
-    assert cell.std_poa == statistics.stdev(vals)
+
+# (mode, service rate, queue cap, overloads): each mode's second setup
+# overloads, at mu = 3 where a slot's accepted load reaches mu, and in the
+# event queue past a backlog cap of 2
+_SWEEP_SETUPS = {
+    "analytic": (QueueMode.ANALYTIC_DELAY, 800.0, 100_000, False),
+    "analytic-overload": (QueueMode.ANALYTIC_DELAY, 3.0, 100_000, True),
+    "event": (QueueMode.EVENT_QUEUE, 800.0, 100_000, False),
+    "event-overload": (QueueMode.EVENT_QUEUE, 800.0, 2, True),
+}
+# two targets per welfare kind: the plain sum's floor is 2 for this game
+_SWEEP_TARGETS = {WelfareKind.SUM_LOG_UTILITY: [1.05, 1.2], WelfareKind.SUM_UTILITY: [2.1, 2.5]}
+
+
+@pytest.mark.parametrize("replications", [1, 3])
+@pytest.mark.parametrize("kind", list(WelfareKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("setup", sorted(_SWEEP_SETUPS))
+def test_a_sweep_cell_is_the_mean_and_spread_of_its_runs(setup, kind, replications):
+    mode, mu, cap, overloads = _SWEEP_SETUPS[setup]
+    base = SimConfig(
+        game=GameConfig.uniform(mu, 2.0, 2), policy=NoDrop(), input_rates=RateProfile((0.0, 0.0)),
+        slots=300, seed=31, queue_mode=mode, queue_cap=cap,
+    )
+    cells = sweep(base, _SWEEP_TARGETS[kind], [mu], [1, 3], replications, kind)
+    want = [
+        _cell_of_runs(base, q, mu, w, replications, kind)
+        for q in _SWEEP_TARGETS[kind]
+        for w in (1, 3)
+    ]
+    assert [_bits(astuple(cell)) for cell in cells] == [_bits(astuple(cell)) for cell in want]
+    for cell in cells:
+        if overloads:
+            assert re.match("accepted load|queue backlog", cell.error), cell
+        else:
+            assert cell.error is None and math.isfinite(cell.mean_poa), cell
+            assert replications > 1 or cell.std_poa == 0.0
 
 
 def test_sweep_records_per_cell_errors():
