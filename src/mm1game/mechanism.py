@@ -141,12 +141,17 @@ class EquilibriumCensus:
 
 @dataclass(frozen=True)
 class PolicyDesign:
-    """A synthesized linear policy plus what it was built to do."""
+    """A synthesized linear policy plus what it was built to do.
 
+    ``spec`` is the spec it was built from, the one source of the game, the
+    keep probability, the budget and the welfare kind that
+    :func:`validate_design` checks it against.
+    """
+
+    spec: DesignSpec
     policy: LinearPolicy
     predicted_ne: RateProfile
     predicted_poa: float
-    keep_prob: float
     target_effective_total: float
     target_raw_total: float
     diagnostics: DesignDiagnostics | None = None
@@ -226,11 +231,18 @@ def design_linear(spec: DesignSpec) -> PolicyDesign:
     policy's slope, which pins the slope and hence both breakpoints.  Breakpoints
     that do not bracket the target, or a ramp start below
     :data:`~mm1game.model.RATE_FLOOR`, raise :class:`DesignInfeasibleError`.
+    So does a lone user, first: its drop-free equilibrium is already the
+    welfare optimum, so no dropping policy can improve on it.
     """
     config = spec.config
     alpha = config.alpha
     m = config.m
     mu = config.mu
+    if m == 1:
+        raise DesignInfeasibleError(
+            "a lone user needs no dropping policy: its drop-free equilibrium is already "
+            "the welfare optimum, with a price of anarchy of 1"
+        )
     lam_opt = optimal_total_rate(config)
     lam_e = (
         spec.target_effective_total
@@ -240,15 +252,18 @@ def design_linear(spec: DesignSpec) -> PolicyDesign:
     p = spec.keep_prob
     lam_raw = lam_e / p
 
-    # stationarity of one user at the even split of lam_raw, solved for the slope
+    # Stationarity of one user at the even split of lam_raw, solved for the slope.
+    # As lam_e < lam_opt = alpha mu / (alpha + 1), keep_gain exceeds
+    # p alpha mu (m - 1) / ((alpha + 1) m) exactly.  For m >= 2 that is at least
+    # p alpha mu / (2 (alpha + 1)), a relative margin of ~5e-9 or more under
+    # EXPONENT_LIMIT, while rounding lam_opt, lam_e and keep_gain moves it by a
+    # few ulps of p alpha mu: keep_gain stays positive.  drop_cost is positive
+    # too, but a target deep in the subnormals underflows it to 0; the slope is
+    # then the -inf of IEEE division, and the breakpoint check below refuses
+    # the ramp it gives, r1 = r2.
     keep_gain = p * (alpha * mu - lam_e * (alpha * m + 1.0) / m)
     drop_cost = lam_raw * (alpha + 1.0) * (lam_opt - lam_e) / m
-    if not keep_gain > 0.0:  # positive below the optimum, but it rounds to 0 within an ulp of it
-        raise DesignInfeasibleError(
-            f"the target effective total {lam_e} is too close to the welfare-optimal "
-            f"total {lam_opt} to solve for a slope"
-        )
-    slope = -keep_gain / drop_cost
+    slope = -keep_gain / drop_cost if drop_cost else -math.inf
     r2 = lam_raw - p / slope
     r1 = 1.0 / slope + r2
 
@@ -267,10 +282,10 @@ def design_linear(spec: DesignSpec) -> PolicyDesign:
         )
 
     return PolicyDesign(
+        spec=spec,
         policy=LinearPolicy(r1, r2),
         predicted_ne=RateProfile((lam_raw / m,) * m),
         predicted_poa=predicted_poa,
-        keep_prob=p,
         target_effective_total=lam_e,
         target_raw_total=lam_raw,
     )
@@ -346,8 +361,8 @@ def equilibrium_census(policy: DropPolicy, config: GameConfig) -> EquilibriumCen
     return EquilibriumCensus(tuple(sorted(roots)), kink, flat)
 
 
-def validate_design(design: PolicyDesign, spec: DesignSpec) -> DesignDiagnostics:
-    """Check a produced design against its spec.
+def validate_design(design: PolicyDesign) -> DesignDiagnostics:
+    """Check a produced design against its own ``design.spec``.
 
     Reports the paper's sufficient slope condition for uniqueness, the
     census certificate of :func:`equilibrium_census`, and that the
@@ -360,6 +375,7 @@ def validate_design(design: PolicyDesign, spec: DesignSpec) -> DesignDiagnostics
     anarchy are where that play ends; it matches the prediction when play
     converged and each rate is within 1e-6 of its predicted rate, relative.
     """
+    spec = design.spec
     config = spec.config
     alpha = config.alpha
     policy = design.policy
@@ -404,5 +420,4 @@ def validate_design(design: PolicyDesign, spec: DesignSpec) -> DesignDiagnostics
 def designed_with_diagnostics(spec: DesignSpec) -> PolicyDesign:
     """Run the full pipeline: synthesize, validate, and attach diagnostics."""
     design = design_linear(spec)
-    diagnostics = validate_design(design, spec)
-    return replace(design, diagnostics=diagnostics)
+    return replace(design, diagnostics=validate_design(design))

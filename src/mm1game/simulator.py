@@ -124,11 +124,12 @@ _TRACES = ("estimated_rates", "drop_probs", "slot_arrivals")
 class SimReport:
     """Aggregates past warm-up, plus a per-slot trace of the dropping loop.
 
-    It carries the game it was run on, which takes part in ``==``.  The
-    per-user summaries are tuples.  ``mean_delay`` is the pooled mean delay
-    of all accepted packets for every user that had one (0.0 for a user that
-    had none): the users are indistinguishable within a slot, so this is
-    each user's expected mean delay given the run's counts.  The per-slot
+    It carries the game it was run on, which takes part in ``==`` and is
+    the game :func:`empirical_poa` measures it in.  The per-user summaries
+    are tuples.  ``mean_delay`` is the pooled mean delay of all accepted
+    packets for every user that had one (0.0 for a user that had none): the
+    users are indistinguishable within a slot, so this is each user's
+    expected mean delay given the run's counts.  The per-slot
     traces are read-only numpy arrays, so two reports compare equal when
     their traces hold the same values and their other fields are equal; a
     report is not hashable.
@@ -183,7 +184,7 @@ class SimReport:
     def empirical_poa(self) -> float:
         if not self.game.homogeneous:
             return math.nan
-        return empirical_poa(self, self.game, WelfareKind.SUM_LOG_UTILITY)
+        return empirical_poa(self, WelfareKind.SUM_LOG_UTILITY)
 
 
 # An event-queue block closes at this many slots or, if it would pass it
@@ -336,16 +337,17 @@ def run(sim: SimConfig) -> SimReport:
     )
 
 
-def empirical_poa(report: SimReport, config: GameConfig, kind: WelfareKind) -> float:
+def empirical_poa(report: SimReport, kind: WelfareKind) -> float:
     """Measured price of anarchy: drop-free optimal welfare over measured welfare.
 
-    It is formed from the goodputs and the inverse of the pooled delay, so a
-    power past a double does not stop it.  A user with zero measured goodput
-    makes the log-kind ratio +inf.  A game with mixed exponents raises
+    Both are taken in the report's own game, ``report.game``.  The ratio is
+    formed from the goodputs and the inverse of the pooled delay, so a power
+    past a double does not stop it.  A user with zero measured goodput makes
+    the log-kind ratio +inf.  A game with mixed exponents raises
     :class:`~mm1game.model.UnsupportedGameError`.
     """
     delay = max(report.mean_delay)
-    return _poa(config, kind, report.goodput, 1.0 / delay if delay else math.inf)
+    return _poa(report.game, kind, report.goodput, 1.0 / delay if delay else math.inf)
 
 
 @dataclass(frozen=True)
@@ -440,7 +442,7 @@ def _run_cell(
     except ValueError as exc:  # includes DesignInfeasibleError
         return failed(exc)
     try:
-        poas = [empirical_poa(run(sim), game, welfare_kind) for sim in sims]
+        poas = [empirical_poa(run(sim), welfare_kind) for sim in sims]
     except OverloadError as exc:
         return failed(exc)
     mean = statistics.fmean(poas)

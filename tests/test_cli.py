@@ -1002,9 +1002,12 @@ def test_invalid_yaml_and_an_unreadable_config_are_rejected(tmp_path, monkeypatc
         # the closed forms' powers overflow a double: ratio**m, and **(alpha + 1)
         ["analyze", "--mu", "6", "--alpha", "3", "--m", "200"],
         ["analyze", "--mu", "6", "--alpha", "400", "--m", "2"],
-        # one ulp under the optimum total the slope's numerator rounds to zero
+        # a lone user is refused, at a target one ulp under the optimum total too
         ["design", "--mu", "10", "--alpha", "2", "--m", "1", "--epsilon", "0.05",
          "--target-effective-total", "6.666666666666666"],
+        # a target this deep in the subnormals underflows the slope's denominator to 0
+        ["design", "--mu", "1", "--alpha", "1", "--m", "2", "--epsilon", "0.05",
+         "--target-effective-total", "5e-324"],
         # the plain sum's infimum m**(alpha-1) is 2**399, and 12**9999 past the float range
         ["design", "--welfare", "sum", "--alpha", "400", "--keep-prob", "0.999", "--mu", "1",
          "--m", "2", "--epsilon", "0.5"],
@@ -1014,7 +1017,8 @@ def test_invalid_yaml_and_an_unreadable_config_are_rejected(tmp_path, monkeypatc
     ids=[
         "infeasible-design", "overload", "unstable-start",
         "analyze-many-users", "analyze-large-exponent",
-        "design-target-an-ulp-below-the-optimum", "design-large-exponent",
+        "design-target-an-ulp-below-the-optimum", "design-subnormal-target",
+        "design-large-exponent",
         "design-infimum-past-the-float-range",
     ],
 )
@@ -1022,6 +1026,20 @@ def test_a_numerical_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch, c
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", "x.csv"]) == EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_lone_user_design_exits_3_with_the_refusal_and_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    # its drop-free equilibrium is already the optimum: a keep_prob closer to 1 cannot help
+    monkeypatch.chdir(tmp_path)
+    argv = ["design", "--mu", "6", "--alpha", "2", "--m", "1", "--epsilon", "0.05"]
+    assert main([*argv, "--out", "x.csv"]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numerical failure: a lone user needs no dropping policy: its drop-free equilibrium "
+        "is already the welfare optimum, with a price of anarchy of 1\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from mm1game import (
+    EXPONENT_LIMIT,
     RATE_FLOOR,
     SERVICE_RATE_LIMIT,
     DesignInfeasibleError,
@@ -36,6 +37,7 @@ from mm1game import (
     keep_probability,
     optimal_total_rate,
     poa_at_symmetric_rate,
+    poa_closed_form,
     run_dynamics,
     step_policy,
     target_effective_rate,
@@ -488,18 +490,80 @@ def test_design_rejects_poa_above_budget():
         design_linear(DesignSpec(CFG, epsilon=0.01, target_effective_total=2.0))
 
 
-def test_a_target_an_ulp_below_the_optimum_names_both_totals():
-    # with one user the slope's numerator rounds to zero one ulp under the optimum
+LONE_USER_REFUSAL = (
+    "a lone user needs no dropping policy: its drop-free equilibrium is already "
+    "the welfare optimum, with a price of anarchy of 1"
+)
+
+
+@pytest.mark.parametrize("kind", list(WelfareKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("target", [None, 3.9, "an ulp below"], ids=["solved", "3.9", "ulp"])
+def test_a_lone_user_is_refused_before_its_target_is_read(kind, target):
+    # one user's drop-free equilibrium is the optimum, so no policy can improve on it.
+    # One ulp under the optimum the slope's numerator used to round to zero, and other
+    # targets passed only where r1 rounded up to the target
     game = GameConfig.uniform(10.0, 2.0, 1)
-    lam_opt = optimal_total_rate(game)
-    target = math.nextafter(lam_opt, 0.0)
-    spec = DesignSpec(game, epsilon=0.05, target_effective_total=target)
-    with pytest.raises(DesignInfeasibleError) as info:
-        design_linear(spec)
-    assert str(info.value) == (
-        f"the target effective total {target} is too close to the welfare-optimal "
-        f"total {lam_opt} to solve for a slope"
-    )
+    assert poa_closed_form(1, 2.0, kind) == 1.0
+    if target == "an ulp below":
+        target = math.nextafter(optimal_total_rate(game), 0.0)
+    spec = DesignSpec(game, epsilon=0.05, welfare_kind=kind, target_effective_total=target)
+    for design in (design_linear, designed_with_diagnostics):
+        with pytest.raises(DesignInfeasibleError) as info:
+            design(spec)
+        assert str(info.value) == LONE_USER_REFUSAL
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: min(max(10.0**e, low), high))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(2, 1000),
+    mu=_log_uniform(RATE_FLOOR, math.nextafter(SERVICE_RATE_LIMIT, 0.0)),
+    alpha=_log_uniform(RATE_FLOOR, EXPONENT_LIMIT),
+    epsilon=_log_uniform(1e-12, 10.0),
+    keep_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    kind=st.sampled_from(list(WelfareKind)),
+    target_frac=st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ulps_below=st.integers(0, 4),
+)
+# one ulp below the optimum 20/3 the ramp is a few ulps wide, and that is a design
+@example(
+    m=2, mu=10.0, alpha=2.0, epsilon=0.05, keep_frac=0.7, kind=WelfareKind.SUM_LOG_UTILITY,
+    target_frac=1.0, ulps_below=1,
+)
+# a target this deep in the subnormals underflows the slope's denominator to 0
+@example(
+    m=2, mu=1.0, alpha=1.0, epsilon=0.05, keep_frac=0.5, kind=WelfareKind.SUM_LOG_UTILITY,
+    target_frac=1e-323, ulps_below=0,
+)
+def test_a_design_for_many_users_has_a_finite_ramp_or_is_infeasible(
+    m, mu, alpha, epsilon, keep_frac, kind, target_frac, ulps_below
+):
+    # keep_gain is positive for m >= 2 with a relative margin of ~5e-9 or more, so no
+    # target, however close to the optimum, leaves the slope's numerator at 0
+    game = GameConfig.uniform(mu, alpha, m)
+    low = alpha / (alpha + 1.0)
+    target = None
+    if target_frac is not None:
+        target = optimal_total_rate(game) * target_frac
+        for _ in range(ulps_below):
+            target = math.nextafter(target, 0.0)
+    try:
+        spec = DesignSpec(
+            game, epsilon, keep_prob=low + keep_frac * (1.0 - low), welfare_kind=kind,
+            target_effective_total=target,
+        )
+    except ValueError:  # the keep probability or the target rounded out of its range
+        assume(False)
+    try:
+        design = design_linear(spec)
+    except DesignInfeasibleError:
+        return
+    r1, r2 = design.policy.r1, design.policy.r2
+    assert math.isfinite(r1) and math.isfinite(r2) and r1 < r2, design
+    assert design.spec is spec
 
 
 # ------------------------------------------------------------------ validation
@@ -521,14 +585,14 @@ def test_validate_worked_example_design():
 def test_validate_flags_a_flat_ramp():
     # shallow slope: the uniqueness condition fails and is reported, not raised
     flat = PolicyDesign(
+        spec=DesignSpec(CFG, epsilon=0.05, target_effective_total=3.9),
         policy=LinearPolicy(4.2, 104.2),
         predicted_ne=RateProfile((2.1667, 2.1667)),
         predicted_poa=1.01,
-        keep_prob=0.9,
         target_effective_total=3.9,
         target_raw_total=3.9 / 0.9,
     )
-    diag = validate_design(flat, DesignSpec(CFG, epsilon=0.05, target_effective_total=3.9))
+    diag = validate_design(flat)
     assert not diag.slope_exceeds_uniqueness_bound
     assert not diag.all_ok
     assert math.isfinite(diag.uniqueness_bound)
@@ -553,7 +617,7 @@ def test_validation_plays_to_a_few_ulps_at_a_large_service_rate(monkeypatch, alp
     # an absolute 1e-10 is below one ulp of these rates, so play never stopped
     trajectories = _recorded_plays(monkeypatch)
     spec = DesignSpec(GameConfig.uniform(1e15, alpha, m), epsilon=0.05)
-    diag = validate_design(design_linear(spec), spec)
+    diag = validate_design(design_linear(spec))
     (trajectory,) = trajectories
     assert trajectory.converged
     assert diag.ne_matches_prediction
@@ -628,7 +692,7 @@ def test_census_of_every_design_is_its_target(m, alpha, mu, epsilon, keep_frac):
     assert census.kink is None and census.flat is None
     (total,) = census.roots
     assert total == pytest.approx(design.target_raw_total, rel=1e-12)
-    assert validate_design(design, spec).certified_unique
+    assert validate_design(design).certified_unique
     profile = RateProfile((total / m,) * m)
     # validate_design's play from here must stop after its first round
     assert run_dynamics(cfg, design.policy, profile, tol=1e-10, max_iter=1).converged
@@ -658,14 +722,14 @@ def test_a_steep_ramp_has_a_continuum_of_kink_equilibria():
     assert lo <= 1.0 and 2.0 <= hi
     assert not census.unique
     design = PolicyDesign(
+        spec=DesignSpec(CFG, epsilon=0.05, target_effective_total=3.0),
         policy=steep,
         predicted_ne=RateProfile((1.5, 1.5)),
         predicted_poa=1.0,
-        keep_prob=1.0,
         target_effective_total=3.0,
         target_raw_total=3.0,
     )
-    diag = validate_design(design, DesignSpec(CFG, epsilon=0.05, target_effective_total=3.0))
+    diag = validate_design(design)
     assert not diag.certified_unique
     assert not diag.all_ok
 
@@ -712,14 +776,14 @@ def test_validation_lists_a_lone_users_flat_member(monkeypatch):
     lone = GameConfig.uniform(6.0, 2.0, 1)
     ramp = LinearPolicy(5.0, 6.0)
     design = PolicyDesign(
+        spec=DesignSpec(lone, epsilon=0.05, target_effective_total=3.9),
         policy=ramp,
         predicted_ne=RateProfile((4.0,)),
         predicted_poa=1.0,
-        keep_prob=1.0,
         target_effective_total=4.0,
         target_raw_total=4.0,
     )
-    diag = validate_design(design, DesignSpec(lone, epsilon=0.05, target_effective_total=3.9))
+    diag = validate_design(design)
     census = equilibrium_census(ramp, lone)
     (root,) = census.roots
     assert census.flat == 4.0 and root == 5.23606797749979
@@ -741,7 +805,7 @@ def test_validation_starts_play_at_a_kink_one_ulp_from_the_prediction(monkeypatc
     assert r1 == 3.2731734128117047 and math.ulp(r1) == r1 - design.predicted_ne.total
     census = equilibrium_census(design.policy, spec.config)
     assert census == EquilibriumCensus((), (1.6365867064058524, 5.453653174376591), None)
-    diag = validate_design(design, spec)
+    diag = validate_design(design)
     assert [play.iterates[0] for play in plays] == [RateProfile((r1 / 2,) * 2)]
     assert not diag.certified_unique
     assert diag.ne_matches_prediction and diag.poa_within_bound

@@ -477,7 +477,7 @@ def test_a_report_forms_its_ratio_once_on_first_read(monkeypatch):
     first = rep.empirical_poa
     assert [rep.empirical_poa for _ in range(3)] == [first] * 3 and len(calls) == 1
     # the function is not the report's figure: it forms the ratio on every call
-    assert empirical_poa(rep, CFG, WelfareKind.SUM_LOG_UTILITY) == first and len(calls) == 2
+    assert empirical_poa(rep, WelfareKind.SUM_LOG_UTILITY) == first and len(calls) == 2
 
 
 def test_a_replaced_report_forms_its_figures_from_its_own_fields():
@@ -1050,23 +1050,23 @@ def test_empirical_poa_matches_analytic_on_noiseless_input():
     design = design_linear(DesignSpec(CFG, epsilon=0.05, keep_prob=0.9, target_effective_total=3.9))
     rep = _report_from_analytic_profile(design.predicted_ne, design.policy, CFG)
     want = poa_of_equilibrium(design.predicted_ne, design.policy, CFG, WelfareKind.SUM_LOG_UTILITY)
-    assert empirical_poa(rep, CFG, WelfareKind.SUM_LOG_UTILITY) == pytest.approx(want, abs=1e-6)
+    assert empirical_poa(rep, WelfareKind.SUM_LOG_UTILITY) == pytest.approx(want, abs=1e-6)
 
 
 def test_empirical_poa_is_one_at_each_kinds_own_optimum():
     from mm1game import social_optimum_log, social_optimum_sum
 
     log_rep = _report_from_analytic_profile(social_optimum_log(CFG), NoDrop(), CFG)
-    assert empirical_poa(log_rep, CFG, WelfareKind.SUM_LOG_UTILITY) == pytest.approx(
+    assert empirical_poa(log_rep, WelfareKind.SUM_LOG_UTILITY) == pytest.approx(
         1.0, abs=1e-12
     )
     sum_profile, _ = social_optimum_sum(CFG)
     sum_rep = _report_from_analytic_profile(sum_profile, NoDrop(), CFG)
-    assert empirical_poa(sum_rep, CFG, WelfareKind.SUM_UTILITY) == pytest.approx(
+    assert empirical_poa(sum_rep, WelfareKind.SUM_UTILITY) == pytest.approx(
         1.0, abs=1e-12
     )
     # the even split is not the sum-optimal shape for exponents above one
-    assert empirical_poa(log_rep, CFG, WelfareKind.SUM_UTILITY) == pytest.approx(2.0)
+    assert empirical_poa(log_rep, WelfareKind.SUM_UTILITY) == pytest.approx(2.0)
 
 
 def test_empirical_poa_zero_power_is_infinite():
@@ -1076,7 +1076,7 @@ def test_empirical_poa_zero_power_is_infinite():
     # a user that got nothing through has no goodput, no measured delay and so no power
     rep = replace(rep, goodput=(0.0, rep.goodput[1]), mean_delay=(0.0, rep.mean_delay[1]))
     assert rep.power[0] == 0.0
-    assert empirical_poa(rep, CFG, WelfareKind.SUM_LOG_UTILITY) == math.inf
+    assert empirical_poa(rep, WelfareKind.SUM_LOG_UTILITY) == math.inf
 
 
 @pytest.mark.parametrize("kind", list(WelfareKind), ids=lambda kind: kind.value)
@@ -1089,7 +1089,7 @@ def test_mixed_exponents_have_no_drop_free_optimum_whatever_the_utilities(kind, 
         poa_of_equilibrium(profile, NoDrop(), game, kind)
     rep = _report_from_analytic_profile(profile, NoDrop(), game)
     with pytest.raises(UnsupportedGameError):
-        empirical_poa(rep, game, kind)
+        empirical_poa(rep, kind)
 
 
 def test_simulated_equilibrium_poa_lands_near_the_design():
@@ -1141,7 +1141,7 @@ def _cell_of_runs(base, desired_poa, mu, window, replications, kind):
     )
     try:
         poas = [
-            empirical_poa(run(replace(sim, seed=base.seed + k)), game, kind)
+            empirical_poa(run(replace(sim, seed=base.seed + k)), kind)
             for k in range(replications)
         ]
     except OverloadError as exc:
@@ -1203,6 +1203,21 @@ def test_sweep_records_per_cell_errors():
     assert len(cells) == 1
     assert cells[0].error is not None
     assert math.isnan(cells[0].mean_poa)
+
+
+def test_a_lone_user_sweep_records_the_refusal_in_every_cell():
+    base = SimConfig(
+        game=GameConfig.uniform(500.0, 2.0, 1), policy=NoDrop(),
+        input_rates=RateProfile((0.0,)), slots=100, queue_mode=QueueMode.ANALYTIC_DELAY,
+    )
+    cells = sweep(base, [1.1, 1.5], [500.0, 6.0], [1, 10], 1)
+    assert len(cells) == 8
+    for cell in cells:
+        assert cell.error == (
+            "a lone user needs no dropping policy: its drop-free equilibrium is already "
+            "the welfare optimum, with a price of anarchy of 1"
+        )
+        assert math.isnan(cell.mean_poa) and math.isnan(cell.std_poa)
 
 
 def test_sweep_records_a_fractional_window_as_the_cells_error():
