@@ -257,22 +257,28 @@ def best_response(
         found = _ramp_roots(alpha, 1.0, b, d, mu * w)
     except OverflowError as exc:
         raise _ramp_overflow(mu, policy) from exc
-    roots = [x for x in found if lo < x < d]
+    roots = []  # a loop: before Python 3.12 a comprehension builds a frame each call
+    for x in found:
+        if lo < x < d:
+            roots.append(x)
     if not lo and len(roots) == 1:  # a ramp start of 0 earns nothing: the root is uncontested
         x = roots[0]
         p = (d - x) / w
         return x if x * p > 0.0 < mu - (b + x) * p else 0.0
     log = math.log
     q = mu - (b + lo)  # the ramp start keeps everything
-    xs, us = [lo], [alpha * log(lo) + log(q) if lo > 0.0 < q else -math.inf]
+    best = alpha * log(lo) + log(q) if lo > 0.0 < q else -math.inf
+    scored = [(best, lo)]  # (log utility, rate) of each candidate
     for x in roots:
         p = (d - x) / w
         a, q = x * p, mu - (b + x) * p
-        xs.append(x)
-        us.append(alpha * log(a) + log(q) if a > 0.0 < q else -math.inf)
-    floor = max(us) + _LOG_TIE  # the largest rate this close to the best wins
+        u = alpha * log(a) + log(q) if a > 0.0 < q else -math.inf
+        scored.append((u, x))
+        if u > best:
+            best = u
+    floor = best + _LOG_TIE  # the largest rate this close to the best wins
     answer = 0.0  # also when no rate earns a positive utility
-    for x, u in zip(xs, us):
+    for u, x in scored:
         if u >= floor > -math.inf and x > answer:
             answer = x
     return answer

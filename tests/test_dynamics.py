@@ -12,6 +12,7 @@ closure-based code and per-round loop they replaced, kept here as references.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -603,21 +604,60 @@ def _reference_run_dynamics(config, policy, init, mode, tol, max_iter):
     return iterates, [_reference_potential(p, policy, config) for p in iterates], converged
 
 
+def _three_root_cases(n, seed):
+    """Seeded lone users (the others send 0) whose ramp holds three roots.
+
+    Alone, a user's utility is a function of its accepted rate
+    ``a = x (r2 - x) / w`` only.  So the ramp's roots are the rate ``r2 / 2``
+    where ``a`` peaks and the two rates where ``a`` is the drop-free optimum
+    ``star = alpha mu / (alpha + 1)``, which tie exactly.  With ``r1 = t r2``
+    and ``r2 = 4 (1 - t) star (1 + s)`` the peak exceeds ``star``, and for
+    ``t <= 0.25``, ``s <= 0.3`` the lower tie lies above ``r1``.
+    """
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(5.0, 50.0, n)
+    alpha = rng.uniform(0.2, 3.0, n)
+    t = rng.uniform(0.02, 0.25, n)
+    s = rng.uniform(0.02, 0.3, n)
+    r2 = 4.0 * (1.0 - t) * (alpha * mu / (alpha + 1.0)) * (1.0 + s)
+    for k in range(n):
+        yield float(mu[k]), float(alpha[k]), LinearPolicy(float(t[k] * r2[k]), float(r2[k])), 0.0
+
+
 def test_best_response_matches_its_reference_bit_for_bit():
-    """Among the draws, thousands take the uncontested branch: the others
-    already send r1 or more, and one root lies inside the ramp."""
-    uncontested = 0
-    for mu, alpha, pol, others in _ramp_cases(10_000, 20261018):
+    """Among the random draws, thousands take the uncontested branch: the
+    others already send r1 or more, and one root lies inside the ramp.
+    Thousands more are contested (the ramp start is above 0 and a root lies
+    inside), and a few hundred hold two or more roots.  Each lone user
+    holds three, two of them tied exactly; where rounding values the lower
+    tie above the upper one, the tie floor alone makes the upper one win."""
+    seen = Counter()
+    lone = _three_root_cases(200, 20261022)
+    for mu, alpha, pol, others in itertools.chain(_ramp_cases(10_000, 20261018), lone):
         cfg = GameConfig(mu, (alpha,))
         got = best_response(0, others, pol, cfg)
         assert got.hex() == _reference_best_response(0, others, pol, cfg).hex(), (
             mu, alpha, pol, others,
         )
         d = pol.r2 - others
-        if others >= pol.r1 and d > 0.0:
-            roots = dynamics._ramp_roots(alpha, 1.0, others, d, mu * (pol.r2 - pol.r1))
-            uncontested += sum(0.0 < x < d for x in roots) == 1
-    assert uncontested >= 3000
+        if d <= 0.0:
+            continue
+        lo = max(0.0, pol.r1 - others)
+        found = dynamics._ramp_roots(alpha, 1.0, others, d, mu * (pol.r2 - pol.r1))
+        roots = sorted(x for x in found if lo < x < d)
+        seen["uncontested"] += not lo and len(roots) == 1
+        seen["contested"] += lo > 0.0 and bool(roots)
+        seen["two or more roots"] += len(roots) >= 2
+        seen["three roots"] += len(roots) == 3
+        if others == 0.0 and len(roots) == 3:
+            assert got == roots[2], (mu, alpha, pol)
+            lower, upper = (_ramp_utility(x, 0.0, alpha, mu, pol) for x in (roots[0], roots[2]))
+            seen["lower tie valued higher"] += lower > upper
+    assert seen["uncontested"] >= 3000, seen
+    assert seen["contested"] >= 3000, seen
+    assert seen["two or more roots"] >= 350, seen
+    assert seen["three roots"] >= 200, seen
+    assert seen["lower tie valued higher"] >= 10, seen
 
 
 _alphas = st.floats(0.2, 3.0)
