@@ -82,10 +82,8 @@ def social_optimum_sum(config: GameConfig) -> tuple[RateProfile, float]:
             f"the social optimum overflows a float at mu={mu:g}, alpha={a:g}"
         ) from exc
     if a > 1.0:
-        profile = RateProfile((lam,) + (0.0,) * (m - 1))
-        return profile, base
-    profile = RateProfile((lam / m,) * m)
-    return profile, m ** (1.0 - a) * base
+        return RateProfile((lam,) + (0.0,) * (m - 1)), base
+    return RateProfile((lam / m,) * m), m ** (1.0 - a) * base
 
 
 def social_optimum_log(config: GameConfig) -> RateProfile:

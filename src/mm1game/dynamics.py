@@ -11,6 +11,7 @@ from operator import sub
 import numpy as np
 
 from .model import (
+    RAMP_LIMIT,
     DropPolicy,
     GameConfig,
     RateProfile,
@@ -150,12 +151,12 @@ def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
     ]
 
 
-def _ramp_roots(alpha: float, k: float, b: float, d: float, muw: float) -> list[float]:
+def _ramp_roots(alpha: float, k: float, b: float, mu: float, policy: DropPolicy) -> list[float]:
     """Real roots ``y`` of the ramp's stationarity condition, each Newton-polished.
 
-    ``k`` users share a total ``y`` evenly against outsiders sending ``b``;
-    ``d = r2 - b`` and ``muw = mu w`` with ``w = r2 - r1``.  With
-    ``e = d - b`` and ``h = mu w - b d``, ``k w^2`` times each user's
+    ``k`` users share a total ``y`` evenly against outsiders sending ``b``
+    on ``policy``'s ramp ``r1 < r2``; ``d = r2 - b`` and ``w = r2 - r1``.
+    With ``e = d - b`` and ``h = mu w - b d``, ``k w^2`` times each user's
     condition (see :func:`best_response`) is
     ``g(y) = alpha (mu w - (b + y)(d - y)) (k d - (k + 1) y) - y (d - y)(e - 2 y)``,
     a cubic with coefficients from ``y^3`` down ``-alpha (k + 1) - 2``,
@@ -163,7 +164,18 @@ def _ramp_roots(alpha: float, k: float, b: float, d: float, muw: float) -> list[
     and ``alpha h k d``.  Each root gets at most two Newton steps on the
     unexpanded ``g``, each kept only while it shrinks ``|g|``.  The roots are
     not filtered: callers keep those inside their ramp.
+
+    A ramp with ``r2`` above :data:`~mm1game.model.RAMP_LIMIT` times ``mu``
+    raises ValueError naming ``mu``, the ramp and the bound, before any
+    coefficient is formed.
     """
+    r1, r2 = policy.r1, policy.r2
+    if not r2 <= RAMP_LIMIT * mu:
+        raise ValueError(
+            f"the ramp's stationarity cubic is solved only for r2 <= {RAMP_LIMIT:g} * mu, "
+            f"got mu={mu}, r1={r1}, r2={r2}"
+        )
+    d, muw = r2 - b, mu * (r2 - r1)
     e = d - b  # r2 - 2b
     h = muw - b * d  # w times the headroom q at y = 0
     k1, kd = k + 1.0, k * d
@@ -185,14 +197,6 @@ def _ramp_roots(alpha: float, k: float, b: float, d: float, muw: float) -> list[
             x, g = y, g_y
         roots.append(x)
     return roots
-
-
-def _ramp_overflow(mu: float, policy: DropPolicy) -> OverflowError:
-    """The error for a ramp too wide for its stationarity cubic to form in floats."""
-    return OverflowError(
-        f"the ramp's stationarity cubic overflows a float at mu={mu:g}, "
-        f"r1={policy.r1:g}, r2={policy.r2:g}"
-    )
 
 
 def best_response(
@@ -233,16 +237,15 @@ def best_response(
     inside the ramp is the answer exactly when its accepted rate and
     headroom are positive (under :data:`~mm1game.model.EXPONENT_LIMIT` a
     positive accepted rate has a finite log).
-    Returns 0 when no rate earns positive utility.  A ramp so wide that
-    its cubic's coefficients overflow a double raises ``OverflowError``
-    naming ``mu`` and the ramp.
+    Returns 0 when no rate earns positive utility.  A ramp that reaches
+    past :data:`~mm1game.model.RAMP_LIMIT` times ``mu``, where the user is not
+    already cut off, raises ValueError (see :func:`_ramp_roots`).
     """
     if not others_total >= 0:  # NaN fails this too
         raise ValueError(f"others_total must be non-negative, got {others_total!r}")
     b = others_total
     r1, r2 = policy.r1, policy.r2
-    alpha = config.alphas[i]
-    mu = config.mu
+    alpha, mu = config.alphas[i], config.mu
     if not r1 < r2:
         star = alpha * (mu - b) / (alpha + 1.0) if b < mu else 0.0
         return max(0.0, min(star, r2 - b))  # no cap when r2 is infinite
@@ -253,10 +256,7 @@ def best_response(
     lo = r1 - b
     if not lo > 0.0:  # max(0, r1 - b): the ramp start
         lo = 0.0
-    try:
-        found = _ramp_roots(alpha, 1.0, b, d, mu * w)
-    except OverflowError as exc:
-        raise _ramp_overflow(mu, policy) from exc
+    found = _ramp_roots(alpha, 1.0, b, mu, policy)
     roots = []  # a loop: before Python 3.12 a comprehension builds a frame each call
     for x in found:
         if lo < x < d:
@@ -298,9 +298,12 @@ def run_dynamics(
     updates all of them against the previous round.  Non-convergence within
     ``max_iter`` rounds is reported in the trajectory, not raised.  Steeply
     sloped policies contract slowly (per-round factors above 0.99 occur), so
-    the default budget is generous.  ``max_iter`` must be at least 1 and
-    ``tol`` positive; ``tol=inf`` stops after one round.
+    the default budget is generous.  ``mode`` must be an :class:`UpdateMode`,
+    ``max_iter`` at least 1 and ``tol`` positive; ``tol=inf`` stops after
+    one round.
     """
+    if not isinstance(mode, UpdateMode):  # a member's value, such as "round_robin", too
+        raise ValueError(f"mode must be one of {[*UpdateMode]}, got {mode!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not tol > 0:  # NaN fails this too
@@ -340,11 +343,13 @@ def verify_equilibrium(
     """Deviation scan: no user can gain more than ``tol * max(1, |own|)`` by moving alone.
 
     ``own`` is the user's utility at the profile, so ``tol`` is relative for
-    utilities above one and absolute below.  Each user's alternatives are
-    swept on a grid of 10,001 points (with golden-section refinement around
-    the best grid point), independently of how best responses are computed
-    elsewhere.
+    utilities above one and absolute below; it must be non-negative.  Each
+    user's alternatives are swept on a grid of 10,001 points (with
+    golden-section refinement around the best grid point), independently of
+    how best responses are computed elsewhere.
     """
+    if not tol >= 0:  # NaN fails this too
+        raise ValueError(f"tol must be non-negative, got {tol!r}")
     if not feasible(profile, policy, config):
         raise UnstableQueueError("profile is not feasible")
     for i in range(config.m):
@@ -352,14 +357,12 @@ def verify_equilibrium(
         others = profile.others_total(i)
         hi = _scan_cutoff(policy, config.mu) - others
         if hi <= 0.0:
-            best_alt = 0.0
-        else:
-            alpha = config.alphas[i]
-
-            def u(rate):
-                return _own_utility(rate, others, alpha, config.mu, policy)
-
-            _, best_alt = _grid_golden_max(u, 0.0, hi, 10_001, 1e-10)
+            continue  # every rate is dropped: no alternative earns more than own >= 0
+        alpha = config.alphas[i]
+        _, best_alt = _grid_golden_max(
+            lambda rate: _own_utility(rate, others, alpha, config.mu, policy),
+            0.0, hi, 10_001, 1e-10,
+        )
         if best_alt > own + tol * max(1.0, abs(own)):
             return False
     return True
@@ -388,10 +391,5 @@ def triangular_grid(
     if points_per_axis < 2:
         raise ValueError("points_per_axis must be at least 2")
     cutoff = _scan_cutoff(policy, config.mu)
-    axis = np.linspace(0.0, cutoff, points_per_axis)
-    grid = []
-    for x in axis:
-        for y in axis:
-            if x + y <= cutoff:
-                grid.append(RateProfile((float(x), float(y))))
-    return grid
+    axis = np.linspace(0.0, cutoff, points_per_axis).tolist()
+    return [RateProfile((x, y)) for x in axis for y in axis if x + y <= cutoff]

@@ -18,7 +18,7 @@ from .analysis import (
     optimal_total_rate,
     poa_of_equilibrium,
 )
-from .dynamics import UpdateMode, _ramp_overflow, _ramp_roots, run_dynamics
+from .dynamics import UpdateMode, _ramp_roots, run_dynamics
 from .model import RATE_FLOOR, DropPolicy, GameConfig, LinearPolicy, RateProfile, StepPolicy
 
 __all__ = [
@@ -331,22 +331,19 @@ def equilibrium_census(policy: DropPolicy, config: GameConfig) -> EquilibriumCen
 
     A policy without a ramp (``r1 == r2``: a step, or no dropping) raises
     ValueError: at a step's threshold every split can be an equilibrium,
-    a continuum this census does not list.  A ramp so wide that the
-    cubic's coefficients overflow a double raises ``OverflowError`` naming
-    ``mu`` and the ramp, as :func:`~mm1game.dynamics.best_response` does.
+    a continuum this census does not list.  A ramp with ``r2`` above
+    :data:`~mm1game.model.RAMP_LIMIT` times ``mu`` raises ValueError naming
+    ``mu``, the ramp and the bound, as
+    :func:`~mm1game.dynamics.best_response` does.
     """
     alpha = config.alpha  # raises for heterogeneous exponents
-    m = config.m
-    mu = config.mu
+    m, mu = config.m, config.mu
     r1, r2 = policy.r1, policy.r2
     if not r1 < r2:
         raise ValueError(f"the census needs a ramp with r1 < r2, got r1={r1}, r2={r2}")
     w = r2 - r1
     muw = mu * w
-    try:
-        ys = _ramp_roots(alpha, m, 0.0, r2, muw)
-    except OverflowError as exc:
-        raise _ramp_overflow(mu, policy) from exc
+    ys = _ramp_roots(alpha, m, 0.0, mu, policy)
     roots = {t for t in ys if r1 < t < r2 and muw > t * (r2 - t)}  # a double root once
     top = mu * (m * alpha) / (m * alpha + 1.0)  # m = 1: optimal_total_rate, to the bit
     kink = None

@@ -19,6 +19,7 @@ __all__ = [
     "RATE_FLOOR",
     "SERVICE_RATE_LIMIT",
     "EXPONENT_LIMIT",
+    "RAMP_LIMIT",
     "GameConfig",
     "RateProfile",
     "NoDrop",
@@ -67,6 +68,29 @@ RATE_FLOOR = 1e-30
 # bare math domain error.  The bound keeps two decades under the first
 # failure, and under it a positive accepted rate always has a finite log.
 EXPONENT_LIMIT = 1e8
+
+# Every ramp whose stationarity cubic is solved, in a best response or the
+# census, ends at or below this times the service rate: r2 <= RAMP_LIMIT * mu.
+# Far above it the best response fails.  It was checked against a scan of
+# the log utility on 4,001 grid points that also steps up from 0 and down
+# from the ramp's top d = r2 - B (B the others' total) in log steps, since
+# on a wide ramp the best rate lies within ~mu of 0 or of d, far inside one
+# grid step, with exponents 0.2 to 3, service rates 1e-2 to 1e6, ramp starts
+# 0.05 to 1.5 times mu and others' totals up to 1.2 mu.  None of 400 draws
+# with ramps 1e10 to 1e12 times mu wide fell short of the scan, and 2 of
+# 1,400 at 1e12 to 1e14, both above 7e13 and short by one ulp of d.  13 of
+# 1,000 fell short at 1e14 to 1e15, 165 of 1,000 at 1e15 to 1e16 (88
+# answering 0) and about 40% from 1e16.  From about 1e45 the cubic's
+# coefficients overflow a double.  The bound keeps two decades under the
+# first failure.  Under it no intermediate can overflow: with mu below
+# SERVICE_RATE_LIMIT, r2 <= 1e33, and the cubic divided by its leading
+# coefficient has coefficients of at most about 2 r2, (mu + 2 r2) r2 and
+# (mu + r2) r2**2, so its largest intermediate, (q/2)**2, stays near 1e200.
+# On 40,000 draws over the whole domain (exponents up to EXPONENT_LIMIT, m
+# up to 1,000, others' totals up to r2) none raised or gave a root that is
+# not finite; the largest (q/2)**2 was 1.4e195 and the largest coefficient
+# 1.4e109.
+RAMP_LIMIT = 1e12
 
 
 class UnstableQueueError(ValueError):

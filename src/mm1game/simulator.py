@@ -76,7 +76,8 @@ class SimConfig:
     """One simulation run: game, policy, offered rates (packets per slot).
 
     ``slots``, ``window``, ``seed`` and ``queue_cap`` are Python or numpy
-    integers, and ``seed`` is non-negative.
+    integers, and ``seed`` is non-negative.  ``queue_mode`` is a
+    :class:`QueueMode`.
     """
 
     game: GameConfig
@@ -96,6 +97,8 @@ class SimConfig:
             )
         for name in ("slots", "window", "seed", "queue_cap"):
             _check_integer(name, getattr(self, name))
+        if not isinstance(self.queue_mode, QueueMode):  # a member's value, such as "event", too
+            raise ValueError(f"queue_mode must be one of {[*QueueMode]}, got {self.queue_mode!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.window < 1:
@@ -468,8 +471,10 @@ def sweep(
     equilibrium rates open-loop, and replicates the run with seeds
     ``base.seed + k``.  A cell whose design is infeasible, whose run is
     refused (too many packets, say) or whose run overloads records its error
-    instead of aborting the sweep.
+    instead of aborting the sweep.  ``replications`` is a Python or numpy
+    integer, at least 1.
     """
+    _check_integer("replications", replications)
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
     return [

@@ -245,17 +245,29 @@ def test_dynamics_names_the_potential_that_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_dynamics_names_the_ramp_whose_cubic_overflows(tmp_path, capsys):
-    # a ramp 1e200 wide puts the cubic's shift near 1e200, and its cube past a double
+@pytest.mark.parametrize("r2", ["1e200", repr(math.nextafter(1e13, math.inf))])
+def test_dynamics_names_the_ramp_past_the_ramp_limit(tmp_path, capsys, r2):
+    # RAMP_LIMIT * mu = 1e13: a ramp an ulp past it is refused before its cubic is formed
     out = tmp_path / "t.csv"
     argv = ["dynamics", "--mu", "10", "--alpha", "2", "--m", "2",
-            "--policy", "linear", "--r1", "1", "--r2", "1e200", "--out", str(out)]
+            "--policy", "linear", "--r1", "1", "--r2", r2, "--out", str(out)]
     assert main(argv) == EXIT_NUMERIC
     assert capsys.readouterr().err == (
-        "numerical failure: the ramp's stationarity cubic overflows a float "
-        "at mu=10, r1=1, r2=1e+200\n"
+        "numerical failure: the ramp's stationarity cubic is solved only for "
+        f"r2 <= 1e+12 * mu, got mu=10.0, r1=1.0, r2={float(r2)}\n"
     )
     assert not out.exists()
+
+
+def test_dynamics_plays_a_ramp_at_the_ramp_limit(tmp_path):
+    # a lone user: with two, play on a ramp 1e12 times mu wide does not settle in 5,000 rounds
+    out = tmp_path / "t.json"
+    argv = ["dynamics", "--mu", "10", "--alpha", "2", "--m", "1", "--policy", "linear",
+            "--r1", "1", "--r2", "1e13", "--format", "json", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    rows = json.loads(out.read_text())["trajectory"]
+    assert rows[-1]["rate_0"] == rows[-2]["rate_0"] > 0.0  # play converged
+    assert all(math.isfinite(value) for row in rows for value in row.values())
 
 
 def test_field_contains_a_fixed_point_row(tmp_path):

@@ -12,18 +12,20 @@ closure-based code and per-round loop they replaced, kept here as references.
 
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from mm1game import dynamics
 from mm1game import (
     EXPONENT_LIMIT,
+    RAMP_LIMIT,
     RATE_FLOOR,
     SERVICE_RATE_LIMIT,
     GameConfig,
@@ -289,6 +291,67 @@ def test_best_response_matches_a_log_scan_up_to_the_exponent_limit():
     assert min(seen.values()) >= 100, seen
 
 
+def _stepped_log_scan(others, alpha, mu, policy):
+    """Best ``(rate, log utility)`` on ``[0, d]``, ``d = r2 - others``.
+
+    A 4,001-point grid, and 4,001 log steps each up from 0 and down from
+    ``d``, each refined by golden section.  On a ramp far wider than mu the
+    best rate lies within ~mu of 0 or of ``d``, inside one grid step; the log
+    steps reach both bands.
+    """
+    d = policy.r2 - others
+
+    def score(x):
+        return _log_score(x, others, alpha, mu, policy)
+
+    found = [dynamics._grid_golden_max(score, 0.0, d, 4001, 1e-15 * d)]
+    for rate in (np.exp, lambda t: d - np.exp(t)):
+        t, u = dynamics._grid_golden_max(
+            lambda t: score(rate(t)), math.log(math.ulp(d)), math.log(d), 4001, 1e-12
+        )
+        found.append((float(rate(t)), u))
+    return max(found, key=lambda c: c[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mu=st.floats(-2.0, 6.0).map(lambda e: 10.0**e),
+    alpha=st.floats(0.2, 3.0),
+    top=st.floats(6.0, 12.0),  # log10(r2 / mu), up to the ramp limit
+    start=st.floats(0.0, 1.0),  # where log10(r1 / mu) lies in [-3, top + log10(0.999)]
+    share=st.floats(0.0, 1.2),  # the others' total over mu
+)
+@example(mu=10.0, alpha=2.0, top=12.0, start=0.0, share=0.025)
+def test_best_response_matches_a_stepped_log_scan_on_ramps_up_to_the_ramp_limit(
+    mu, alpha, top, start, share
+):
+    """Ramps 1e6 to 1e12 times mu wide and at least 1e-3 r2, others' totals up to 1.2 mu.
+
+    Near the ramp's top ``d`` a rate is a float within one ulp of ``d``, and
+    the keep probability ``(d - x) / w`` moves by ``ulp(d) / (d - x)`` of
+    itself from one float to the next.  So an answer there may trail the real
+    optimum by about ``(alpha + 1) (ulp(d) / (d - x))**2`` in log utility,
+    where the scan may find a rate away from ``d`` (the flat optimum, when
+    the others send nothing, ties with the ramp).  That is the answer's
+    slack; at ``r2**2 / (mu w) = 1e15`` it is ~0.06.  Others' totals near
+    ``r2`` on such ramps are not drawn: there the answer can be 0 where a
+    positive utility is on offer (see CHANGES.md).
+    """
+    r2 = min(10.0**top * mu, RAMP_LIMIT * mu)
+    r1 = 10.0 ** (-3.0 + start * (top + math.log10(0.999) + 3.0)) * mu
+    assume(r2 - r1 >= 1e6 * mu)
+    policy, others = LinearPolicy(r1, r2), share * mu
+    br = best_response(0, others, policy, GameConfig(mu, (alpha, 1.0)))
+    x, best = _stepped_log_scan(others, alpha, mu, policy)
+    if best > -math.inf:
+        p = min(1.0, (r2 - others - x) / (r2 - r1))
+        size = 1.0 + alpha * abs(math.log(x * p)) + abs(math.log(mu - (others + x) * p))
+        d = r2 - others
+        slack = (alpha + 1.0) * (math.ulp(d) / (d - br)) ** 2 if br < d else math.inf
+        got = float(_log_score(br, others, alpha, mu, policy))
+        assert got >= best - 1e-10 * size - slack, (mu, alpha, policy, others, br, x)
+
+
 def test_interior_best_responses_zero_the_marginal_utility():
     """At every answer strictly inside the ramp the first-order condition holds.
 
@@ -478,6 +541,22 @@ def test_dynamics_rejects_a_round_limit_below_one_and_a_tol_that_is_not_positive
     assert traj.converged and len(traj.iterates) == 2
 
 
+@pytest.mark.parametrize("mode", ["round_robin", "simultaneous", None])
+def test_dynamics_refuses_a_mode_that_is_not_a_member(mode):
+    message = f"mode must be one of {[*UpdateMode]}, got {mode!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_dynamics(CFG, NoDrop(), RateProfile((0.1, 0.1)), mode=mode)
+
+
+def test_the_round_robin_member_is_what_converges_on_a_mixed_ramp():
+    # the string "round_robin" used to play simultaneous updates, which run all 5,000 rounds here
+    game, policy = GameConfig(20.0, (0.5, 1.0, 2.5)), LinearPolicy(12.0, 25.0)
+    init = RateProfile((1 / 3,) * 3)
+    traj = run_dynamics(game, policy, init, mode=UpdateMode.ROUND_ROBIN)
+    assert traj.converged and len(traj.iterates) == 40
+    assert not run_dynamics(game, policy, init, mode=UpdateMode.SIMULTANEOUS).converged
+
+
 def test_dynamics_rejects_unstable_start():
     with pytest.raises(UnstableQueueError):
         run_dynamics(CFG, NoDrop(), RateProfile((3.5, 3.5)))
@@ -643,7 +722,7 @@ def test_best_response_matches_its_reference_bit_for_bit():
         if d <= 0.0:
             continue
         lo = max(0.0, pol.r1 - others)
-        found = dynamics._ramp_roots(alpha, 1.0, others, d, mu * (pol.r2 - pol.r1))
+        found = dynamics._ramp_roots(alpha, 1.0, others, mu, pol)
         roots = sorted(x for x in found if lo < x < d)
         seen["uncontested"] += not lo and len(roots) == 1
         seen["contested"] += lo > 0.0 and bool(roots)
@@ -729,6 +808,17 @@ def test_verify_accepts_a_profile_whose_others_already_reach_r2():
     assert verify_equilibrium(RateProfile((2.5, 2.5)), ramp, CFG)
     # here user 0's others send 0.5, and user 0 gains by sending into the ramp
     assert not verify_equilibrium(RateProfile((2.5, 0.5)), ramp, CFG)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-7, -math.inf])
+def test_verify_refuses_a_tolerance_that_is_nan_or_negative(tol):
+    # a NaN tolerance used to certify a profile that fails at the default one
+    profile, policy = RateProfile((0.5, 0.5)), LinearPolicy(11.0, 30.0)
+    game = GameConfig.uniform(20.0, 1.0, 2)
+    assert not verify_equilibrium(profile, policy, game)
+    with pytest.raises(ValueError, match=f"^tol must be non-negative, got {tol!r}$"):
+        verify_equilibrium(profile, policy, game, tol=tol)
+    assert not verify_equilibrium(profile, policy, game, tol=0.0)
 
 
 def test_verify_tolerance_scales_sensitivity():

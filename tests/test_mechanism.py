@@ -19,6 +19,7 @@ from numpy.polynomial import Polynomial
 
 from mm1game import (
     EXPONENT_LIMIT,
+    RAMP_LIMIT,
     RATE_FLOOR,
     SERVICE_RATE_LIMIT,
     DesignInfeasibleError,
@@ -749,11 +750,42 @@ def test_census_refuses_a_policy_without_a_ramp(policy):
     ],
     ids=["census", "best_response"],
 )
-def test_a_ramp_too_wide_for_its_cubic_names_mu_and_the_ramp(solve):
-    # the cubic's shift is near r2, and its cube passes a double
-    message = "the ramp's stationarity cubic overflows a float at mu=10, r1=1, r2=1e+200"
-    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+def test_a_ramp_past_the_ramp_limit_names_mu_the_ramp_and_the_bound(solve):
+    # without the bound the cubic's shift is near r2, and its cube passes a double
+    message = (
+        "the ramp's stationarity cubic is solved only for r2 <= 1e+12 * mu, "
+        "got mu=10.0, r1=1.0, r2=1e+200"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         solve(LinearPolicy(1.0, 1e200), GameConfig.uniform(10.0, 2.0, 2))
+
+
+def test_a_ramp_wide_enough_to_answer_short_of_the_flat_optimum_is_refused():
+    # r2 is 1.4e16 mu: without the bound the answer was 48340.6, with utility
+    # 6.609e17, where the flat optimum 45086.98 earns 6.834e17
+    game = GameConfig.uniform(97291.96470964559, 2.9324707759241977, 2)
+    policy = LinearPolicy(85170.50076705414, 1.3750796306469238e21)
+    with pytest.raises(ValueError, match=r"^the ramp's stationarity cubic is solved only for"):
+        best_response(0, 36829.90069442196, policy, game)
+
+
+@pytest.mark.parametrize("k", [-96, -40, 0, 40, 63])
+def test_a_power_of_two_rescale_keeps_the_ramp_limit(k):
+    # RAMP_LIMIT * mu scales exactly: the ramp ending at RAMP_LIMIT * mu is solved
+    # at every scale and the one ending an ulp above it is refused
+    game = GameConfig.uniform(math.ldexp(10.0, k), 2.0, 2)
+    top = RAMP_LIMIT * 10.0
+    for r2, refused in ((top, False), (math.nextafter(top, math.inf), True)):
+        policy = LinearPolicy(math.ldexp(1.0, k), math.ldexp(r2, k))
+        for solve in (
+            lambda: equilibrium_census(policy, game),
+            lambda: best_response(0, math.ldexp(0.5, k), policy, game),
+        ):
+            if refused:
+                with pytest.raises(ValueError, match=r"^the ramp's stationarity cubic"):
+                    solve()
+            else:
+                solve()
 
 
 def test_a_lone_user_below_the_ramp_is_a_census_member():

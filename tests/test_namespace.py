@@ -20,7 +20,7 @@ def test_the_package_exports_exactly_each_modules_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     declared = [name for module in MODULES for name in module.__all__]
-    assert len(declared) == len(set(declared)) == 53
+    assert len(declared) == len(set(declared)) == 54
     assert public == set(declared)
     for module in MODULES:
         for name in module.__all__:

@@ -95,6 +95,14 @@ def test_sim_config_refuses_run_options_that_are_not_counts(option, value, messa
     assert getattr(replace(sim, **{option: np.int64(3)}), option) == 3  # a numpy integer passes
 
 
+@pytest.mark.parametrize("mode", ["event", "analytic", None])
+def test_sim_config_refuses_a_queue_mode_that_is_not_a_member(mode):
+    # "event" used to run the analytic delay without a word
+    message = f"queue_mode must be one of {[*QueueMode]}, got {mode!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SimConfig(game=CFG, policy=NoDrop(), input_rates=RateProfile((1.0, 1.0)), queue_mode=mode)
+
+
 def test_sim_config_bounds_the_packets_a_run_can_count():
     # int64 sums over 2**62 expected packets cannot wrap, and no draw meets numpy's limit
     at_bound = SimConfig(
@@ -1270,6 +1278,13 @@ def test_sweep_validates_replications():
     # message tells the sweep's own check from that
     with pytest.raises(ValueError, match="^replications must be at least 1, got 0$"):
         sweep(base, [1.1], [600.0], [1], replications=0)
+    # a float used to raise a bare TypeError from range, and True was recorded in the cell
+    for value in (2.0, True, np.float64(2.0)):
+        message = f"replications must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(base, [1.1], [600.0], [1], replications=value)
+    (cell,) = sweep(base, [1.1], [600.0], [1], replications=np.int64(1))
+    assert cell.replications == 1 and cell.error is None
 
 
 def test_a_sweep_cell_of_unbounded_ratios_has_no_spread():
