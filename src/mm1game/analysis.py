@@ -16,6 +16,7 @@ from .model import (
     GameConfig,
     NoDrop,
     RateProfile,
+    _check_integer,
     _require_feasible,
     utility,
 )
@@ -122,7 +123,9 @@ def poa_closed_form(m: int, alpha: float, kind: WelfareKind) -> float:
     ratio is taken after mapping the welfare gap back through exp, i.e. it is
     the product of per-user utility ratios).  Grows without bound in ``m``.
     It is formed from its logarithm, so only a ratio past a double overflows.
+    ``m`` is an integer of at least 1.
     """
+    _check_integer("m", m)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     if alpha <= 0:

@@ -16,6 +16,7 @@ from .model import (
     GameConfig,
     RateProfile,
     UnstableQueueError,
+    _check_integer,
     _potential,
     _unchecked_profile,
     feasible,
@@ -299,11 +300,12 @@ def run_dynamics(
     ``max_iter`` rounds is reported in the trajectory, not raised.  Steeply
     sloped policies contract slowly (per-round factors above 0.99 occur), so
     the default budget is generous.  ``mode`` must be an :class:`UpdateMode`,
-    ``max_iter`` at least 1 and ``tol`` positive; ``tol=inf`` stops after
-    one round.
+    ``max_iter`` an integer of at least 1 and ``tol`` positive; ``tol=inf``
+    stops after one round.
     """
     if not isinstance(mode, UpdateMode):  # a member's value, such as "round_robin", too
         raise ValueError(f"mode must be one of {[*UpdateMode]}, got {mode!r}")
+    _check_integer("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not tol > 0:  # NaN fails this too
@@ -385,9 +387,11 @@ def response_field(
 def triangular_grid(
     config: GameConfig, policy: DropPolicy, points_per_axis: int
 ) -> list[RateProfile]:
-    """Two-user grid over the lower triangle where traffic can still get through."""
+    """Two-user grid over the lower triangle where traffic can still get through;
+    ``points_per_axis`` is an integer of at least 2."""
     if config.m != 2:
         raise ValueError("triangular_grid is defined for two-user games")
+    _check_integer("points_per_axis", points_per_axis)
     if points_per_axis < 2:
         raise ValueError("points_per_axis must be at least 2")
     cutoff = _scan_cutoff(policy, config.mu)

@@ -18,7 +18,7 @@ from .analysis import (
     optimal_total_rate,
     poa_of_equilibrium,
 )
-from .dynamics import UpdateMode, _ramp_roots, run_dynamics
+from .dynamics import _ramp_roots, run_dynamics
 from .model import RATE_FLOOR, DropPolicy, GameConfig, LinearPolicy, RateProfile, StepPolicy
 
 __all__ = [
@@ -41,6 +41,40 @@ __all__ = [
 # realized ratio past it.
 _POA_MARGIN = 1e-3
 
+# Every design's epsilon is at least this times m * max(1, alpha).  Its target
+# aims at 1 + (1 - _POA_MARGIN) epsilon, a relative margin of about _POA_MARGIN
+# epsilon / (1 + epsilon) under the promise, and the realized ratio carries a
+# relative rounding that grows with m and alpha; below the floor validation's
+# check cannot resolve the margin.  On 200,000 random specs (exponents 1e-30 to
+# 1e8, m 2 to 1,000, service rates over the whole domain, both welfare kinds,
+# epsilon 1e-6 to 1e6 times the floor), poa_within_bound failed in a third of
+# the feasible designs at 1e-6 of the floor, in 76 of 7,662 at 1e-3 to 1e-2 and
+# in none of 13,439 at 0.1 to 1; none of 57,865 designs inside the domain failed
+# it.  Once epsilon passes 1 the margin stops growing, so from 1e-9 m alpha = 10
+# designs failed at every epsilon (21 of 128 with exponents 1e4 to 1e8, log
+# kind; none of 396 from 1 to 10): the keep_prob ceiling below admits no
+# keep_prob there, as it leaves room only while m (alpha + 1) < 1e9.  The plain
+# sum above exponent one needs the same gap per user (see
+# target_effective_rate): its goal just above the infimum m**(alpha-1) puts the
+# target within rounding of the optimum, and with the gap -log K under about
+# 1e-18 max(1, alpha) its designs failed the check, under 1e-14 max(1, alpha)
+# they listed kinks, and from 1e-14 on none of 5,354 did either.
+_EPSILON_FLOOR = 1e-9
+
+# Every design drops at least this times m of the traffic at its equilibrium:
+# keep_prob <= 1 - _DROP_FLOOR * m.  The equilibrium sits the share
+# 1 - keep_prob into the ramp, which is about (alpha + 1)(1 - s) / (m - 1) of
+# the total wide (s the target over the optimal total), so nearer 1 the ramp
+# start r1 rounds onto the equilibrium: the census lists a kink there, and the
+# design loses its certificate.  With epsilon above its floor, kinks appeared
+# in 26 of 1,031 designs with (1 - keep_prob) / m between 1e-13 and 1e-12, in a
+# sixth to nine tenths of those in each decade below, and in none of 54,029
+# above 1e-12; where epsilon sits on its floor too, a ceiling of 1 - 1e-9 still
+# gave 3 kinks, at m 691 to 963.  The bound keeps about two decades above that
+# corner.  With alpha / (alpha + 1) < keep_prob, it leaves keep_prob room
+# exactly while m (alpha + 1) < 1e9, where the epsilon floor stays below 1.
+_DROP_FLOOR = 1e-9
+
 
 class DesignInfeasibleError(ValueError):
     """No policy with the requested shape and guarantees exists."""
@@ -57,6 +91,15 @@ class DesignSpec:
     equilibrium to exist.  ``target_effective_total`` pins the surviving
     total at the equilibrium explicitly; when omitted it is solved from
     ``epsilon``.
+
+    The spec must lie in the design domain, where a design solved from
+    ``epsilon`` can keep its promise in floats: ``epsilon`` at least
+    ``1e-9 * m * max(1, alpha)``, and ``keep_prob`` at most ``1 - 1e-9 * m``
+    (so no keep_prob once ``m (alpha + 1)`` reaches ``1e9``).  Past either
+    bound, or with a non-finite epsilon, it raises ValueError naming the bound
+    and the value.  Inside the domain every design :func:`design_linear` returns
+    for a solved target passes its own price-of-anarchy check and lists no
+    kink; the evidence is beside ``_EPSILON_FLOOR`` and ``_DROP_FLOOR``.
     """
 
     config: GameConfig
@@ -66,17 +109,19 @@ class DesignSpec:
     target_effective_total: float | None = None
 
     def __post_init__(self) -> None:
-        alpha = self.config.alpha  # raises for heterogeneous exponents
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+        alpha, m = self.config.alpha, self.config.m  # alpha raises for heterogeneous exponents
+        floor = _EPSILON_FLOOR * m * max(1.0, alpha)
+        if not floor <= self.epsilon < math.inf:  # false for NaN too
             raise ValueError(
-                f"epsilon must be positive and finite, got {self.epsilon}: no policy of "
-                "this family reaches a price of anarchy of exactly 1, it can only be approached"
+                f"epsilon must be finite and at least {_EPSILON_FLOOR:g} * m * max(1, alpha) = "
+                f"{floor!r} at m={m}, alpha={alpha!r}, got {self.epsilon}: a price of anarchy "
+                "of 1 can only be approached"
             )
-        low = alpha / (alpha + 1.0)
-        if not low < self.keep_prob < 1.0:
+        low, ceiling = alpha / (alpha + 1.0), 1.0 - _DROP_FLOOR * m
+        if not low < self.keep_prob <= ceiling:
             raise ValueError(
-                f"keep_prob must lie strictly between alpha/(alpha+1)={low} and 1, "
-                f"got {self.keep_prob}"
+                f"keep_prob must lie above alpha/(alpha+1)={low} and at most "
+                f"1 - {_DROP_FLOOR:g} * m = {ceiling!r} at m={m}, got {self.keep_prob}"
             )
         if self.target_effective_total is not None:
             lam_opt = optimal_total_rate(self.config)
@@ -185,8 +230,12 @@ def target_effective_rate(spec: DesignSpec) -> float:
     to one user) and 1 otherwise.  The ratio meets ``goal = 1 + (1 -
     margin) * epsilon`` when ``g(s) >= K``, with ``K = goal**(-1/m)`` or
     ``K = R0 / goal``.  ``g`` rises from 0 to 1 on ``(0, 1)``, so a target
-    exists exactly when ``K < 1``; for the plain sum that is ``R0 < goal``,
-    and otherwise :class:`DesignInfeasibleError` is raised.
+    exists exactly when ``K < 1``.  It is resolved only when ``-log(K)``, the
+    gap each user's utility must close, is at least ``1e-9 * max(1, alpha)``:
+    the spec's epsilon floor gives about that to the log kind and to the
+    plain sum at exponents up to one, and the plain sum above exponent one
+    needs its goal to pass ``R0`` by that factor, or
+    :class:`DesignInfeasibleError` is raised.
 
     The root is solved in ``u = log(s)``, on
     ``F(u) = alpha u + log1p(-alpha expm1(u)) - log(K)``, by Newton steps
@@ -194,7 +243,10 @@ def target_effective_rate(spec: DesignSpec) -> float:
     meets zero at or below the root and the iterates climb to it without
     passing it.  The loop stops at the first step that does not raise ``u``:
     once rounding hides the rest of the climb, nothing below the root is left
-    to take.  ``s`` is clamped to ``[1e-12, 1 - 1e-12]``.
+    to take.  The gap above keeps the root at ``1 - s >= 4e-9`` or more
+    (``1 - s`` is about ``sqrt(2 gap / (alpha (alpha + 1)))``, and
+    ``EXPONENT_LIMIT`` bounds ``alpha``), so ``u`` stays clear of 0, where
+    ``F'`` divides by ``expm1(u)``.
     """
     alpha, m = spec.config.alpha, spec.config.m
     log_goal = math.log1p((1.0 - _POA_MARGIN) * spec.epsilon)
@@ -202,14 +254,15 @@ def target_effective_rate(spec: DesignSpec) -> float:
         log_k = -log_goal / m
     else:
         log_k = max(alpha - 1.0, 0.0) * math.log(m) - log_goal  # log(R0) - log(goal)
-        if log_k >= 0.0:
+        if log_k > -_EPSILON_FLOOR * max(1.0, alpha):
             try:
                 infimum = repr(m ** (alpha - 1.0))
             except OverflowError:  # the test above compared logarithms, which fit
                 infimum = f"{m}**{alpha - 1.0!r}, beyond the float range"
             raise DesignInfeasibleError(
                 f"no symmetric equilibrium reaches a price of anarchy of {1 + spec.epsilon}: "
-                f"the achievable infimum for this welfare kind is m**(alpha-1) = {infimum}"
+                f"the achievable infimum for this welfare kind is m**(alpha-1) = {infimum}, "
+                f"and the design's goal must pass it by exp({_EPSILON_FLOOR:g} * max(1, alpha))"
             )
     u, nxt = -math.inf, math.log(1e-12)
     while nxt > u:
@@ -217,9 +270,8 @@ def target_effective_rate(spec: DesignSpec) -> float:
         e = math.expm1(u)
         f = alpha * u + math.log1p(-alpha * e) - log_k
         # minus f / F'(u), with F'(u) = -alpha (alpha + 1) e / (1 - alpha e): the form
-        # alpha - alpha s / (1 - alpha e) cancels to noise as s nears 1.  The clamp
-        # u <= -1e-12 keeps s at or below 1 - 1e-12, to the bit.
-        nxt = min(-1e-12, u + f * (1.0 - alpha * e) / (alpha * (alpha + 1.0) * e))
+        # alpha - alpha s / (1 - alpha e) cancels to noise as s nears 1
+        nxt = u + f * (1.0 - alpha * e) / (alpha * (alpha + 1.0) * e)
     return optimal_total_rate(spec.config) * math.exp(u)
 
 
@@ -235,20 +287,16 @@ def design_linear(spec: DesignSpec) -> PolicyDesign:
     welfare optimum, so no dropping policy can improve on it.
     """
     config = spec.config
-    alpha = config.alpha
-    m = config.m
-    mu = config.mu
+    alpha, m, mu = config.alpha, config.m, config.mu
     if m == 1:
         raise DesignInfeasibleError(
             "a lone user needs no dropping policy: its drop-free equilibrium is already "
             "the welfare optimum, with a price of anarchy of 1"
         )
     lam_opt = optimal_total_rate(config)
-    lam_e = (
-        spec.target_effective_total
-        if spec.target_effective_total is not None
-        else target_effective_rate(spec)
-    )
+    lam_e = spec.target_effective_total
+    if lam_e is None:
+        lam_e = target_effective_rate(spec)
     p = spec.keep_prob
     lam_raw = lam_e / p
 
@@ -275,7 +323,7 @@ def design_linear(spec: DesignSpec) -> PolicyDesign:
         )
 
     predicted_poa = poa_at_symmetric_rate(config, spec.welfare_kind, lam_e)
-    if predicted_poa > 1.0 + spec.epsilon + 1e-12:
+    if predicted_poa > 1.0 + spec.epsilon:
         raise DesignInfeasibleError(
             f"the requested target gives a price of anarchy of {predicted_poa}, "
             f"above the allowed {1.0 + spec.epsilon}"
@@ -364,50 +412,41 @@ def validate_design(design: PolicyDesign) -> DesignDiagnostics:
     Reports the paper's sufficient slope condition for uniqueness, the
     census certificate of :func:`equilibrium_census`, and that the
     keep-everything region stays below the service rate.  Best-response
-    play then starts from the census root or kink nearest the prediction
-    (from the prediction itself if there is neither); at an equilibrium the
-    first round changes nothing.  A lone user's flat member is no start:
-    each round answers the others' total 0, so play ends on the same rate
-    from any start.  The realized equilibrium and its price of
-    anarchy are where that play ends; it matches the prediction when play
-    converged and each rate is within 1e-6 of its predicted rate, relative.
+    play then starts from the census root nearest the prediction (from the
+    prediction itself if there is none); at an equilibrium the first round
+    changes nothing.  Inside the spec's domain a design's census lists no
+    kink, and a lone user's flat member is no start either: each round
+    answers the others' total 0, so play ends on the same rate from any
+    start.  The realized equilibrium and its price of anarchy are where
+    that play ends; it matches the prediction when play converged and each
+    rate is within 1e-6 of its predicted rate, relative.
     """
-    spec = design.spec
-    config = spec.config
-    alpha = config.alpha
-    policy = design.policy
+    spec, policy = design.spec, design.policy
+    config, alpha = spec.config, spec.config.alpha
     lam_opt = optimal_total_rate(config)
 
     bound = 1.0 / ((alpha + 1.0) * (policy.r1 - lam_opt)) if policy.r1 > lam_opt else math.inf
-    slope_ok = abs(policy.slope) > bound
-    r1_ok = policy.r1 < config.mu
 
     census = equilibrium_census(policy, config)
-    members = list(census.roots)
-    if census.kink is not None:
-        members.append(policy.r1)
     predicted = design.predicted_ne.total
-    start = min(members, key=lambda t: abs(t - predicted), default=predicted)
+    start = min(census.roots, key=lambda t: abs(t - predicted), default=predicted)
     init = RateProfile((start / config.m,) * config.m)
     # play may stop at a step of a few ulps: 1e-10 is below one ulp of rates near 1e15
     tol = max(1e-10, 8 * math.ulp(predicted))
-    trajectory = run_dynamics(
-        config, policy, init, mode=UpdateMode.ROUND_ROBIN, tol=tol, max_iter=20_000
-    )
+    trajectory = run_dynamics(config, policy, init, tol=tol, max_iter=20_000)  # round-robin
     realized = trajectory.final_profile
     ne_ok = trajectory.converged and all(
         abs(r - q) <= 1e-6 * q
         for r, q in zip(realized.rates, design.predicted_ne.rates)
     )
     realized_poa = poa_of_equilibrium(realized, policy, config, spec.welfare_kind)
-    poa_ok = realized_poa <= 1.0 + spec.epsilon
 
     return DesignDiagnostics(
-        slope_exceeds_uniqueness_bound=slope_ok,
+        slope_exceeds_uniqueness_bound=abs(policy.slope) > bound,
         certified_unique=census.unique,
-        r1_below_service_rate=r1_ok,
+        r1_below_service_rate=policy.r1 < config.mu,
         ne_matches_prediction=ne_ok,
-        poa_within_bound=poa_ok,
+        poa_within_bound=realized_poa <= 1.0 + spec.epsilon,
         uniqueness_bound=bound,
         realized_ne=realized,
         realized_poa=realized_poa,

@@ -121,6 +121,16 @@ def test_poa_closed_form_validation():
         poa_closed_form(2, 0.0, WelfareKind.SUM_UTILITY)
 
 
+@pytest.mark.parametrize("m", [2.5, 2.0, True], ids=["2.5", "2.0", "True"])
+def test_poa_closed_form_refuses_a_user_count_that_is_not_an_integer(m):
+    # 2.5 users gave a ratio of 1.225 for the plain sum
+    with pytest.raises(ValueError, match=f"^m must be an integer, got {m!r}$"):
+        poa_closed_form(m, 1.0, WelfareKind.SUM_UTILITY)
+    assert poa_closed_form(np.int64(2), 2.0, WelfareKind.SUM_UTILITY) == pytest.approx(
+        POA_SUM_GOLDEN
+    )
+
+
 def test_closed_form_overflows_name_their_inputs():
     with pytest.raises(OverflowError, match=r"^the price of anarchy overflows a float at m=200, alpha=3$"):
         poa_closed_form(200, 3.0, WelfareKind.SUM_LOG_UTILITY)

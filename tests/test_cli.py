@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mm1game
+from mm1game.mechanism import _DROP_FLOOR, _EPSILON_FLOOR
 from mm1game.cli import (
     _COMMANDS,
     _OPTIONS,
@@ -122,9 +123,9 @@ def test_a_non_finite_epsilon_exits_with_config_error(tmp_path, capsys, epsilon)
     out = tmp_path / "d.csv"
     argv = ["design", "--mu", "6", "--alpha", "2", "--m", "2", "--epsilon", epsilon]
     assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(
-        f"configuration error: design: epsilon must be positive and finite, got {epsilon}:"
-    )
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: design: epsilon must be finite and at least ")
+    assert f", got {epsilon}: " in err
     assert not out.exists()
 
 
@@ -150,9 +151,7 @@ def test_a_service_rate_above_the_bound_is_a_config_error(tmp_path, capsys, argv
 
 def test_design_json_payload(tmp_path):
     out = tmp_path / "d.json"
-    # below about 6e-24 the target's root lies above the solver's clamp at 1 - 1e-12 of the
-    # welfare-optimal total, 4
-    for epsilon in ("0.1", "1e-30", "1e-300"):
+    for epsilon in ("0.1", "4e-09"):  # the second is the domain's least at m 2
         code = main(
             [
                 "design", "--mu", "6", "--alpha", "2", "--m", "2", "--epsilon", epsilon,
@@ -164,7 +163,62 @@ def test_design_json_payload(tmp_path):
         assert payload["schema_version"] == SCHEMA_VERSION
         (row,) = payload["design"]
         assert row["predicted_poa"] <= 1.0 + float(epsilon)
-        assert row["target_effective_total"] <= 4.0 * (1.0 - 1e-12)
+        assert row["target_effective_total"] < 4.0
+        assert row["check_poa_bound"] and row["check_unique"]
+
+
+_LEAST_AT_M2 = "epsilon must be finite and at least 1e-09 * m * max(1, alpha) = 4e-09 at m=2, "
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--m", "2", "--epsilon", "1e-20"], _LEAST_AT_M2 + "alpha=2.0, got 1e-20: "),
+        (["--m", "2", "--epsilon", "1e-30"], _LEAST_AT_M2 + "alpha=2.0, got 1e-30: "),
+        (["--m", "2", "--epsilon", "1e-300"], _LEAST_AT_M2 + "alpha=2.0, got 1e-300: "),
+        (["--m", "2", "--epsilon", "3.9999999999999994e-09"],
+         _LEAST_AT_M2 + "alpha=2.0, got 3.9999999999999994e-09: "),
+        (
+            ["--m", "1000", "--epsilon", "1e-7"],
+            "epsilon must be finite and at least 1e-09 * m * max(1, alpha) = "
+            "2.0000000000000003e-06 at m=1000, alpha=2.0, got 1e-07: ",
+        ),
+        (
+            ["--m", "2", "--epsilon", "0.2", "--keep-prob", "0.9999999999999999"],
+            "keep_prob must lie above alpha/(alpha+1)=0.6666666666666666 and at most "
+            "1 - 1e-09 * m = 0.999999998 at m=2, got 0.9999999999999999",
+        ),
+    ],
+    ids=["1e-20", "1e-30", "1e-300", "an-ulp-below", "m1000", "keep-prob"],
+)
+def test_a_design_outside_the_domain_is_a_config_error_naming_the_bound(
+    tmp_path, capsys, flags, message
+):
+    # each of these used to exit 0 with a check of its own design false
+    out = tmp_path / "d.json"
+    argv = ["design", "--mu", "6", "--alpha", "2", *flags, "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: design: {message}")
+    assert not out.exists()
+
+
+def test_a_sweep_records_a_target_inside_the_floor_as_its_cells_error(tmp_path):
+    out = tmp_path / "w.json"
+    argv = [
+        "sweep", "--mu", "600", "--alpha", "2", "--m", "2", "--desired-poas", "1.000000001,1.2",
+        "--replications", "1", "--slots", "100", "--format", "json", "--out", str(out),
+    ]
+    assert main(argv) == EXIT_OK
+    cells = json.loads(out.read_text())["cells"]
+    assert cells[0]["error"].startswith(_LEAST_AT_M2 + "alpha=2.0, got 1.000000082740371e-09: ")
+    assert cells[0]["mean_poa"] is None and cells[1]["error"] is None
+    assert main([*argv, "--keep-prob", "0.999999999"]) == EXIT_OK
+    cells = json.loads(out.read_text())["cells"]
+    assert cells[0]["error"].startswith(_LEAST_AT_M2)  # epsilon is read first
+    assert cells[1]["error"] == (
+        "keep_prob must lie above alpha/(alpha+1)=0.6666666666666666 and at most "
+        "1 - 1e-09 * m = 0.999999998 at m=2, got 0.999999999"
+    )
 
 
 def test_yaml_config_with_flag_override(tmp_path):
@@ -1456,11 +1510,37 @@ def _drawn(option):
     return _or_junk(st.sampled_from(near), st.sampled_from(["nan", "-1", "", "x"]))
 
 
+def _domain_edges(key, texts):
+    """Texts at and an ulp either side of the design domain's bound on ``key``, for the
+    game drawn so far, or none where that game's m or alpha is not one number."""
+    try:
+        m, alpha = int(texts.get("game.m", "1")), float(texts["game.alpha"])
+    except (KeyError, ValueError):
+        return []
+    if not (m >= 1 and 0.0 < alpha < math.inf):
+        return []
+    if key in ("design.keep_prob", "sweep.keep_prob"):
+        edge = 1.0 - _DROP_FLOOR * m
+    elif key in ("design.epsilon", "sweep.desired_poas"):
+        edge = _EPSILON_FLOOR * m * max(1.0, alpha)
+        if key == "sweep.desired_poas":  # the least ratio whose epsilon, ratio - 1, reaches it
+            ratio = 1.0 + edge
+            while ratio - 1.0 < edge:
+                ratio = math.nextafter(ratio, 2.0)
+            while math.nextafter(ratio, 0.0) - 1.0 >= edge:
+                ratio = math.nextafter(ratio, 0.0)
+            edge = ratio
+    else:
+        return []
+    return [repr(v) for v in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0))]
+
+
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     sections = _COMMANDS[command][1]
     argv = [command]
+    texts = {}
     for option in _OPTIONS:
         section, _, name = option.key.rpartition(".")
         if option.key == "out" or (section and section not in sections):
@@ -1469,7 +1549,12 @@ def _argv(draw):
         if draw(st.sampled_from(range(20))) < (1 if option.default is _REQUIRED else 10):
             continue
         flag = option.flag or "--" + name.replace("_", "-")
-        argv.append(f"{flag}={draw(_drawn(option))}")
+        edges = _domain_edges(option.key, texts)
+        # a bounded design key is drawn at or around its bound one time in three
+        text = draw(st.sampled_from(edges) if edges and draw(st.integers(0, 2)) == 0
+                    else _drawn(option))
+        texts[option.key] = text
+        argv.append(f"{flag}={text}")
     return argv
 
 

@@ -541,6 +541,16 @@ def test_dynamics_rejects_a_round_limit_below_one_and_a_tol_that_is_not_positive
     assert traj.converged and len(traj.iterates) == 2
 
 
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "3"], ids=["2.5", "3.0", "True", "str"])
+def test_dynamics_refuses_a_round_limit_that_is_not_an_integer(max_iter):
+    # 2.5 raised a bare TypeError from range, and True played one round
+    message = f"^max_iter must be an integer, got {re.escape(repr(max_iter))}$"
+    with pytest.raises(ValueError, match=message):
+        run_dynamics(CFG, NoDrop(), RateProfile((0.1, 0.1)), max_iter=max_iter)
+    traj = run_dynamics(CFG, NoDrop(), RateProfile((0.1, 0.1)), max_iter=np.int64(3), tol=1e-300)
+    assert len(traj.iterates) == 4
+
+
 @pytest.mark.parametrize("mode", ["round_robin", "simultaneous", None])
 def test_dynamics_refuses_a_mode_that_is_not_a_member(mode):
     message = f"mode must be one of {[*UpdateMode]}, got {mode!r}"
@@ -910,6 +920,14 @@ def test_triangular_grid_covers_the_feasible_wedge():
     assert len(grid) == expected
     with pytest.raises(ValueError):
         triangular_grid(FIG7_CFG, FIG7_POLICY, 1)
+
+
+@pytest.mark.parametrize("points", [3.0, 2.5, True], ids=["3.0", "2.5", "True"])
+def test_triangular_grid_refuses_a_point_count_that_is_not_an_integer(points):
+    # 3.0 raised a bare TypeError from linspace
+    with pytest.raises(ValueError, match=f"^points_per_axis must be an integer, got {points!r}$"):
+        triangular_grid(FIG7_CFG, FIG7_POLICY, points)
+    assert len(triangular_grid(FIG7_CFG, FIG7_POLICY, np.int32(3))) == 6
 
 
 def test_triangular_grid_refuses_a_game_that_is_not_two_user():

@@ -47,7 +47,7 @@ from mm1game import (
     verify_equilibrium,
 )
 from mm1game.dynamics import _cubic_roots
-from mm1game.mechanism import _POA_MARGIN
+from mm1game.mechanism import _DROP_FLOOR, _EPSILON_FLOOR, _POA_MARGIN
 
 CFG = GameConfig.uniform(6.0, 2.0, 2)
 GOLDEN_SPEC = DesignSpec(CFG, epsilon=0.05, keep_prob=0.9, target_effective_total=3.9)
@@ -72,8 +72,57 @@ def test_epsilon_zero_is_impossible():
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
 def test_epsilon_must_be_finite(epsilon):
     # NaN fails every comparison, so a test of epsilon <= 0 alone lets it through
-    with pytest.raises(ValueError, match="positive and finite"):
+    with pytest.raises(ValueError, match="^epsilon must be finite and at least "):
         DesignSpec(CFG, epsilon=epsilon)
+
+
+def _least_epsilon(m, alpha):
+    """The domain's least epsilon."""
+    return _EPSILON_FLOOR * m * max(1.0, alpha)
+
+
+@pytest.mark.parametrize(
+    "m, alpha",
+    [(2, 2.0), (2, 1e-30), (3, 0.5), (1000, 2.0), (1000, 1e5), (9, EXPONENT_LIMIT)],
+)
+def test_each_bound_of_the_domain_is_accepted_at_its_edge_and_refused_an_ulp_past_it(m, alpha):
+    game = GameConfig.uniform(6.0, alpha, m)
+    least, ceiling = _least_epsilon(m, alpha), 1.0 - _DROP_FLOOR * m
+    low = alpha / (alpha + 1.0)
+    assert low < ceiling
+    DesignSpec(game, least, keep_prob=ceiling)
+    prefix = f"epsilon must be finite and at least 1e-09 * m * max(1, alpha) = {least!r} "
+    message = "^" + re.escape(prefix)
+    with pytest.raises(ValueError, match=message):
+        DesignSpec(game, math.nextafter(least, 0.0), keep_prob=ceiling)
+    past = math.nextafter(ceiling, 1.0)
+    with pytest.raises(ValueError) as info:
+        DesignSpec(game, least, keep_prob=past)
+    assert str(info.value) == (
+        f"keep_prob must lie above alpha/(alpha+1)={low} and at most "
+        f"1 - 1e-09 * m = {ceiling!r} at m={m}, got {past}"
+    )
+
+
+def test_the_epsilon_floor_names_the_bound_m_alpha_and_the_value():
+    with pytest.raises(ValueError) as info:
+        DesignSpec(CFG, 1e-20)
+    assert str(info.value) == (
+        "epsilon must be finite and at least 1e-09 * m * max(1, alpha) = 4e-09 at m=2, "
+        "alpha=2.0, got 1e-20: a price of anarchy of 1 can only be approached"
+    )
+
+
+@pytest.mark.parametrize("m, alpha", [(10, EXPONENT_LIMIT), (1000, 1e6), (630, 80252558.13233182)])
+def test_no_keep_prob_is_in_the_domain_once_m_times_alpha_plus_1_reaches_1e9(m, alpha):
+    # the margin _POA_MARGIN epsilon / (1 + epsilon) stops growing; past 1e-9 m alpha = 10
+    # a fifth of such designs failed their check at every epsilon (the last case, at
+    # epsilon 10274.886215416298, realized 10284.9)
+    low = alpha / (alpha + 1.0)
+    game = GameConfig.uniform(6.0, alpha, m)
+    for keep_prob in (math.nextafter(low, 1.0), 1.0 - _DROP_FLOOR * m, 0.9999999989810415):
+        with pytest.raises(ValueError, match=r"^keep_prob must lie above alpha/\(alpha\+1\)="):
+            DesignSpec(game, 1e300, keep_prob=keep_prob)
 
 
 def test_keep_prob_must_exceed_its_floor():
@@ -171,7 +220,7 @@ def _decimal_target(spec):
         s = (lo + hi) / 2
         for _ in range(4):
             s -= (s**a * (a + 1 - a * s) - k) / (a * (a + 1) * s ** (a - 1) * (1 - s))
-        assert Decimal("1e-12") < s < 1 - Decimal("1e-12")  # inside the solver's clamps
+        assert Decimal("1e-12") < s < 1 - Decimal("1e-12")  # above the solver's start, below 1
         slope = a * (a + 1) * (1 - s) / (1 + a * (1 - s))
         return Decimal(cfg.mu) * a / (a + 1) * s, max(1, abs(k.ln()) / slope)
 
@@ -414,8 +463,28 @@ def test_an_infeasible_target_names_the_exact_infimum(mu, alpha, m, keep_prob, i
         target_effective_rate(spec)
     assert str(info.value) == (
         "no symmetric equilibrium reaches a price of anarchy of 1.5: "
-        f"the achievable infimum for this welfare kind is m**(alpha-1) = {infimum}"
+        f"the achievable infimum for this welfare kind is m**(alpha-1) = {infimum}, "
+        "and the design's goal must pass it by exp(1e-09 * max(1, alpha))"
     )
+
+
+def test_a_plain_sum_goal_within_the_floor_of_its_infimum_is_infeasible():
+    # the goal 1 + 0.999 epsilon clears m**(alpha-1) by a factor of exp(4.1e-25): the
+    # target lies within rounding of the optimum, on a ramp 7e-12 wide, and the
+    # realized ratio 1.0000000021238202 broke the promise 1.0000000020815232
+    game = GameConfig.uniform(6.0, 1.000000003, 2)
+    spec = DesignSpec(game, 2.081523085071119e-09, welfare_kind=WelfareKind.SUM_UTILITY)
+    with pytest.raises(DesignInfeasibleError, match="must pass it by exp"):
+        design_linear(spec)
+    # a goal that clears the infimum 2 by the floor's factor, 1e-9 * alpha, is designed
+    log_goal = math.log(2.0) + 2e-9 * (1.0 + 1e-6)
+    spec = DesignSpec(
+        GameConfig.uniform(6.0, 2.0, 2),
+        math.expm1(log_goal) / (1.0 - _POA_MARGIN),
+        welfare_kind=WelfareKind.SUM_UTILITY,
+    )
+    diag = designed_with_diagnostics(spec).diagnostics
+    assert diag.all_ok
 
 
 # ---------------------------------------------------------------- linear design
@@ -491,6 +560,17 @@ def test_design_rejects_poa_above_budget():
         design_linear(DesignSpec(CFG, epsilon=0.01, target_effective_total=2.0))
 
 
+def test_a_design_promises_exactly_the_bound_its_check_tests():
+    # the predicted ratio may equal 1 + epsilon, and not pass it by any slack
+    predicted = poa_at_symmetric_rate(CFG, WelfareKind.SUM_LOG_UTILITY, 3.9)
+    spec = DesignSpec(CFG, epsilon=predicted - 1.0, target_effective_total=3.9)
+    assert 1.0 + spec.epsilon == predicted
+    assert design_linear(spec).predicted_poa == predicted
+    below = math.nextafter(predicted, 0.0) - 1.0
+    with pytest.raises(DesignInfeasibleError, match="above the allowed"):
+        design_linear(DesignSpec(CFG, epsilon=below, target_effective_total=3.9))
+
+
 LONE_USER_REFUSAL = (
     "a lone user needs no dropping policy: its drop-free equilibrium is already "
     "the welfare optimum, with a price of anarchy of 1"
@@ -523,29 +603,32 @@ def _log_uniform(low, high):
     m=st.integers(2, 1000),
     mu=_log_uniform(RATE_FLOOR, math.nextafter(SERVICE_RATE_LIMIT, 0.0)),
     alpha=_log_uniform(RATE_FLOOR, EXPONENT_LIMIT),
-    epsilon=_log_uniform(1e-12, 10.0),
-    keep_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    over_floor=st.just(1.0) | _log_uniform(1.0, 1e10),
+    keep_frac=st.floats(0.0, 1.0, exclude_min=True),
     kind=st.sampled_from(list(WelfareKind)),
     target_frac=st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     ulps_below=st.integers(0, 4),
 )
 # one ulp below the optimum 20/3 the ramp is a few ulps wide, and that is a design
 @example(
-    m=2, mu=10.0, alpha=2.0, epsilon=0.05, keep_frac=0.7, kind=WelfareKind.SUM_LOG_UTILITY,
+    m=2, mu=10.0, alpha=2.0, over_floor=1e7, keep_frac=0.7, kind=WelfareKind.SUM_LOG_UTILITY,
     target_frac=1.0, ulps_below=1,
 )
 # a target this deep in the subnormals underflows the slope's denominator to 0
 @example(
-    m=2, mu=1.0, alpha=1.0, epsilon=0.05, keep_frac=0.5, kind=WelfareKind.SUM_LOG_UTILITY,
+    m=2, mu=1.0, alpha=1.0, over_floor=1e7, keep_frac=0.5, kind=WelfareKind.SUM_LOG_UTILITY,
     target_frac=1e-323, ulps_below=0,
 )
 def test_a_design_for_many_users_has_a_finite_ramp_or_is_infeasible(
-    m, mu, alpha, epsilon, keep_frac, kind, target_frac, ulps_below
+    m, mu, alpha, over_floor, keep_frac, kind, target_frac, ulps_below
 ):
     # keep_gain is positive for m >= 2 with a relative margin of ~5e-9 or more, so no
-    # target, however close to the optimum, leaves the slope's numerator at 0
+    # target, however close to the optimum, leaves the slope's numerator at 0.  epsilon
+    # and keep_prob are drawn inside the domain, up to its edges
     game = GameConfig.uniform(mu, alpha, m)
-    low = alpha / (alpha + 1.0)
+    least = _least_epsilon(m, alpha)
+    low, ceiling = alpha / (alpha + 1.0), 1.0 - _DROP_FLOOR * m
+    assume(low < ceiling)  # past m (alpha + 1) = 1e9 no keep_prob is in the domain
     target = None
     if target_frac is not None:
         target = optimal_total_rate(game) * target_frac
@@ -553,7 +636,8 @@ def test_a_design_for_many_users_has_a_finite_ramp_or_is_infeasible(
             target = math.nextafter(target, 0.0)
     try:
         spec = DesignSpec(
-            game, epsilon, keep_prob=low + keep_frac * (1.0 - low), welfare_kind=kind,
+            game, min(least * over_floor, 1e300),
+            keep_prob=min(low + keep_frac * (ceiling - low), ceiling), welfare_kind=kind,
             target_effective_total=target,
         )
     except ValueError:  # the keep probability or the target rounded out of its range
@@ -565,6 +649,20 @@ def test_a_design_for_many_users_has_a_finite_ramp_or_is_infeasible(
     r1, r2 = design.policy.r1, design.policy.r2
     assert math.isfinite(r1) and math.isfinite(r2) and r1 < r2, design
     assert design.spec is spec
+
+
+@pytest.mark.parametrize(
+    "m, alpha, epsilon",
+    [
+        (1000, 1e-30, math.nextafter(_least_epsilon(1000, 1e-30), 0.0)),
+        (1000, 2.0, 1e-7),
+        (1000, 2.0, math.nan),
+    ],
+    ids=["an-ulp-below", "small-epsilon", "nan"],
+)
+def test_a_design_for_many_users_outside_the_domain_is_refused(m, alpha, epsilon):
+    with pytest.raises(ValueError, match=r"^epsilon must be finite and at least"):
+        DesignSpec(GameConfig.uniform(6.0, alpha, m), epsilon)
 
 
 # ------------------------------------------------------------------ validation
@@ -675,16 +773,23 @@ def test_sufficient_slope_condition_applies_only_to_tight_budgets():
     m=st.integers(1, 50),
     alpha=st.floats(0.2, 3.0),
     mu=st.floats(0.1, 1e4),
-    epsilon=st.floats(1e-4, 3.0),
-    keep_frac=st.floats(1e-3, 1.0 - 1e-3),
+    epsilon=st.floats(0.0, 3.0),
+    keep_frac=st.floats(1e-3, 1.0),
 )
 # large service rates, where an unpolished root is off by more than the play's tol
 @example(m=36, alpha=1.8, mu=9993.0, epsilon=0.0017, keep_frac=0.36)
 @example(m=44, alpha=2.77, mu=7388.0, epsilon=0.0445, keep_frac=0.36)
+# both of the domain's edges at once
+@example(m=50, alpha=0.2, mu=6.0, epsilon=0.0, keep_frac=1.0)
+@example(m=50, alpha=3.0, mu=1e4, epsilon=0.0, keep_frac=1.0)
 def test_census_of_every_design_is_its_target(m, alpha, mu, epsilon, keep_frac):
+    # an epsilon below the domain's floor is drawn as the floor, and keep_prob runs up
+    # to the domain's ceiling, at keep_frac = 1
     cfg = GameConfig.uniform(mu, alpha, m)
-    low = alpha / (alpha + 1.0)
-    spec = DesignSpec(cfg, epsilon=epsilon, keep_prob=low + keep_frac * (1.0 - low))
+    low, ceiling = alpha / (alpha + 1.0), 1.0 - _DROP_FLOOR * m
+    epsilon = max(epsilon, _least_epsilon(m, alpha))
+    keep_prob = min(low + keep_frac * (ceiling - low), ceiling)
+    spec = DesignSpec(cfg, epsilon=epsilon, keep_prob=keep_prob)
     try:
         design = design_linear(spec)
     except DesignInfeasibleError:
@@ -700,6 +805,63 @@ def test_census_of_every_design_is_its_target(m, alpha, mu, epsilon, keep_frac):
     own = utility(0, profile, design.policy, cfg)
     # relative 1e-10: verify_equilibrium scales tol by max(1, own)
     assert verify_equilibrium(profile, design.policy, cfg, tol=1e-10 * min(1.0, own))
+
+
+@st.composite
+def _in_domain_specs(draw):
+    """(mu, alpha, m, welfare kind, epsilon, keep_prob) over the whole domain: every
+    exponent and service rate, 2 to 1,000 users, and epsilon and keep_prob inside
+    their bounds, epsilon on its floor one time in four and keep_prob on its
+    ceiling one time in two."""
+    m = draw(st.integers(2, 1000))
+    alpha = draw(_log_uniform(RATE_FLOOR, EXPONENT_LIMIT))
+    mu = draw(_log_uniform(RATE_FLOOR, math.nextafter(SERVICE_RATE_LIMIT, 0.0)))
+    kind = draw(st.sampled_from(list(WelfareKind)))
+    least = _least_epsilon(m, alpha)
+    epsilon = draw(st.sampled_from([least, least * 10.0]) | _log_uniform(least, least * 1e12))
+    low, ceiling = alpha / (alpha + 1.0), 1.0 - _DROP_FLOOR * m
+    if not low < ceiling:  # m (alpha + 1) reaches 1e9: no keep_prob is in the domain
+        return mu, alpha, m, kind, epsilon, draw(st.floats(0.0, 1.0))
+    keep_prob = draw(st.just(ceiling) | st.floats(low, ceiling, exclude_min=True))
+    return mu, alpha, m, kind, epsilon, keep_prob
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_in_domain_specs())
+# two census roots: the lower, 0.002801646023264652, is no equilibrium (it fails
+# verify_equilibrium), so the design is unique but not certified
+@example(
+    case=(
+        0.05766143347005707, 0.00992494788765213, 2, WelfareKind.SUM_UTILITY,
+        1.6471397857511176e-05, 0.086047794368075,
+    )
+)
+# the domain's corner at many users: epsilon on its floor and keep_prob on its ceiling,
+# where a ceiling of 1 - 1e-9 left a kink
+@example(case=(705.4197828446073, 0.7795377472465918, 860, WelfareKind.SUM_LOG_UTILITY,
+               _least_epsilon(860, 0.7795377472465918), 1.0 - _DROP_FLOOR * 860))
+# many users at a large exponent, where m (alpha + 1) is just under 1e9
+@example(case=(2324.740992159608, 1.5e6, 630, WelfareKind.SUM_LOG_UTILITY, 10274.886215416298,
+               1.0 - _DROP_FLOOR * 630))
+def test_every_design_inside_the_domain_keeps_its_promise(case):
+    mu, alpha, m, kind, epsilon, keep_prob = case
+    game = GameConfig.uniform(mu, alpha, m)
+    if not alpha / (alpha + 1.0) < keep_prob:  # m (alpha + 1) reaches 1e9: no keep_prob
+        with pytest.raises(ValueError, match=r"^keep_prob must"):
+            DesignSpec(game, epsilon, keep_prob=keep_prob, welfare_kind=kind)
+        return
+    spec = DesignSpec(game, epsilon, keep_prob=keep_prob, welfare_kind=kind)
+    try:
+        design = designed_with_diagnostics(spec)
+    except DesignInfeasibleError:
+        return
+    diag = design.diagnostics
+    assert diag.poa_within_bound and diag.ne_matches_prediction, (design, diag)
+    census = equilibrium_census(design.policy, game)
+    assert census.kink is None and census.flat is None, census
+    assert any(t == pytest.approx(design.target_raw_total, rel=1e-12) for t in census.roots)
+    # the certificate is not asserted: two roots at a small exponent may leave the
+    # design unique without it (see the first example)
 
 
 @pytest.mark.parametrize("m", [10, 12])
@@ -826,21 +988,15 @@ def test_validation_lists_a_lone_users_flat_member(monkeypatch):
     assert utility(0, diag.realized_ne, ramp, lone) == pytest.approx(flat, rel=1e-12)
 
 
-def test_validation_starts_play_at_a_kink_one_ulp_from_the_prediction(monkeypatch):
-    # With 1 - keep_prob one ulp, the design's ramp start r1 rounds one ulp above its
-    # target raw total.  The census then has no roots and lists the kink, so play
-    # starts at the even split of r1, not at the prediction.
-    plays = _recorded_plays(monkeypatch)
-    spec = DesignSpec(GameConfig.uniform(6.0, 2.0, 2), 0.2, keep_prob=0.9999999999999999)
-    design = design_linear(spec)
-    r1 = design.policy.r1
-    assert r1 == 3.2731734128117047 and math.ulp(r1) == r1 - design.predicted_ne.total
-    census = equilibrium_census(design.policy, spec.config)
-    assert census == EquilibriumCensus((), (1.6365867064058524, 5.453653174376591), None)
-    diag = validate_design(design)
-    assert [play.iterates[0] for play in plays] == [RateProfile((r1 / 2,) * 2)]
-    assert not diag.certified_unique
-    assert diag.ne_matches_prediction and diag.poa_within_bound
+def test_a_keep_prob_one_ulp_below_one_is_past_the_ceiling():
+    # its design put r1 one ulp above the target raw total, and the census listed a kink
+    # there in place of the target: no design in the domain comes that close
+    with pytest.raises(ValueError) as info:
+        DesignSpec(GameConfig.uniform(6.0, 2.0, 2), 0.2, keep_prob=0.9999999999999999)
+    assert str(info.value) == (
+        "keep_prob must lie above alpha/(alpha+1)=0.6666666666666666 and at most "
+        "1 - 1e-09 * m = 0.999999998 at m=2, got 0.9999999999999999"
+    )
 
 
 def _reference_census(policy, config):
