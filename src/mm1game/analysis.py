@@ -46,6 +46,13 @@ class WelfareKind(Enum):
     SUM_LOG_UTILITY = "sum_log"
 
 
+def _check_kind(name: str, kind: object) -> None:
+    """Raise ValueError naming ``name`` unless ``kind`` is a :class:`WelfareKind`;
+    a member's value, such as ``"sum"``, is refused."""
+    if not isinstance(kind, WelfareKind):
+        raise ValueError(f"{name} must be one of {[*WelfareKind]}, got {kind!r}")
+
+
 def optimal_total_rate(config: GameConfig) -> float:
     """Total rate ``mu * alpha / (alpha + 1)`` that maximizes welfare.
 
@@ -70,21 +77,16 @@ def social_optimum_sum(config: GameConfig) -> tuple[RateProfile, float]:
     """Profile and value maximizing the plain sum of utilities.
 
     Above exponent one the sum is maximized by concentrating all traffic on a
-    single user (reported on user 0); at or below one, by an even split.
+    single user (reported on user 0); at or below one, by an even split.  The
+    value is the profile's :func:`welfare`.
     """
-    a = config.alpha
-    m = config.m
-    mu = config.mu
     lam = optimal_total_rate(config)
-    try:
-        base = a**a * mu ** (a + 1.0) / (a + 1.0) ** (a + 1.0)
-    except OverflowError as exc:
-        raise OverflowError(
-            f"the social optimum overflows a float at mu={mu:g}, alpha={a:g}"
-        ) from exc
-    if a > 1.0:
-        return RateProfile((lam,) + (0.0,) * (m - 1)), base
-    return RateProfile((lam / m,) * m), m ** (1.0 - a) * base
+    m = config.m
+    if config.alpha > 1.0:
+        profile = RateProfile((lam,) + (0.0,) * (m - 1))
+    else:
+        profile = RateProfile((lam / m,) * m)
+    return profile, welfare(profile, NoDrop(), config, WelfareKind.SUM_UTILITY)
 
 
 def social_optimum_log(config: GameConfig) -> RateProfile:
@@ -102,7 +104,9 @@ def welfare(
     """Aggregate welfare of a profile under a policy.
 
     For the log kind, any user with zero utility sends the welfare to -inf.
+    A utility's OverflowError is raised again naming ``mu`` and ``alpha``.
     """
+    _check_kind("kind", kind)
     try:
         utilities = [utility(i, profile, policy, config) for i in range(config.m)]
     except OverflowError as exc:
@@ -123,13 +127,14 @@ def poa_closed_form(m: int, alpha: float, kind: WelfareKind) -> float:
     ratio is taken after mapping the welfare gap back through exp, i.e. it is
     the product of per-user utility ratios).  Grows without bound in ``m``.
     It is formed from its logarithm, so only a ratio past a double overflows.
-    ``m`` is an integer of at least 1.
+    ``m`` is an integer of at least 1 and ``alpha`` positive and finite.
     """
     _check_integer("m", m)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:  # false for NaN too
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    _check_kind("kind", kind)
     # log of the per-user ratio (alpha m + 1)**(alpha + 1) / (m**alpha (alpha + 1)**(alpha + 1)),
     # as log(m) plus (alpha + 1) log((alpha m + 1) / ((alpha + 1) m)): no large terms cancel
     log_ratio = math.log(m) + (alpha + 1.0) * math.log1p((1 - m) / ((alpha + 1.0) * m))
@@ -158,10 +163,12 @@ def _poa(config: GameConfig, kind: WelfareKind, accepted, headroom: float) -> fl
     any change of units, and nothing is raised to a power that can pass a
     double.  A ratio past a double is +inf, and a welfare past a double
     gives 0.0.  A user at zero (log kind) or a zero total (sum kind) makes
-    it +inf.  Needs a shared exponent, which is read first.  Under
-    :data:`~mm1game.model.EXPONENT_LIMIT` the optimum's headroom
-    ``mu - lam`` is positive: ``alpha / (alpha + 1)`` never rounds to 1.
+    it +inf.  Needs a shared exponent, which is read once ``kind`` is
+    checked.  Under :data:`~mm1game.model.EXPONENT_LIMIT` the optimum's
+    headroom ``mu - lam`` is positive: ``alpha / (alpha + 1)`` never rounds
+    to 1.
     """
+    _check_kind("kind", kind)
     alpha, m = config.alpha, config.m
     lam = optimal_total_rate(config)
     spare = config.mu - lam  # the optimum's headroom
@@ -225,15 +232,14 @@ def no_drop_report(config: GameConfig, kind: WelfareKind) -> WelfareReport:
     """
     ne = ne_closed_form(config)
     if kind is WelfareKind.SUM_UTILITY:
-        opt_profile, opt_value = social_optimum_sum(config)
+        opt_profile, _ = social_optimum_sum(config)
     else:
         opt_profile = social_optimum_log(config)
-        opt_value = welfare(opt_profile, NoDrop(), config, kind)
     ratio = poa_closed_form(config.m, config.alpha, kind)
     return WelfareReport(
         kind=kind,
         optimum_profile=opt_profile,
-        optimum_value=opt_value,
+        optimum_value=welfare(opt_profile, NoDrop(), config, kind),
         ne_profile=ne,
         ne_value=welfare(ne, NoDrop(), config, kind),
         poa=ratio,

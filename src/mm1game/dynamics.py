@@ -373,11 +373,16 @@ def verify_equilibrium(
 def response_field(
     config: GameConfig, policy: DropPolicy, grid: list[RateProfile]
 ) -> list[tuple[RateProfile, tuple[float, float]]]:
-    """Two-user update vectors: from each grid point toward both best responses."""
+    """Two-user update vectors: from each grid point toward both best responses.
+
+    A grid profile that does not hold exactly two rates raises ValueError.
+    """
     if config.m != 2:
         raise ValueError("response_field is defined for two-user games")
     out = []
     for profile in grid:
+        if len(profile.rates) != 2:
+            raise ValueError(f"every grid profile must hold two rates, got {len(profile.rates)}")
         b0 = best_response(0, profile.rates[1], policy, config)
         b1 = best_response(1, profile.rates[0], policy, config)
         out.append((profile, (b0 - profile.rates[0], b1 - profile.rates[1])))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 from .analysis import (
     WelfareKind,
+    _check_kind,
     _poa,
     optimal_total_rate,
     poa_of_equilibrium,
@@ -90,7 +91,8 @@ class DesignSpec:
     equilibrium; it must exceed ``alpha / (alpha + 1)`` for such an
     equilibrium to exist.  ``target_effective_total`` pins the surviving
     total at the equilibrium explicitly; when omitted it is solved from
-    ``epsilon``.
+    ``epsilon``.  ``welfare_kind`` is a :class:`WelfareKind`; a member's value,
+    such as ``"sum"``, is refused.
 
     The spec must lie in the design domain, where a design solved from
     ``epsilon`` can keep its promise in floats: ``epsilon`` at least
@@ -109,6 +111,7 @@ class DesignSpec:
     target_effective_total: float | None = None
 
     def __post_init__(self) -> None:
+        _check_kind("welfare_kind", self.welfare_kind)
         alpha, m = self.config.alpha, self.config.m  # alpha raises for heterogeneous exponents
         floor = _EPSILON_FLOOR * m * max(1.0, alpha)
         if not floor <= self.epsilon < math.inf:  # false for NaN too

@@ -333,11 +333,22 @@ def utility(i: int, profile: RateProfile, policy: DropPolicy, config: GameConfig
     """User ``i``'s power: accepted throughput ** alpha_i divided by system delay.
 
     With total effective load ``s`` the FCFS delay is ``1 / (mu - s)``, so the
-    power equals ``(rate_i * keep)**alpha_i * (mu - total * keep)``.
+    power equals ``(rate_i * keep)**alpha_i * (mu - total * keep)``.  Where
+    ``(rate_i * keep)**alpha_i`` alone passes a double, the utility is formed
+    from half that exponent twice, and its OverflowError is raised only if the
+    utility passes a double too.
     """
     p = _require_feasible(profile, policy, config)
     eff_i = profile.rates[i] * p
-    return eff_i ** config.alphas[i] * (config.mu - profile.total * p)
+    headroom = config.mu - profile.total * p
+    try:
+        return eff_i ** config.alphas[i] * headroom
+    except OverflowError:  # the utility may still fit: split the power
+        half = eff_i ** (config.alphas[i] / 2)
+        value = half * headroom * half
+        if value == math.inf:
+            raise
+        return value
 
 
 def _potential(rates, total: float, keep: float, config: GameConfig) -> float:

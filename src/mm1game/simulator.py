@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import WelfareKind, _poa
+from .analysis import WelfareKind, _check_kind, _poa
 from .mechanism import DesignSpec, design_linear
 from .model import DropPolicy, GameConfig, RateProfile, _check_integer, keep_probability
 
@@ -472,11 +472,13 @@ def sweep(
     ``base.seed + k``.  A cell whose design is infeasible, whose run is
     refused (too many packets, say) or whose run overloads records its error
     instead of aborting the sweep.  ``replications`` is a Python or numpy
-    integer, at least 1.
+    integer, at least 1, and ``welfare_kind`` a :class:`WelfareKind`; either
+    is refused before any cell runs.
     """
     _check_integer("replications", replications)
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
+    _check_kind("welfare_kind", welfare_kind)
     return [
         _run_cell(base, q, mu, w, replications, welfare_kind, keep_prob)
         for q, mu, w in product(desired_poas, mus, windows)

@@ -3,14 +3,17 @@
 import itertools
 import math
 import random
-from decimal import Decimal, localcontext
+import re
+import sys
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mm1game import (
+    EXPONENT_LIMIT,
     RATE_FLOOR,
     SERVICE_RATE_LIMIT,
     GameConfig,
@@ -121,6 +124,33 @@ def test_poa_closed_form_validation():
         poa_closed_form(2, 0.0, WelfareKind.SUM_UTILITY)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_poa_closed_form_refuses_an_exponent_that_is_not_finite(alpha):
+    # NaN fails alpha <= 0 and would come back as the ratio
+    with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {alpha}$"):
+        poa_closed_form(2, alpha, WelfareKind.SUM_UTILITY)
+
+
+_KIND_CHOICES = re.escape(str([*WelfareKind]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda kind: welfare(ne_closed_form(CFG), NoDrop(), CFG, kind),
+        lambda kind: poa_closed_form(2, 2.0, kind),
+        lambda kind: poa_of_equilibrium(ne_closed_form(CFG), NoDrop(), CFG, kind),
+        lambda kind: poa_at_symmetric_rate(CFG, kind, 2.4),
+    ],
+    ids=["welfare", "poa_closed_form", "poa_of_equilibrium", "poa_at_symmetric_rate"],
+)
+@pytest.mark.parametrize("kind", [kind.value for kind in WelfareKind])
+def test_a_welfare_kind_given_by_its_value_is_refused(call, kind):
+    # a member's value is not the member: an `is` test on "sum" selects the other kind
+    with pytest.raises(ValueError, match=f"^kind must be one of {_KIND_CHOICES}, got {kind!r}$"):
+        call(kind)
+
+
 @pytest.mark.parametrize("m", [2.5, 2.0, True], ids=["2.5", "2.0", "True"])
 def test_poa_closed_form_refuses_a_user_count_that_is_not_an_integer(m):
     # 2.5 users gave a ratio of 1.225 for the plain sum
@@ -136,8 +166,55 @@ def test_closed_form_overflows_name_their_inputs():
         poa_closed_form(200, 3.0, WelfareKind.SUM_LOG_UTILITY)
     with pytest.raises(OverflowError, match=r"^the price of anarchy overflows a float at m=200, alpha=200$"):
         poa_closed_form(200, 200.0, WelfareKind.SUM_UTILITY)
-    with pytest.raises(OverflowError, match=r"^the social optimum overflows a float at mu=6, alpha=400$"):
+    # the optimum's welfare itself, about exp(711.5), is past a double
+    with pytest.raises(OverflowError, match=r"^a user's utility overflows a float at mu=6, alpha=400$"):
         social_optimum_sum(GameConfig.uniform(6.0, 400.0, 2))
+
+
+_FLOAT_MAX = Decimal(sys.float_info.max)
+_SMALLEST_NORMAL = Decimal(sys.float_info.min)
+
+
+def _exact_sum_optimum(mu: float, alpha: float, m: int) -> Decimal:
+    """``alpha**alpha * mu**(alpha+1) / (alpha+1)**(alpha+1)``, times ``m**(1-alpha)``
+    at or below exponent one, to 60 digits with an unbounded exponent."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 60, MAX_EMAX, MIN_EMIN
+        a = Decimal(alpha)
+        log_value = a * a.ln() + (a + 1) * (Decimal(mu).ln() - (a + 1).ln())
+        if alpha <= 1.0:
+            log_value += (1 - a) * Decimal(m).ln()
+        return log_value.exp()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    mu=st.floats(RATE_FLOOR, SERVICE_RATE_LIMIT, exclude_max=True),
+    alpha=st.floats(RATE_FLOOR, EXPONENT_LIMIT),
+    m=st.integers(1, 1000),
+)
+# the closed form alpha**alpha * mu**(alpha+1) / (alpha+1)**(alpha+1) passes a double here
+@example(mu=1.0, alpha=150.0, m=2)
+@example(mu=1e10, alpha=27.0, m=2)
+# lam**1000 passes a double, lam**1000 * (mu - lam), about 3.2e306, does not
+@example(mu=2.04, alpha=1000.0, m=2)
+@example(mu=6.0, alpha=400.0, m=2)
+@example(mu=RATE_FLOOR, alpha=RATE_FLOOR, m=1000)
+@example(mu=math.nextafter(SERVICE_RATE_LIMIT, 0.0), alpha=EXPONENT_LIMIT, m=1)
+def test_the_sum_optimum_matches_a_60_digit_oracle(mu, alpha, m):
+    want = _exact_sum_optimum(mu, alpha, m)
+    try:
+        _, got = social_optimum_sum(GameConfig.uniform(mu, alpha, m))
+    except OverflowError:
+        got = math.inf
+    if want > _FLOAT_MAX:
+        # a value past a double may round to the largest one, or be raised or +inf
+        assert Decimal(got) >= _FLOAT_MAX * (1 - Decimal("1e-13")), (mu, alpha, m)
+    elif want >= _SMALLEST_NORMAL:
+        assert math.isfinite(got), (mu, alpha, m, want)
+        assert abs(Decimal(got) - want) <= Decimal("1e-13") * want, (mu, alpha, m)
+    else:  # subnormal or zero: no relative bound
+        assert 0.0 <= got <= float(_SMALLEST_NORMAL) * (1 + 1e-13), (mu, alpha, m)
 
 
 def test_a_closed_form_ratio_within_a_double_does_not_overflow():

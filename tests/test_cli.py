@@ -1065,7 +1065,7 @@ def test_invalid_yaml_and_an_unreadable_config_are_rejected(tmp_path, monkeypatc
         ["simulate", "--mu", "5", "--alpha", "2", "--m", "2", "--rates", "5,5",
          "--queue-mode", "analytic"],
         ["dynamics", "--mu", "6", "--alpha", "2", "--m", "2", "--init", "5,5"],
-        # the closed forms' powers overflow a double: ratio**m, and **(alpha + 1)
+        # past a double: the price of anarchy at m=200, and the optimum's welfare at alpha=400
         ["analyze", "--mu", "6", "--alpha", "3", "--m", "200"],
         ["analyze", "--mu", "6", "--alpha", "400", "--m", "2"],
         # a lone user is refused, at a target one ulp under the optimum total too
@@ -1236,7 +1236,7 @@ def test_a_simulation_whose_power_overflows_writes_it_as_missing_and_its_ratio(
         (["analyze", "--mu", "6", "--alpha", "3", "--m", "200"],
          "the price of anarchy overflows a float at m=200, alpha=3"),
         (["analyze", "--mu", "6", "--alpha", "400", "--m", "2"],
-         "the social optimum overflows a float at mu=6, alpha=400"),
+         "a user's utility overflows a float at mu=6, alpha=400"),
         (["analyze", "--mu", "1e20", "--alpha", "20", "--m", "2"],
          "a user's utility overflows a float at mu=1e+20, alpha=20"),
     ],
@@ -1247,6 +1247,21 @@ def test_an_overflow_names_the_quantity_and_the_input(tmp_path, monkeypatch, cap
     assert main([*argv, "--out", "x.csv"]) == EXIT_NUMERIC
     assert capsys.readouterr().err == f"numerical failure: {cause}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "mu,alpha,want",
+    [("1", "150", 0.002444386165537652), ("1e10", "27", 1.3378171366549706e278)],
+    ids=["a-power-past-a-double", "a-value-near-the-top"],
+)
+def test_analyze_writes_the_sum_optimum_wherever_its_value_fits(tmp_path, mu, alpha, want):
+    # the optimum's closed form passes a double at alpha=150, and at mu=1e10 rounds to +inf
+    out = tmp_path / "a.json"
+    argv = ["analyze", "--mu", mu, "--alpha", alpha, "--m", "2", "--format", "json"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    rows = json.loads(out.read_text(), parse_constant=_reject_constant)["reports"]
+    (row,) = [row for row in rows if row["welfare"] == "sum"]
+    assert row["opt_welfare"] == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize(

@@ -906,6 +906,14 @@ def test_field_requires_two_users():
         response_field(GameConfig.uniform(6.0, 2.0, 3), NoDrop(), [])
 
 
+@pytest.mark.parametrize("rates", [(1.0, 1.0, 1.0), (1.0,)])
+def test_field_refuses_a_grid_profile_that_does_not_hold_two_rates(rates):
+    # the field reads only the first two rates of a profile
+    message = f"^every grid profile must hold two rates, got {len(rates)}$"
+    with pytest.raises(ValueError, match=message):
+        response_field(CFG, NoDrop(), [RateProfile((1.0, 1.0)), RateProfile(rates)])
+
+
 def test_triangular_grid_covers_the_feasible_wedge():
     grid = triangular_grid(FIG7_CFG, FIG7_POLICY, 12)
     assert all(p.total <= FIG7_POLICY.r2 + 1e-12 for p in grid)

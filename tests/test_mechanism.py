@@ -104,6 +104,14 @@ def test_each_bound_of_the_domain_is_accepted_at_its_edge_and_refused_an_ulp_pas
     )
 
 
+@pytest.mark.parametrize("kind", [kind.value for kind in WelfareKind])
+def test_a_spec_refuses_a_welfare_kind_given_by_its_value(kind):
+    # taken as a kind, "sum_log" would design for the plain sum
+    message = f"welfare_kind must be one of {[*WelfareKind]}, got {kind!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DesignSpec(CFG, 0.1, welfare_kind=kind)
+
+
 def test_the_epsilon_floor_names_the_bound_m_alpha_and_the_value():
     with pytest.raises(ValueError) as info:
         DesignSpec(CFG, 1e-20)

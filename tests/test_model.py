@@ -8,6 +8,7 @@ import dataclasses
 import math
 import pickle
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -365,6 +366,17 @@ def test_utility_zero_rate_and_full_drop():
 def test_utility_unstable_queue_raises():
     with pytest.raises(UnstableQueueError):
         utility(0, RateProfile((4.0, 4.0)), NoDrop(), CFG)
+
+
+def test_a_utility_whose_power_alone_passes_a_double_is_still_formed():
+    # 2**1025 is about 3.6e308; times the headroom 2.01 - 2, about 3.6e306, it fits
+    game = GameConfig.uniform(2.01, 1025.0, 1)
+    want = Decimal(2) ** 1025 * (Decimal(2.01) - 2)
+    got = utility(0, RateProfile((2.0,)), NoDrop(), game)
+    assert got == pytest.approx(float(want), rel=1e-15)
+    # at exponent 1100 the utility, about 1.4e329, is past a double too
+    with pytest.raises(OverflowError):
+        utility(0, RateProfile((2.0,)), NoDrop(), GameConfig.uniform(2.01, 1100.0, 1))
 
 
 def test_utility_drops_reduce_throughput_but_add_headroom():

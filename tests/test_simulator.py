@@ -1287,6 +1287,24 @@ def test_sweep_validates_replications():
     assert cell.replications == 1 and cell.error is None
 
 
+def test_sweep_refuses_a_welfare_kind_given_by_its_value(monkeypatch):
+    # taken as a kind, "sum_log" would record an infeasible design in every cell
+    base = SimConfig(
+        game=CFG, policy=NoDrop(), input_rates=RateProfile((0.0, 0.0)), slots=100
+    )
+    monkeypatch.setattr(simulator, "_run_cell", None)  # no cell may run
+    message = f"welfare_kind must be one of {[*WelfareKind]}, got 'sum_log'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep(base, [1.1], [600.0], [1], replications=1, welfare_kind="sum_log")
+
+
+def test_empirical_poa_refuses_a_welfare_kind_given_by_its_value():
+    sim = SimConfig(game=CFG, policy=NoDrop(), input_rates=RateProfile((2.0, 2.0)), slots=100)
+    message = f"kind must be one of {[*WelfareKind]}, got 'sum'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        empirical_poa(run(sim), "sum")
+
+
 def test_a_sweep_cell_of_unbounded_ratios_has_no_spread():
     # at mu=3, alpha=1/16 the designed rates are ~6e-6 a slot, so no packet
     # arrives in 100 slots and every replication's ratio is infinite; an
